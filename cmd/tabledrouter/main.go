@@ -3,14 +3,16 @@
 // contiguous ranges owned by N tabledserver members, partitions every
 // /v1/batch by owning node with the same counting-sort plan the in-process
 // sharded backend uses, fans the sub-batches out concurrently over pooled
-// connections, and merges the replies back into request order. To clients
+// upgraded connections (docs/WIRE.md §7), and merges the replies back into
+// request order. Members must serve that upgrade route: there is no
+// per-request HTTP fallback, so upgrade members before routers. To clients
 // it is wire-compatible with a single tabledserver — tabled.Client and
 // tabledload point at it unchanged, in JSON or binary wire.
 //
 // Usage:
 //
 //	tabledrouter -addr :8090 -spec cluster.json \
-//	             [-node-wire binary] [-node-timeout 5s] [-retries 3] \
+//	             [-node-timeout 5s] [-retries 3] \
 //	             [-health-every 500ms] [-health-timeout 2s] \
 //	             [-rate 0 -rate-window 1s] \
 //	             [-timeout 30s] [-drain 10s] [-maxbatch 4096] [-pprof]
@@ -92,7 +94,6 @@ func run() int {
 	nodes := flag.String("nodes", "", "comma-separated member base URLs (even split; alternative to -spec)")
 	mapping := flag.String("mapping", "square-shell", "storage mapping every member runs (with -nodes)")
 	maxAddr := flag.Int64("max-addr", 1<<20, "address space split evenly across -nodes; the last node absorbs all growth past it")
-	nodeWire := flag.String("node-wire", tabled.WireBinary, "member /v1/batch encoding: binary | json")
 	nodeTimeout := flag.Duration("node-timeout", 5*time.Second, "per-attempt deadline for one member sub-batch")
 	retries := flag.Int("retries", 3, "attempts per member sub-batch (1 = no retry)")
 	healthEvery := flag.Duration("health-every", cluster.DefaultHealthInterval, "interval between member /readyz sweeps")
@@ -118,7 +119,6 @@ func run() int {
 		pol = &retry.Policy{Base: 50 * time.Millisecond, Max: time.Second, MaxAttempts: *retries}
 	}
 	copt := cluster.Options{
-		Wire:              *nodeWire,
 		Retry:             pol,
 		NodeTimeout:       *nodeTimeout,
 		Registry:          reg,
@@ -206,7 +206,7 @@ func run() int {
 			"state", rt.Health().State(indexOf(spec, n.Name)).String())
 	}
 	logger.Info("routing", "addr", *addr, "mapping", spec.Mapping, "nodes", len(spec.Nodes),
-		"node_wire", *nodeWire, "retries", *retries, "rate", *rate,
+		"retries", *retries, "rate", *rate,
 		"health_every", *healthEvery, "timeout", *reqTimeout, "pprof", *pprofOn)
 
 	lc := srvkit.Lifecycle{

@@ -16,12 +16,36 @@ import (
 	"pairfn/internal/core"
 	"pairfn/internal/extarray"
 	"pairfn/internal/obs"
+	"pairfn/internal/srvkit"
 	"pairfn/internal/tabled"
 )
 
+// A member is a tabled server under test. Its Close stops it the way a
+// dead process stops: the listener and every connection, the router's
+// upgraded ones included, which httptest.Server.Close alone leaves
+// serving (net/http forgets hijacked connections).
+type member struct {
+	*httptest.Server
+	upgrades *srvkit.Upgrades
+}
+
+func startMember(t *testing.T, h http.Handler) *member {
+	t.Helper()
+	m := &member{Server: httptest.NewUnstartedServer(h)}
+	m.upgrades = srvkit.TrackUpgrades(m.Config)
+	m.Start()
+	t.Cleanup(m.Close)
+	return m
+}
+
+func (m *member) Close() {
+	m.Server.Close()
+	m.upgrades.Close(context.Background())
+}
+
 // startServer spins a real tabled server (sharded backend over the
-// diagonal mapping) and returns its httptest harness.
-func startServer(t *testing.T, rows, cols int64, opt tabled.ServerOptions) *httptest.Server {
+// diagonal mapping) and returns its harness.
+func startServer(t *testing.T, rows, cols int64, opt tabled.ServerOptions) *member {
 	t.Helper()
 	f, err := core.ByName("diagonal")
 	if err != nil {
@@ -32,16 +56,14 @@ func startServer(t *testing.T, rows, cols int64, opt tabled.ServerOptions) *http
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(tabled.NewHandler(b, opt))
-	t.Cleanup(srv.Close)
-	return srv
+	return startMember(t, tabled.NewHandler(b, opt))
 }
 
 // startCluster builds N member servers tiling [1, 1<<40) evenly plus a
 // Router over them.
-func startCluster(t *testing.T, n int, rows, cols int64, opt Options) (*Router, []*httptest.Server) {
+func startCluster(t *testing.T, n int, rows, cols int64, opt Options) (*Router, []*member) {
 	t.Helper()
-	members := make([]*httptest.Server, n)
+	members := make([]*member, n)
 	bases := make([]string, n)
 	for i := range members {
 		members[i] = startServer(t, rows, cols, tabled.ServerOptions{})
@@ -55,12 +77,14 @@ func startCluster(t *testing.T, n int, rows, cols int64, opt Options) (*Router, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(rt.Close)
 	return rt, members
 }
 
 // randomOps builds a seeded op mix touching every routing class: in-range
 // sets/gets, boundary-adjacent positions, grows and shrinks, dims, stats,
-// rejected positions, and unknown kinds.
+// rejected positions, and unknown kinds (which the binary codec cannot
+// carry: a binary caller maps them to dims).
 func randomOps(rng *rand.Rand, n int, rows, cols int64) []tabled.Op {
 	ops := make([]tabled.Op, n)
 	for i := range ops {
@@ -91,29 +115,42 @@ func randomOps(rng *rand.Rand, n int, rows, cols int64) []tabled.Op {
 }
 
 // TestExecuteEquivalence quick-checks the tentpole property: partition +
-// concurrent fan-out + merge over N members is indistinguishable — per-op
-// results, errors, stats — from running the same batch on one server.
+// concurrent fan-out over the members' upgraded connections + merge is
+// indistinguishable — per-op results, errors, stats — from running the
+// same batch on one server. The batch enters through the router's front
+// door in either client wire.
 func TestExecuteEquivalence(t *testing.T) {
 	for _, nodes := range []int{1, 2, 3, 5} {
 		for _, wire := range []string{tabled.WireJSON, tabled.WireBinary} {
 			t.Run(fmt.Sprintf("nodes=%d/wire=%s", nodes, wire), func(t *testing.T) {
 				const rows, cols = 40, 40
-				rt, _ := startCluster(t, nodes, rows, cols, Options{Wire: wire})
+				rt, _ := startCluster(t, nodes, rows, cols, Options{})
+				front := httptest.NewServer(NewHandler(rt, HandlerOptions{}))
+				t.Cleanup(front.Close)
+				fc := &tabled.Client{Base: front.URL, Wire: wire}
 				direct := startServer(t, rows, cols, tabled.ServerOptions{})
-				// The direct baseline always speaks JSON: the binary codec
-				// rejects unknown op kinds at encode, and the semantics under
-				// test are the server's, not the wire's. Only the router's
-				// node fan-out wire varies.
+				// The direct baseline always speaks JSON: the semantics under
+				// test are the server's, not the wire's.
 				dc := &tabled.Client{Base: direct.URL, Wire: tabled.WireJSON}
 				rng := rand.New(rand.NewSource(int64(nodes)*100 + 7))
 				ctx := context.Background()
 				for round := 0; round < 8; round++ {
 					ops := randomOps(rng, 60, rows, cols)
+					if wire == tabled.WireBinary {
+						for i := range ops {
+							if ops[i].Op == "mystery" {
+								ops[i] = tabled.Op{Op: "dims"}
+							}
+						}
+					}
 					want, err := dc.Batch(ctx, ops)
 					if err != nil {
 						t.Fatalf("round %d: direct batch: %v", round, err)
 					}
-					got := rt.Execute(ctx, ops, "")
+					got, err := fc.Batch(ctx, ops)
+					if err != nil {
+						t.Fatalf("round %d: routed batch: %v", round, err)
+					}
 					if !reflect.DeepEqual(got, want) {
 						for i := range got {
 							if !reflect.DeepEqual(got[i], want[i]) {
@@ -139,7 +176,7 @@ func TestExecuteOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := rt.Execute(context.Background(), []tabled.Op{
-		{Op: "get", X: 2, Y: 2},          // addr 5: in range
+		{Op: "get", X: 2, Y: 2},           // addr 5: in range
 		{Op: "set", X: 30, Y: 30, V: "v"}, // addr ≫ 10: out of range
 	}, "")
 	if res[0].Err != "" {
@@ -182,8 +219,7 @@ func TestExecuteDegradedMemberReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	writable := obs.NewFlag(true)
-	degradedSrv := httptest.NewServer(tabled.NewHandler(b, tabled.ServerOptions{Writable: writable}))
-	t.Cleanup(degradedSrv.Close)
+	degradedSrv := startMember(t, tabled.NewHandler(b, tabled.ServerOptions{Writable: writable}))
 	healthySrv := startServer(t, 40, 40, tabled.ServerOptions{})
 
 	spec := &Spec{Mapping: "diagonal", Nodes: []NodeSpec{
@@ -208,8 +244,8 @@ func TestExecuteDegradedMemberReadOnly(t *testing.T) {
 	}
 
 	res = rt.Execute(ctx, []tabled.Op{
-		{Op: "get", X: 1, Y: 1},          // read from the degraded range: served
-		{Op: "set", X: 1, Y: 2, V: "no"}, // write to it: typed fail-fast
+		{Op: "get", X: 1, Y: 1},            // read from the degraded range: served
+		{Op: "set", X: 1, Y: 2, V: "no"},   // write to it: typed fail-fast
 		{Op: "set", X: 20, Y: 5, V: "yes"}, // addr 281 → healthy range write
 	}, "")
 	if res[0].Err != "" || !res[0].Found || res[0].V != "kept" {
@@ -288,6 +324,53 @@ func TestHandlerBadRequests(t *testing.T) {
 	big, _ := json.Marshal(tabled.BatchRequest{Ops: make([]tabled.Op, 5)})
 	if resp := post(string(big), "application/json"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("over-MaxBatch status = %d", resp.StatusCode)
+	}
+}
+
+// TestHandlerLongIdempotencyKey: HTTP caps a client's Idempotency-Key only
+// by the header block, so a 2 KB key must route like any other — and stay
+// idempotent — although members refuse exchange keys over 1 KB.
+func TestHandlerLongIdempotencyKey(t *testing.T) {
+	rt, _ := startCluster(t, 2, 1000, 1000, Options{})
+	front := httptest.NewServer(NewHandler(rt, HandlerOptions{}))
+	t.Cleanup(front.Close)
+	key := strings.Repeat("k", 2048)
+	post := func(body string) tabled.BatchResponse {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, front.URL+"/v1/batch", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(tabled.IdempotencyKeyHeader, key)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var br tabled.BatchResponse
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+			t.Fatal(err)
+		}
+		return br
+	}
+	// Two cells, one per member.
+	batch := `{"ops":[{"op":"set","x":1,"y":1,"v":"first"},{"op":"set","x":900,"y":900,"v":"first"}]}`
+	for _, r := range post(batch).Results {
+		if r.Err != "" || !r.OK {
+			t.Fatalf("long-key batch = %+v", r)
+		}
+	}
+	// A retry under the same key replays; it must not apply its new values.
+	post(strings.ReplaceAll(batch, "first", "retry"))
+	c := &tabled.Client{Base: front.URL}
+	for _, p := range [][2]int64{{1, 1}, {900, 900}} {
+		if v, _, err := c.Get(context.Background(), p[0], p[1]); err != nil || v != "first" {
+			t.Fatalf("get %v = %q, %v; want the first write", p, v, err)
+		}
 	}
 }
 

@@ -16,8 +16,9 @@
 // Request flow: the front door (handler.go) decodes /v1/batch in either
 // wire format, the Partitioner (partition.go) lays the ops out per owner
 // with the same counting-sort plan the in-process Sharded backend uses,
-// the Router (fanout.go) calls the owners concurrently through pooled
-// tabled.Clients, and the plan merges the replies back into request
+// the Router (fanout.go) calls the owners concurrently over per-member
+// pools of upgraded connections (tabled.ConnPool, docs/WIRE.md §7 — the
+// one internal wire), and the plan merges the replies back into request
 // order — bit-identical to single-node execution (broadcast ops combine
 // under exact rules; rejected positions are forwarded so even error
 // strings match; the equivalence test quick-checks this).

@@ -25,10 +25,13 @@ import (
 // it — the real replication stack, not a stub, so the router-level tests
 // exercise the same frames/status/promote surface production does.
 type replPair struct {
-	primary  *httptest.Server
-	follower *httptest.Server
+	primary  *member
+	follower *member
 	wal      *tabled.WAL // primary's
 	fol      *tabled.Follower
+	// stopPull stops the follower's pull loop and waits for it to exit;
+	// the follower keeps serving what it has applied. Idempotent.
+	stopPull func()
 }
 
 func startReplPair(t *testing.T, rows, cols int64) *replPair {
@@ -56,10 +59,9 @@ func startReplPair(t *testing.T, rows, cols int64) *replPair {
 
 	pb, pw := open("primary.wal")
 	p := &replPair{wal: pw}
-	p.primary = httptest.NewServer(tabled.NewHandler(pb, tabled.ServerOptions{
+	p.primary = startMember(t, tabled.NewHandler(pb, tabled.ServerOptions{
 		WAL: pw, Repl: &tabled.Repl{WAL: pw},
 	}))
-	t.Cleanup(p.primary.Close)
 
 	fb, fw := open("follower.wal")
 	writable := obs.NewFlag(false)
@@ -70,14 +72,14 @@ func startReplPair(t *testing.T, rows, cols int64) *replPair {
 		Writable: writable,
 		Retry:    &retry.Policy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, MaxAttempts: -1},
 	})
-	p.follower = httptest.NewServer(tabled.NewHandler(fb, tabled.ServerOptions{
+	p.follower = startMember(t, tabled.NewHandler(fb, tabled.ServerOptions{
 		WAL: fw, Writable: writable, Repl: &tabled.Repl{WAL: fw, Follower: p.fol},
 	}))
-	t.Cleanup(p.follower.Close)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { defer close(done); p.fol.Run(ctx) }()
-	t.Cleanup(func() { cancel(); <-done })
+	p.stopPull = func() { cancel(); <-done }
+	t.Cleanup(p.stopPull)
 	return p
 }
 
@@ -296,6 +298,41 @@ func TestReloaderSwapsSpecLive(t *testing.T) {
 	}
 }
 
+// TestReloadKeepsWrittenPositions: a spec reload must not forget the
+// writes the replaced router acknowledged. With the follower's pull
+// stopped, a read right after the reload is still refused by the replica
+// and served by the primary.
+func TestReloadKeepsWrittenPositions(t *testing.T) {
+	pair := startReplPair(t, 40, 40)
+	pair.stopPull()
+	specJSON := func(hi int64) string {
+		return fmt.Sprintf(`{"mapping":"diagonal","nodes":[{"name":"n0","base":%q,"replica":%q,"lo":1,"hi":%d}]}`,
+			pair.primary.URL, pair.follower.URL, hi)
+	}
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, []byte(specJSON(1<<40)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rl, err := NewReloader(path, Options{ReplicaReads: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rl.Router().Health().CheckNow(ctx)
+	if r := rl.Router().Execute(ctx, []tabled.Op{{Op: "set", X: 3, Y: 3, V: "acked"}}, ""); r[0].Err != "" {
+		t.Fatalf("write: %+v", r[0])
+	}
+	if err := os.WriteFile(path, []byte(specJSON(1<<41)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := rl.Reload(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if r := rl.Router().Execute(ctx, []tabled.Op{{Op: "get", X: 3, Y: 3}}, ""); r[0].V != "acked" {
+		t.Fatalf("read after reload = %+v, want the acknowledged write", r[0])
+	}
+}
+
 // TestJitteredInterval: every draw stays inside [interval/2, 3·interval/2)
 // — the desynchronization window Run promises.
 func TestJitteredInterval(t *testing.T) {
@@ -305,6 +342,20 @@ func TestJitteredInterval(t *testing.T) {
 		d := c.jitteredInterval()
 		if d < 50*time.Millisecond || d >= 150*time.Millisecond {
 			t.Fatalf("draw %d: %v outside [50ms, 150ms)", i, d)
+		}
+	}
+}
+
+// TestNewRejectsNonHTTPMember: members are reached over upgraded HTTP/1.1
+// connections, so a base or replica that is not an http:// URL fails the
+// router's construction instead of every sub-batch.
+func TestNewRejectsNonHTTPMember(t *testing.T) {
+	for _, n := range []NodeSpec{
+		{Name: "n0", Base: "https://a:1", Lo: 1, Hi: 1 << 40},
+		{Name: "n0", Base: "http://a:1", Replica: "a:2", Lo: 1, Hi: 1 << 40},
+	} {
+		if _, err := New(&Spec{Mapping: "diagonal", Nodes: []NodeSpec{n}}, Options{}); err == nil {
+			t.Errorf("spec node %+v accepted", n)
 		}
 	}
 }

@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pairfn/internal/core"
@@ -107,27 +109,23 @@ const DefaultReplicaReadMaxLag = 1024
 
 // Options configures New.
 type Options struct {
-	// Wire selects the /v1/batch encoding for node fan-out:
-	// tabled.WireBinary (the default — the zero-allocation codec) or
-	// tabled.WireJSON.
-	Wire string
 	// Retry, when non-nil, retries failed sub-batches with jittered
 	// backoff. Safe because every sub-batch carries a per-node
-	// Idempotency-Key derived from the client's: a node that already
+	// idempotency key derived from the client's: a node that already
 	// executed a lost-ack sub-batch replays its recorded response.
 	Retry *retry.Policy
-	// NodeTimeout bounds each sub-batch attempt (tabled.Client.Timeout);
-	// 0 leaves attempts bounded only by the request context.
+	// NodeTimeout bounds each sub-batch attempt; an attempt that hits it
+	// closes its connection. 0 leaves attempts bounded only by the
+	// request context.
 	NodeTimeout time.Duration
-	// HTTPClient overrides the pooled default for node traffic and
-	// health probes (tests inject httptest clients).
-	HTTPClient *http.Client
 	// Registry receives cluster_* metrics; nil disables them.
 	Registry *obs.Registry
 	// Logger receives router log lines (may be nil).
 	Logger *slog.Logger
-	// Health configures the active checker (Metrics/HTTPClient/Logger
-	// fields are filled from the options above when zero).
+	// Health configures the active checker (Metrics/Logger fields are
+	// filled from the options above when zero). Its HTTPClient also
+	// fetches member /v1/stats; sub-batches travel on the router's own
+	// upgraded connections (docs/WIRE.md §7).
 	Health CheckerOptions
 	// ReplicaReads offloads read-only sub-batches to a node's live,
 	// unpromoted replica even while the primary is healthy — read scaling
@@ -148,18 +146,26 @@ type Options struct {
 // propagating the client's Idempotency-Key per node — so routers can be
 // replicated and restarted freely.
 type Router struct {
-	spec    *Spec
-	pf      core.PF
-	rm      *RangeMap
-	part    *Partitioner
-	clients []*tabled.Client
-	// rclients[i] reaches Nodes[i].Replica (nil without one): the read
+	spec *Spec
+	pf   core.PF
+	rm   *RangeMap
+	part *Partitioner
+	// pools[i] carries Nodes[i]'s sub-batches over upgraded connections.
+	pools []*tabled.ConnPool
+	// rpools[i] reaches Nodes[i].Replica (nil without one): the read
 	// fallback while the primary is degraded or down, and the write
 	// target once the checker observes the replica promoted.
-	rclients []*tabled.Client
-	health   *Checker
-	m        *Metrics
-	logger   *slog.Logger
+	rpools []*tabled.ConnPool
+	// stats[i] fetches Nodes[i]'s /v1/stats.
+	stats []*tabled.Client
+	// written[i] is the highest WAL position Nodes[i]'s primary reported
+	// for a write this router acknowledged: the minimum position of a read
+	// offloaded to its replica, so the router reads its own writes
+	// (DESIGN §5e). A reload hands it on while the primary stays.
+	written []*atomic.Uint64
+	health  *Checker
+	m       *Metrics
+	logger  *slog.Logger
 
 	replicaReads      bool
 	replicaReadMaxLag uint64
@@ -181,14 +187,8 @@ func New(spec *Spec, opt Options) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.Wire == "" {
-		opt.Wire = tabled.WireBinary
-	}
 	m := NewMetrics(opt.Registry, spec)
 	hopt := opt.Health
-	if hopt.HTTPClient == nil {
-		hopt.HTTPClient = opt.HTTPClient
-	}
 	if hopt.Logger == nil {
 		hopt.Logger = opt.Logger
 	}
@@ -206,27 +206,59 @@ func New(spec *Spec, opt Options) (*Router, error) {
 		replicaReads:      opt.ReplicaReads,
 		replicaReadMaxLag: opt.ReplicaReadMaxLag,
 	}
-	for i := range spec.Nodes {
-		r.clients = append(r.clients, &tabled.Client{
-			Base:    spec.Nodes[i].Base,
-			HTTP:    opt.HTTPClient,
-			Retry:   opt.Retry,
-			Wire:    opt.Wire,
-			Timeout: opt.NodeTimeout,
-		})
-		var rc *tabled.Client
-		if spec.Nodes[i].Replica != "" {
-			rc = &tabled.Client{
-				Base:    spec.Nodes[i].Replica,
-				HTTP:    opt.HTTPClient,
-				Retry:   opt.Retry,
-				Wire:    opt.Wire,
-				Timeout: opt.NodeTimeout,
-			}
+	for _, n := range spec.Nodes {
+		// Pools dial nothing until used: an error leaves nothing to close.
+		p, err := tabled.NewConnPool(n.Base, opt.Retry, opt.NodeTimeout)
+		var rp *tabled.ConnPool
+		if err == nil && n.Replica != "" {
+			rp, err = tabled.NewConnPool(n.Replica, opt.Retry, opt.NodeTimeout)
 		}
-		r.rclients = append(r.rclients, rc)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: node %s: %w", n.Name, err)
+		}
+		r.pools = append(r.pools, p)
+		r.rpools = append(r.rpools, rp)
+		r.stats = append(r.stats, &tabled.Client{Base: n.Base, HTTP: opt.Health.HTTPClient})
+		r.written = append(r.written, new(atomic.Uint64))
 	}
 	return r, nil
+}
+
+// inheritPositions shares old's written positions for every primary both
+// specs name, so writes old acknowledged — including ones still in flight
+// — keep gating replica reads after a reload.
+func (r *Router) inheritPositions(old *Router) {
+	for i, n := range r.spec.Nodes {
+		for j, o := range old.spec.Nodes {
+			if o.Base == n.Base {
+				r.written[i] = old.written[j]
+			}
+		}
+	}
+}
+
+// noteWritten raises node n's written position to pos.
+func (r *Router) noteWritten(n int, pos uint64) {
+	w := r.written[n]
+	for {
+		cur := w.Load()
+		if pos <= cur || w.CompareAndSwap(cur, pos) {
+			return
+		}
+	}
+}
+
+// Close closes the router's idle member connections; sub-batches still
+// in flight finish and close theirs. A closed router keeps routing, one
+// connection per sub-batch — the Reloader closes the router it replaces
+// while requests that resolved it may still be running.
+func (r *Router) Close() {
+	for n := range r.pools {
+		r.pools[n].Close()
+		if r.rpools[n] != nil {
+			r.rpools[n].Close()
+		}
+	}
 }
 
 // Router returns the router itself — the degenerate RouterSource, so a
@@ -251,6 +283,18 @@ func nodeKey(key, node string, nops int) string {
 	return fmt.Sprintf("%s/%s/%d", key, node, nops)
 }
 
+// maxClientKey is the longest client Idempotency-Key the router passes on
+// verbatim. HTTP bounds a header only by the whole header block, but a
+// member caps exchange keys (docs/WIRE.md §7), so Execute replaces a longer
+// key with its SHA-256: as unique, and short enough for any node suffix.
+const maxClientKey = 512
+
+// digestKey is the stand-in for a client key over maxClientKey bytes.
+func digestKey(key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return "sha256:" + hex.EncodeToString(sum[:])
+}
+
 // Execute runs one batch through the cluster: partition by owning node,
 // fan out concurrently, merge in request order. Per-op errors — the
 // members' own and the router's (range misses, unavailable members) —
@@ -262,6 +306,8 @@ func nodeKey(key, node string, nops int) string {
 func (r *Router) Execute(ctx context.Context, ops []tabled.Op, key string) []tabled.OpResult {
 	if key == "" {
 		key = tabled.NewIdemKey()
+	} else if len(key) > maxClientKey {
+		key = digestKey(key)
 	}
 	plan := r.part.Partition(ops, r.health.FirstHealthy())
 	defer plan.Release()
@@ -269,9 +315,9 @@ func (r *Router) Execute(ctx context.Context, ops []tabled.Op, key string) []tab
 	if n := plan.MergeLocal(out); n > 0 {
 		r.m.unroutableOps(n)
 	}
-	replies := make([][]tabled.OpResult, len(r.clients))
+	replies := make([][]tabled.OpResult, len(r.pools))
 	var wg sync.WaitGroup
-	for n := range r.clients {
+	for n := range r.pools {
 		sub, _ := plan.Sub(n)
 		if len(sub) == 0 {
 			continue
@@ -324,14 +370,14 @@ func (r *Router) Execute(ctx context.Context, ops []tabled.Op, key string) []tab
 func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key string) []tabled.OpResult {
 	name := r.spec.Nodes[n].Name
 	res := make([]tabled.OpResult, len(sub))
-	client := r.clients[n]
+	client := r.pools[n]
 	readsOnly, readOnlyErr := false, ""
 	st := r.health.State(n)
 	replicaRead := false
 	if fenced := r.health.PrimaryFenced(n); fenced && st != StateDown {
 		priEpoch, _ := r.health.Epoch(n)
 		fencedErr := nodeFencedErr(name, priEpoch, r.health.MaxEpoch(n))
-		repl := r.rclients[n]
+		repl := r.rpools[n]
 		repSt := StateDown
 		if repl != nil {
 			repSt = r.health.ReplicaState(n)
@@ -361,7 +407,7 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 			return res
 		}
 	} else if st != StateHealthy {
-		repl := r.rclients[n]
+		repl := r.rpools[n]
 		repSt := StateDown
 		if repl != nil {
 			repSt = r.health.ReplicaState(n)
@@ -394,7 +440,7 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 		// and within the configured lag. Writes, and batches mixing in
 		// writes, always take the primary — one node answers, so a batch
 		// reads its own writes.
-		if repl := r.rclients[n]; repl != nil && allGets(sub) &&
+		if repl := r.rpools[n]; repl != nil && allGets(sub) &&
 			r.health.ReplicaState(n) != StateDown && !r.health.ReplicaPromoted(n) &&
 			r.health.ReplicaLag(n) <= r.replicaReadMaxLag {
 			client = repl
@@ -420,24 +466,31 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 	}
 	if replicaRead {
 		// Offloaded reads fall back to the primary on any replica error:
-		// offload is an optimization, never a new failure mode.
+		// offload is an optimization, never a new failure mode. The
+		// replica refuses them outright while it lacks a write this router
+		// acknowledged.
 		t0 := time.Now()
-		got, err := client.BatchWithKey(ctx, send, nodeKey(key, name+"/replica", len(send)))
+		got, _, err := client.Exchange(ctx, send, nodeKey(key, name+"/replica", len(send)), r.written[n].Load())
 		if err == nil {
 			r.m.nodeBatch(n, len(send), time.Since(t0), false)
 			r.m.replicaRead(len(send))
 			copy(res, got)
 			return res
 		}
-		if r.logger != nil {
+		if errors.Is(err, tabled.ErrBehind) {
+			r.m.replicaBehind(len(send))
+		} else if r.logger != nil {
 			r.logger.Warn("cluster: replica read failed, falling back to primary",
 				"node", name, "ops", len(send), "err", err)
 		}
-		client = r.clients[n]
+		client = r.pools[n]
 	}
 	t0 := time.Now()
-	got, err := client.BatchWithKey(ctx, send, nodeKey(key, name, len(send)))
+	got, pos, err := client.Exchange(ctx, send, nodeKey(key, name, len(send)), 0)
 	r.m.nodeBatch(n, len(send), time.Since(t0), err != nil)
+	if pos > 0 && client == r.pools[n] {
+		r.noteWritten(n, pos)
+	}
 	if err != nil {
 		if r.logger != nil {
 			r.logger.Warn("cluster: sub-batch failed", "node", name, "ops", len(send), "err", err)
@@ -492,9 +545,9 @@ func (r *Router) ClusterStats(ctx context.Context) (*tabled.StatsReply, error) {
 		reply *tabled.StatsReply
 		err   error
 	}
-	replies := make([]nodeStats, len(r.clients))
+	replies := make([]nodeStats, len(r.stats))
 	var wg sync.WaitGroup
-	for n := range r.clients {
+	for n := range r.stats {
 		if r.health.State(n) == StateDown {
 			replies[n].err = errDown
 			continue
@@ -502,7 +555,7 @@ func (r *Router) ClusterStats(ctx context.Context) (*tabled.StatsReply, error) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			replies[n].reply, replies[n].err = r.clients[n].Stats(ctx)
+			replies[n].reply, replies[n].err = r.stats[n].Stats(ctx)
 		}(n)
 	}
 	wg.Wait()
@@ -547,10 +600,10 @@ type NodeStatus struct {
 	ReplicaEpoch uint64  `json:"replica_epoch,omitempty"`
 	ReplicaLag   uint64  `json:"replica_lag,omitempty"`
 	Ops          int64   `json:"ops_total"`
-	Errors          int64   `json:"errors_total"`
-	P50us           float64 `json:"p50_us"`
-	P95us           float64 `json:"p95_us"`
-	P99us           float64 `json:"p99_us"`
+	Errors       int64   `json:"errors_total"`
+	P50us        float64 `json:"p50_us"`
+	P95us        float64 `json:"p95_us"`
+	P99us        float64 `json:"p99_us"`
 	// Raw latency histogram (upper bounds in seconds; cumulative counts,
 	// final entry = total) so clients — tabledload -nodes — can diff two
 	// snapshots and compute percentiles for just their own run.

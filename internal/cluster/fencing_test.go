@@ -201,6 +201,61 @@ func TestReplicaReads(t *testing.T) {
 	}
 }
 
+// TestReplicaReadsSeeOwnWrites: a read the router offloads must see every
+// write the router acknowledged, however far behind the replica is and
+// whatever lag the last sweep reported. The follower's pull is stopped
+// after a sweep saw it at lag 0, so the checker keeps vouching for a
+// replica that misses every later write — the window a lag gate alone
+// leaves open. The replica must refuse the reads as behind, and the
+// primary must serve them.
+func TestReplicaReadsSeeOwnWrites(t *testing.T) {
+	pair := startReplPair(t, 40, 40)
+	spec := &Spec{Mapping: "diagonal", Nodes: []NodeSpec{{
+		Name: "n0", Base: pair.primary.URL, Replica: pair.follower.URL, Lo: 1, Hi: 1 << 40,
+	}}}
+	rt, err := New(spec, Options{Registry: obs.NewRegistry(), ReplicaReads: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	ctx := context.Background()
+	rt.Health().CheckNow(ctx)
+	pair.stopPull()
+	rt.Health().CheckNow(ctx)
+	if lag := rt.Health().ReplicaLag(0); lag != 0 {
+		t.Fatalf("stopped replica reported lag %d, want the stale 0", lag)
+	}
+
+	var writes, reads []tabled.Op
+	for i := 0; i < 12; i++ {
+		x, y := int64(i%4+1), int64(i/4+1)
+		writes = append(writes, tabled.Op{Op: "set", X: x, Y: y, V: fmt.Sprintf("v%d", i)})
+		reads = append(reads, tabled.Op{Op: "get", X: x, Y: y})
+	}
+	for round := 0; round < 3; round++ {
+		for i := range writes {
+			writes[i].V = fmt.Sprintf("r%d-v%d", round, i)
+		}
+		for _, r := range rt.Execute(ctx, writes, "") {
+			if r.Err != "" {
+				t.Fatalf("write: %+v", r)
+			}
+		}
+		offloaded, behind := rt.m.repReads.Value(), rt.m.repBehind.Value()
+		for i, r := range rt.Execute(ctx, reads, "") {
+			if r.Err != "" || !r.Found || r.V != writes[i].V {
+				t.Fatalf("round %d: read %d = %+v, want the acknowledged %q", round, i, r, writes[i].V)
+			}
+		}
+		if n := rt.m.repReads.Value() - offloaded; n != 0 {
+			t.Fatalf("round %d: %d reads served by a replica missing the writes", round, n)
+		}
+		if n := rt.m.repBehind.Value() - behind; n != int64(len(reads)) {
+			t.Fatalf("round %d: %d reads refused as behind, want %d", round, n, len(reads))
+		}
+	}
+}
+
 // TestReplicaReadsLagGate: a replica lagging past ReplicaReadMaxLag keeps
 // reads on the primary until the next sweep sees it caught back up. The
 // lag observation is planted directly in the checker's slot — creating

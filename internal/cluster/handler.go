@@ -115,8 +115,8 @@ type frontDoor struct {
 }
 
 // routerScratch recycles the per-request body and frame buffers — the
-// router re-encodes sub-batches through the tabled client's own pools, so
-// this only covers the front-door decode/encode.
+// router re-encodes sub-batches through the connection pool's own
+// buffers, so this only covers the front-door decode/encode.
 type routerScratch struct {
 	body []byte
 	ops  []tabled.Op

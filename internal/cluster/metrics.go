@@ -24,6 +24,7 @@ type Metrics struct {
 	failovers  *obs.Counter
 	fenced     *obs.Counter
 	repReads   *obs.Counter
+	repBehind  *obs.Counter
 	sweeps     *obs.Counter
 	limited    *obs.Counter
 	unroutable *obs.Counter
@@ -49,6 +50,7 @@ func NewMetrics(reg *obs.Registry, spec *Spec) *Metrics {
 	reg.Help("cluster_replica_lag_records", "The member replica's last reported record lag behind its source.")
 	reg.Help("cluster_fenced_batches_total", "Sub-batches (or write portions) refused because the owning primary is fenced.")
 	reg.Help("cluster_replica_read_ops_total", "Read ops offloaded to a healthy member's replica (-replica-reads).")
+	reg.Help("cluster_replica_read_behind_ops_total", "Read ops a replica refused because it had not applied a write this router acknowledged; the primary served them.")
 	reg.Help("cluster_health_sweeps_total", "Completed health sweeps over all members.")
 	reg.Help("cluster_rate_limited_total", "Requests refused by the per-client admission limiter.")
 	reg.Help("cluster_unroutable_ops_total", "Ops answered locally by the router (address outside every configured range, or unknown op kind).")
@@ -56,6 +58,7 @@ func NewMetrics(reg *obs.Registry, spec *Spec) *Metrics {
 		failovers:  reg.Counter("cluster_failover_batches_total"),
 		fenced:     reg.Counter("cluster_fenced_batches_total"),
 		repReads:   reg.Counter("cluster_replica_read_ops_total"),
+		repBehind:  reg.Counter("cluster_replica_read_behind_ops_total"),
 		sweeps:     reg.Counter("cluster_health_sweeps_total"),
 		limited:    reg.Counter("cluster_rate_limited_total"),
 		unroutable: reg.Counter("cluster_unroutable_ops_total"),
@@ -165,6 +168,13 @@ func (m *Metrics) fencedBatch() {
 func (m *Metrics) replicaRead(n int) {
 	if m != nil {
 		m.repReads.Add(int64(n))
+	}
+}
+
+// replicaBehind records n read ops a replica refused as behind.
+func (m *Metrics) replicaBehind(n int) {
+	if m != nil {
+		m.repBehind.Add(int64(n))
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 // rebuilds it when the file changes — tabledrouter's live-reconfiguration
 // seam. It is a RouterSource: the front door resolves Router() per
 // request, so a swap takes effect on the next batch with no listener or
-// handler restart. The old router is simply dropped; its in-flight
+// handler restart. The old router is closed, not drained: its in-flight
 // sub-batches finish against it (soft state only — nothing to migrate),
-// and its health checker is stopped once the new one is running.
+// its idle member connections close at once, and its health checker is
+// stopped once the new one is running.
 //
 // Metrics survive reloads because obs.Registry families are get-or-create:
 // a rebuilt router re-acquires the same counters for unchanged node names,
@@ -109,7 +110,9 @@ func (rl *Reloader) Reload(ctx context.Context) error {
 		return err
 	}
 	rt.Health().CheckNow(ctx)
+	rt.inheritPositions(old)
 	rl.cur.Store(rt)
+	old.Close()
 	if rl.cancel != nil {
 		rl.cancel()
 		rl.cancel = nil

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -24,68 +27,145 @@ type MiddlewareConfig struct {
 // Middleware wraps next, recording per-request metrics into cfg.Registry:
 //
 //	http_requests_total{path,code}           counter (code is the status
-//	                                         class: "2xx" … "5xx")
+//	                                         class: "1xx" … "5xx")
 //	http_in_flight_requests                  gauge, +1 for each request
 //	                                         being served right now
 //	http_request_duration_seconds{path}      histogram of wall time
 //	http_response_bytes_total{path}          counter of body bytes written
 //
 // and, when cfg.Logger is set, logging one line per completed request.
+// The ResponseWriter handed to next unwraps (http.ResponseController), so
+// handlers behind the middleware can still hijack, set deadlines, or
+// enable full duplex. A hijacked request is recorded when its handler
+// returns, with the status it wrote before hijacking (101 for an Upgrade).
 func Middleware(cfg MiddlewareConfig, next http.Handler) http.Handler {
-	reg := cfg.Registry
-	reg.Help("http_requests_total", "HTTP requests served, by path and status class.")
-	reg.Help("http_in_flight_requests", "HTTP requests currently being served.")
-	reg.Help("http_request_duration_seconds", "HTTP request latency, by path.")
-	reg.Help("http_response_bytes_total", "HTTP response body bytes written, by path.")
-	inFlight := reg.Gauge("http_in_flight_requests")
+	q := NewRequests(cfg.Registry, cfg.Logger)
 	pathLabel := cfg.PathLabel
 	if pathLabel == nil {
 		pathLabel = func(r *http.Request) string { return r.URL.Path }
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		inFlight.Inc()
+		q.inFlight.Inc()
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
-		inFlight.Dec()
-		elapsed := time.Since(start)
-		path := pathLabel(r)
-		status := sw.Status()
-		reg.Counter("http_requests_total", L("path", path), L("code", statusClass(status))).Inc()
-		reg.Counter("http_response_bytes_total", L("path", path)).Add(sw.bytes)
-		reg.Histogram("http_request_duration_seconds", DefDurationBuckets, L("path", path)).Observe(elapsed.Seconds())
-		if cfg.Logger != nil {
-			cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", status),
-				slog.Int64("bytes", sw.bytes),
-				slog.Duration("duration", elapsed),
-				slog.String("remote", r.RemoteAddr),
-			)
-		}
+		q.inFlight.Dec()
+		q.Route(pathLabel(r)).Observe(r.Context(), r.Method, r.URL.Path, r.RemoteAddr,
+			sw.Status(), sw.bytes, time.Since(start))
 	})
 }
 
-// statusClass maps an HTTP status to its Prometheus-conventional class
-// label.
-func statusClass(status int) string {
+// Requests is Middleware's request accounting — the http_* families and
+// the per-request log line — for servers that also answer requests
+// outside net/http's handler chain, such as the exchanges of an upgraded
+// connection. Requests built over one Registry share its series, so such
+// requests land in the same counters as the ones Middleware sees.
+type Requests struct {
+	reg      *Registry
+	logger   *slog.Logger
+	inFlight *Gauge
+
+	mu     sync.RWMutex
+	routes map[string]*Route
+}
+
+// NewRequests registers the http_* families on reg (nil records no
+// metrics) and logs to logger (nil logs nothing).
+func NewRequests(reg *Registry, logger *slog.Logger) *Requests {
+	reg.Help("http_requests_total", "HTTP requests served, by path and status class.")
+	reg.Help("http_in_flight_requests", "HTTP requests currently being served.")
+	reg.Help("http_request_duration_seconds", "HTTP request latency, by path.")
+	reg.Help("http_response_bytes_total", "HTTP response body bytes written, by path.")
+	return &Requests{reg: reg, logger: logger, inFlight: reg.Gauge("http_in_flight_requests"),
+		routes: make(map[string]*Route)}
+}
+
+// Route returns the series of one path label, resolved on the label's
+// first request and kept: recording a request then needs no registry
+// lookup, and allocates nothing once every status class it sees has been
+// resolved. Labels are bounded (MiddlewareConfig.PathLabel), so is the map.
+func (q *Requests) Route(label string) *Route {
+	q.mu.RLock()
+	rt := q.routes[label]
+	q.mu.RUnlock()
+	if rt != nil {
+		return rt
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if rt = q.routes[label]; rt == nil {
+		rt = &Route{
+			q:     q,
+			label: label,
+			bytes: q.reg.Counter("http_response_bytes_total", L("path", label)),
+			dur:   q.reg.Histogram("http_request_duration_seconds", DefDurationBuckets, L("path", label)),
+		}
+		q.routes[label] = rt
+	}
+	return rt
+}
+
+// A Route records the requests of one path label.
+type Route struct {
+	q     *Requests
+	label string
+	bytes *Counter
+	dur   *Histogram
+	codes [len(statusClasses)]atomic.Pointer[Counter] // resolved on first use
+}
+
+// Observe records one completed request: its status class, body bytes
+// and wall time, plus a log line when the Requests has a logger.
+func (rt *Route) Observe(ctx context.Context, method, path, remote string, status int, bytes int64, elapsed time.Duration) {
+	if rt.q.reg != nil {
+		rt.code(status).Inc()
+		rt.bytes.Add(bytes)
+		rt.dur.Observe(elapsed.Seconds())
+	}
+	if rt.q.logger != nil {
+		rt.q.logger.LogAttrs(ctx, slog.LevelInfo, "request",
+			slog.String("method", method),
+			slog.String("path", path),
+			slog.Int("status", status),
+			slog.Int64("bytes", bytes),
+			slog.Duration("duration", elapsed),
+			slog.String("remote", remote),
+		)
+	}
+}
+
+func (rt *Route) code(status int) *Counter {
+	i := classIndex(status)
+	if c := rt.codes[i].Load(); c != nil {
+		return c
+	}
+	c := rt.q.reg.Counter("http_requests_total", L("path", rt.label), L("code", statusClasses[i]))
+	rt.codes[i].Store(c)
+	return c
+}
+
+// statusClasses are the Prometheus-conventional status class labels.
+var statusClasses = [...]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
+
+// classIndex maps an HTTP status to its index in statusClasses.
+func classIndex(status int) int {
 	switch {
 	case status >= 100 && status < 200:
-		return "1xx"
+		return 0
 	case status < 300:
-		return "2xx"
+		return 1
 	case status < 400:
-		return "3xx"
+		return 2
 	case status < 500:
-		return "4xx"
+		return 3
 	default:
-		return "5xx"
+		return 4
 	}
 }
 
 // statusWriter records the status code and body size of a response. It
-// forwards Flush so streaming handlers keep working behind the middleware.
+// forwards Flush so streaming handlers keep working behind the middleware,
+// and unwraps so http.ResponseController reaches the underlying writer.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -122,3 +202,6 @@ func (w *statusWriter) Flush() {
 		f.Flush()
 	}
 }
+
+// Unwrap returns the wrapped writer, for http.ResponseController.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }

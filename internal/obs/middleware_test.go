@@ -1,13 +1,18 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestMiddlewareStatusClasses(t *testing.T) {
@@ -157,5 +162,82 @@ func TestMiddlewareLogsRequests(t *testing.T) {
 		if !strings.Contains(line, want) {
 			t.Errorf("log line missing %q: %q", want, line)
 		}
+	}
+}
+
+// TestMiddlewareHijack: a handler behind the middleware can take over the
+// connection through http.ResponseController (an HTTP/1.1 Upgrade), and
+// the middleware records the 101 it wrote before hijacking.
+func TestMiddlewareHijack(t *testing.T) {
+	r := NewRegistry()
+	h := Middleware(MiddlewareConfig{Registry: r}, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Connection", "Upgrade")
+		w.Header().Set("Upgrade", "echo")
+		w.WriteHeader(http.StatusSwitchingProtocols)
+		c, brw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			t.Errorf("hijack behind the middleware: %v", err)
+			return
+		}
+		defer c.Close()
+		line, _ := brw.ReadString('\n')
+		c.Write([]byte("echo: " + line))
+	}))
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	c, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := io.WriteString(c, "GET /up HTTP/1.1\r\nHost: x\r\nConnection: Upgrade\r\nUpgrade: echo\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(c)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade status = %d, want 101", resp.StatusCode)
+	}
+	if _, err := io.WriteString(c, "hello\n"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "echo: hello\n" {
+		t.Fatalf("upgraded stream = %q", got)
+	}
+	waitCount := func() int64 {
+		return r.Counter("http_requests_total", L("path", "/up"), L("code", "1xx")).Value()
+	}
+	for deadline := time.Now().Add(5 * time.Second); waitCount() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("hijacked request not recorded as 1xx:\n%s", expo(t, r))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRequestsRouteAllocFree pins the middleware's per-request accounting:
+// a label's Route is resolved once and kept, so recording a request with
+// no logger configured allocates nothing.
+func TestRequestsRouteAllocFree(t *testing.T) {
+	q := NewRequests(NewRegistry(), nil)
+	rt := q.Route("/v1/batch")
+	if q.Route("/v1/batch") != rt {
+		t.Fatal("Route re-resolved a known label")
+	}
+	ctx := context.Background()
+	record := func() {
+		q.Route("/v1/batch").Observe(ctx, "POST", "/v1/batch", "127.0.0.1:1", http.StatusOK, 64, time.Millisecond)
+	}
+	record() // resolve the 2xx series
+	if n := testing.AllocsPerRun(100, record); n != 0 {
+		t.Fatalf("recording a request allocates %.1f times", n)
 	}
 }

@@ -99,13 +99,22 @@ func TestCurveParallelMatchesSerial(t *testing.T) {
 }
 
 // slowPF is a stub mapping whose Encode sleeps, making timeouts
-// deterministic to provoke.
-type slowPF struct{ d time.Duration }
+// deterministic to provoke. Once done closes it stops sleeping, so the
+// points a worker still scans before its next context poll cost nothing
+// and a test measures the poll, not the sleeps.
+type slowPF struct {
+	d    time.Duration
+	done <-chan struct{}
+}
 
 func (slowPF) Name() string { return "slow-stub" }
 
 func (p slowPF) Encode(x, y int64) (int64, error) {
-	time.Sleep(p.d)
+	select {
+	case <-p.done:
+	default:
+		time.Sleep(p.d)
+	}
 	return (x+y-2)*(x+y-1)/2 + x, nil // Cantor-style: injective enough
 }
 
@@ -126,7 +135,7 @@ func TestEngineCancellation(t *testing.T) {
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel2()
 	start := time.Now()
-	_, _, err := e.Measure(ctx2, slowPF{d: 200 * time.Microsecond}, 4096)
+	_, _, err := e.Measure(ctx2, slowPF{d: 200 * time.Microsecond, done: ctx2.Done()}, 4096)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("timeout: err = %v, want context.DeadlineExceeded", err)
 	}

@@ -24,8 +24,9 @@ type Step struct {
 // Lifecycle runs a server from listen to exit code with the shutdown
 // sequence both daemons used to hand-roll:
 //
-//	signal (or ctx cancel) → readiness down → drain with deadline →
-//	background tasks stopped → final persist steps → exit code
+//	signal (or ctx cancel) → readiness down → drain with deadline
+//	(upgraded connections included) → background tasks stopped → final
+//	persist steps → exit code
 //
 // The ordering contract the old mains got subtly wrong: the Final steps
 // run unconditionally once serving has ended — after a missed drain
@@ -73,6 +74,9 @@ func (lc Lifecycle) Run(ctx context.Context) int {
 		}()
 	}
 
+	// Hijacked connections escape Server.Shutdown; track them so the
+	// drain covers their exchanges in flight too.
+	upgrades := TrackUpgrades(lc.Server)
 	errc := make(chan error, 1)
 	go func() {
 		if lc.Listener != nil {
@@ -108,6 +112,10 @@ func (lc Lifecycle) Run(ctx context.Context) int {
 		}
 		if err := lc.Server.Shutdown(sctx); err != nil {
 			lc.logError("shutdown: drain incomplete", err)
+			code = 1
+		}
+		if err := upgrades.Close(sctx); err != nil {
+			lc.logError("shutdown: upgraded connections", err)
 			code = 1
 		}
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -22,6 +22,21 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// replaceFile swaps data in at path atomically (temp file + rename), the
+// way operators should edit a watched spec. os.WriteFile truncates, then
+// writes: a poll landing between the two sees two signatures and fires
+// twice.
+func replaceFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConfigWatcherPollTrigger(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spec.json")
 	if err := os.WriteFile(path, []byte("v1"), 0o644); err != nil {
@@ -48,9 +63,7 @@ func TestConfigWatcherPollTrigger(t *testing.T) {
 	}
 
 	// A content change (different size) fires exactly once, then settles.
-	if err := os.WriteFile(path, []byte("v2-longer"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	replaceFile(t, path, []byte("v2-longer"))
 	waitFor(t, "reload after edit", func() bool { return reloads.Load() >= 1 })
 	time.Sleep(30 * time.Millisecond)
 	if n := reloads.Load(); n != 1 {

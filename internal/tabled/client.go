@@ -111,6 +111,19 @@ func retryableStatus(code int) bool {
 	return code >= 500 || code == http.StatusRequestTimeout || code == http.StatusTooManyRequests
 }
 
+// remoteStatusError is the error for a batch the server answered with a
+// non-200 status — ErrRemote carrying the status line and the refusal
+// text — marked retry.Permanent unless the status is retryable. The HTTP
+// client and the upgraded connection pool share it, so a refusal reads
+// and retries the same on both wires.
+func remoteStatusError(code int, status string, msg []byte) error {
+	err := fmt.Errorf("%w: %s: %s", ErrRemote, status, bytes.TrimSpace(msg))
+	if !retryableStatus(code) {
+		return retry.Permanent(err)
+	}
+	return err
+}
+
 // retryAfter parses a Retry-After header value in either RFC 9110 form —
 // delta-seconds ("2") or HTTP-date — into a wait duration. now is a seam
 // for tests.
@@ -206,9 +219,9 @@ func (c *Client) batchOnce(ctx context.Context, body []byte, contentType, key st
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		err := fmt.Errorf("%w: %s: %s", ErrRemote, resp.Status, bytes.TrimSpace(msg))
-		if !retryableStatus(resp.StatusCode) {
-			return nil, retry.Permanent(err)
+		err := remoteStatusError(resp.StatusCode, resp.Status, msg)
+		if retry.IsPermanent(err) {
+			return nil, err
 		}
 		if d, ok := retryAfter(resp.Header.Get("Retry-After"), time.Now); ok {
 			// The server named when retrying can succeed (a 429's admission

@@ -62,6 +62,12 @@
 // under concurrent load). EXPERIMENTS.md E26 measures the two wires
 // head to head.
 //
+// Beside /v1/batch, GET /v1/batch/conn upgrades a connection to
+// back-to-back binary exchanges (docs/WIRE.md §7; exchange.go): each one
+// runs the binary /v1/batch path without per-request HTTP, and a steady
+// get exchange allocates nothing. ConnPool (connpool.go) is its client,
+// the router's member wire.
+//
 // # Durability model
 //
 // With a WAL configured (wal.go), the contract strengthens from "the last

@@ -1,0 +1,222 @@
+package tabled
+
+import (
+	"bufio"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net/http"
+	"time"
+
+	"pairfn/internal/obs"
+	"pairfn/internal/srvkit"
+)
+
+// This file is the member side of the upgraded batch connection
+// (docs/WIRE.md §7), the router's sub-batch wire. A router dials
+// ConnPath once per pooled connection and then runs back-to-back
+// exchanges over it, one at a time: an idempotency key and a §2 request
+// frame in, a status, a WAL position and either a §2 response frame or the
+// refusal text out. Each exchange runs the same code as a binary POST /v1/batch —
+// batchBinary, the replication ack gate, the idempotency cache, pooled
+// scratch — minus the per-request HTTP parsing, header maps, and
+// TimeoutHandler goroutine that made the member hop cost more than the
+// batch it carried.
+
+// ConnPath is the member route that upgrades a connection to the batch
+// exchange protocol.
+const ConnPath = "/v1/batch/conn"
+
+// ConnProtocol is the protocol token of ConnPath's HTTP/1.1 Upgrade.
+const ConnProtocol = "tabled-batch/1"
+
+// maxExchangeKey caps an exchange's idempotency key in bytes. A longer
+// key is refused (400) and the connection closed, since the member does
+// not read the rest of that request.
+const maxExchangeKey = 1024
+
+// exchangeMethod is the method an exchange is logged under, beside the
+// path of the batch route it stands in for.
+const exchangeMethod = "EXCHANGE"
+
+// handleConn upgrades the connection and serves exchanges on it until the
+// peer closes it, the idle deadline reaps it, a drain stops it, or a
+// request leaves the stream unreadable.
+func (s *server) handleConn(w http.ResponseWriter, r *http.Request) {
+	uc, err := srvkit.Upgrade(w, r, ConnProtocol)
+	if err != nil {
+		return // Upgrade answered the request
+	}
+	defer uc.Close()
+	s.opt.Metrics.connOpen(1)
+	defer s.opt.Metrics.connOpen(-1)
+	scr := wirePool.Get().(*wireScratch)
+	defer wirePool.Put(scr)
+	ctx := r.Context()
+	for uc.Idle() {
+		if _, err := uc.R.Peek(1); err != nil {
+			return // closed by the peer, reaped, or drained
+		}
+		if !uc.Busy() {
+			return
+		}
+		keep := s.exchange(ctx, uc.R, uc.W, scr, s.batchRoute, r.RemoteAddr)
+		if err := uc.W.Flush(); err != nil || !keep {
+			return
+		}
+	}
+}
+
+// exchange reads one request from br and writes its reply to bw
+// (unflushed), recording it as a /v1/batch request on rt. It reports
+// whether the connection can carry another exchange: false after an I/O
+// error (nothing is answered) or a request the member refuses to read to
+// its end (answered, then the connection closes).
+func (s *server) exchange(ctx context.Context, br *bufio.Reader, bw *bufio.Writer, scr *wireScratch, rt *obs.Route, remote string) bool {
+	start := time.Now()
+	key, minPos, frame, status, msg, err := s.readExchange(br, scr)
+	if err != nil {
+		return false
+	}
+	keep := status == 0
+	var out []byte
+	var pos uint64
+	if keep {
+		out, pos, status, msg = s.serveExchange(ctx, key, minPos, frame, scr)
+	}
+	scr.env = binary.AppendUvarint(scr.env[:0], uint64(status))
+	scr.env = binary.AppendUvarint(scr.env, pos)
+	n := len(out)
+	if out == nil {
+		n = len(msg)
+	}
+	scr.env = binary.AppendUvarint(scr.env, uint64(n))
+	bw.Write(scr.env)
+	if out != nil {
+		bw.Write(out)
+	} else {
+		bw.WriteString(msg)
+	}
+	rt.Observe(ctx, exchangeMethod, "/v1/batch", remote, status, int64(n), time.Since(start))
+	s.opt.Metrics.connExchange()
+	return keep
+}
+
+// readExchange reads one request envelope into scr: the key, the minimum
+// position, then the frame, whose declared length is checked against the
+// body cap before the payload is read. A non-zero status is a refusal
+// that ends the connection (the rest of the request stays unread); err is
+// an I/O error.
+func (s *server) readExchange(br *bufio.Reader, scr *wireScratch) (key []byte, minPos uint64, frame []byte, status int, msg string, err error) {
+	klen, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, 0, nil, 0, "", err
+	}
+	if klen > maxExchangeKey {
+		return nil, 0, nil, http.StatusBadRequest,
+			fmt.Sprintf("bad request: idempotency key of %d bytes exceeds %d", klen, maxExchangeKey), nil
+	}
+	scr.key = grow(scr.key, int(klen))
+	if _, err := io.ReadFull(br, scr.key); err != nil {
+		return nil, 0, nil, 0, "", err
+	}
+	if minPos, err = binary.ReadUvarint(br); err != nil {
+		return nil, 0, nil, 0, "", err
+	}
+	scr.body = grow(scr.body, wireHeaderSize)
+	if _, err := io.ReadFull(br, scr.body); err != nil {
+		return nil, 0, nil, 0, "", err
+	}
+	size := wireHeaderSize + int64(binary.LittleEndian.Uint32(scr.body))
+	if limit := s.opt.MaxBodyBytes; limit > 0 && size > limit {
+		return nil, 0, nil, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", limit), nil
+	}
+	if size > wireHeaderSize+MaxWirePayload {
+		return nil, 0, nil, http.StatusBadRequest,
+			fmt.Sprintf("bad request: %v: payload of %d bytes exceeds %d", ErrBadFrame, size-wireHeaderSize, int64(MaxWirePayload)), nil
+	}
+	scr.body = grow(scr.body, int(size))
+	if _, err := io.ReadFull(br, scr.body[wireHeaderSize:]); err != nil {
+		return nil, 0, nil, 0, "", err
+	}
+	return scr.key, minPos, scr.body, 0, "", nil
+}
+
+// serveExchange answers one request exactly as handleBatchBinary answers a
+// binary POST /v1/batch, with two differences. Only replies to batches
+// that write are recorded under the key: a retried read re-executes,
+// which is as good as a replay and keeps the steady-state get exchange
+// free of allocations. And the exchange carries positions: a follower
+// that has applied fewer than minPos records refuses the batch unread
+// (412), and a batch that writes is answered with pos, a WAL position
+// that covers its records.
+func (s *server) serveExchange(ctx context.Context, key []byte, minPos uint64, frame []byte, scr *wireScratch) (out []byte, pos uint64, status int, msg string) {
+	if applied, ok := s.behind(minPos); ok {
+		return nil, 0, http.StatusPreconditionFailed,
+			fmt.Sprintf("replica behind: applied %d records, the batch needs %d", applied, minPos)
+	}
+	if s.idem != nil && len(key) > 0 {
+		if ct, body, ok := s.idem.getBytes(key); ok {
+			s.opt.Metrics.idempotentReplay()
+			if ct != ContentTypeBinary {
+				return nil, 0, http.StatusConflict, "idempotency key was recorded for a JSON batch"
+			}
+			// Only batches that write are recorded, and the position now
+			// is at or past the one that covered this batch.
+			return body, s.walPos(), http.StatusOK, ""
+		}
+	}
+	out, status, msg = s.batchBinary(frame, scr)
+	if status != http.StatusOK {
+		return nil, 0, status, msg
+	}
+	if !HasWrites(scr.ops) {
+		return out, 0, status, ""
+	}
+	// Read before the ack wait, which only ever lets the log grow.
+	pos = s.walPos()
+	if err := s.replAck(ctx, scr.ops); err != nil {
+		return nil, 0, http.StatusServiceUnavailable, refusalMsg(err)
+	}
+	if s.idem != nil && len(key) > 0 {
+		// The frame lives in pooled scratch; the cache needs its own copy.
+		s.idem.put(string(key), ContentTypeBinary, append([]byte(nil), out...))
+	}
+	return out, pos, status, ""
+}
+
+// walPos is the WAL's commit position: the number of records logged,
+// counting those checkpointed away. 0 without a WAL.
+func (s *server) walPos() uint64 {
+	if s.opt.WAL == nil {
+		return 0
+	}
+	_, next := s.opt.WAL.SeqState()
+	return next
+}
+
+// behind reports whether this server is an unpromoted follower that has
+// applied fewer than minPos records, and how many it has applied. Primaries
+// and promoted followers are never behind: the position only gates reads
+// offloaded to a replica.
+func (s *server) behind(minPos uint64) (applied uint64, ok bool) {
+	if minPos == 0 || s.opt.Repl == nil || s.opt.Repl.Follower == nil {
+		return 0, false
+	}
+	f := s.opt.Repl.Follower
+	applied = f.Applied()
+	return applied, applied < minPos && !f.Promoted()
+}
+
+// grow returns b resized to n bytes, reusing its capacity; the bytes b
+// held are kept.
+func grow(b []byte, n int) []byte {
+	if cap(b) < n {
+		nb := make([]byte, n)
+		copy(nb, b)
+		return nb
+	}
+	return b[:n]
+}

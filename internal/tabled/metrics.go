@@ -35,6 +35,8 @@ type Metrics struct {
 	walCheckpoints *obs.Counter
 	degradedG      *obs.Gauge
 	idemHits       *obs.Counter
+	connExchanges  *obs.Counter
+	connsOpenG     *obs.Gauge
 
 	replServedRecs  *obs.Counter
 	replServedBytes *obs.Counter
@@ -84,6 +86,8 @@ func NewMetrics(reg *obs.Registry, nshards int) *Metrics {
 	reg.Help("tabled_wal_checkpoints_total", "Snapshot checkpoints that reset the WAL.")
 	reg.Help("tabled_degraded", "1 while the server is in read-only degraded mode (WAL volume failed).")
 	reg.Help("tabled_idempotent_replays_total", "Batch requests answered from the idempotency cache without re-executing.")
+	reg.Help("tabled_conn_exchanges_total", "Batch exchanges served on upgraded connections (the router's member wire).")
+	reg.Help("tabled_conns_open", "Upgraded batch connections currently open.")
 	reg.Help("tabled_repl_served_records_total", "WAL records served to followers over /v1/repl/frames.")
 	reg.Help("tabled_repl_served_bytes_total", "Framed bytes served to followers.")
 	reg.Help("tabled_repl_pulls_total", "Follower pull requests issued, by result class.")
@@ -121,6 +125,8 @@ func NewMetrics(reg *obs.Registry, nshards int) *Metrics {
 		walCheckpoints: reg.Counter("tabled_wal_checkpoints_total"),
 		degradedG:      reg.Gauge("tabled_degraded"),
 		idemHits:       reg.Counter("tabled_idempotent_replays_total"),
+		connExchanges:  reg.Counter("tabled_conn_exchanges_total"),
+		connsOpenG:     reg.Gauge("tabled_conns_open"),
 
 		replServedRecs:  reg.Counter("tabled_repl_served_records_total"),
 		replServedBytes: reg.Counter("tabled_repl_served_bytes_total"),
@@ -249,6 +255,22 @@ func (m *Metrics) idempotentReplay() {
 		return
 	}
 	m.idemHits.Inc()
+}
+
+// connExchange records one exchange served on an upgraded connection.
+func (m *Metrics) connExchange() {
+	if m == nil {
+		return
+	}
+	m.connExchanges.Inc()
+}
+
+// connOpen moves the open upgraded-connection gauge by d.
+func (m *Metrics) connOpen(d int64) {
+	if m == nil {
+		return
+	}
+	m.connsOpenG.Add(d)
 }
 
 // replServe records one frames response sent to a follower.

@@ -132,6 +132,8 @@ type ServerOptions struct {
 // NewHandler mounts the tabled API over b:
 //
 //	POST /v1/batch     batched get/set/resize/dims/stats
+//	GET  /v1/batch/conn upgrade to back-to-back binary batch exchanges
+//	                   (docs/WIRE.md §7; the router's member wire)
 //	GET  /v1/stats     backend description + cost counters
 //	POST /v1/snapshot  persist now (501 unless configured)
 //	GET  /metrics      Prometheus text exposition
@@ -167,7 +169,8 @@ func NewHandler(b Backend[string], opt ServerOptions) http.Handler {
 			return base()
 		}
 	}
-	srv := &server{b: b, opt: opt}
+	srv := &server{b: b, opt: opt,
+		batchRoute: obs.NewRequests(opt.Registry, opt.Logger).Route("/v1/batch")}
 	srv.deg = srvkit.NewDegraded(srvkit.DegradedConfig{
 		Detail:     "read-only (WAL volume failed)",
 		LogMessage: "wal failure: entering read-only degraded mode",
@@ -198,6 +201,9 @@ func NewHandler(b Backend[string], opt ServerOptions) http.Handler {
 		RequestTimeout: opt.BatchTimeout,
 		TimeoutBody:    "batch timed out",
 	}.Wrap(http.HandlerFunc(srv.handleBatch)))
+	// The upgrade route must stay outside the stack: TimeoutHandler's
+	// writer cannot hijack, and a connection outlives any one request.
+	mux.HandleFunc("GET "+ConnPath, srv.handleConn)
 	mux.HandleFunc("GET /v1/stats", srv.handleStats)
 	mux.HandleFunc("POST /v1/snapshot", srv.handleSnapshot)
 	if opt.Repl != nil {
@@ -225,7 +231,7 @@ func NewHandler(b Backend[string], opt ServerOptions) http.Handler {
 		// the mux 404s everything else; collapse unknown paths anyway.
 		PathLabel: func(r *http.Request) string {
 			switch r.URL.Path {
-			case "/v1/batch", "/v1/stats", "/v1/snapshot", "/metrics", "/healthz", "/readyz",
+			case "/v1/batch", ConnPath, "/v1/stats", "/v1/snapshot", "/metrics", "/healthz", "/readyz",
 				ReplFramesPath, ReplStatusPath, ReplSnapshotPath, PromotePath:
 				return r.URL.Path
 			}
@@ -239,6 +245,9 @@ type server struct {
 	opt  ServerOptions
 	deg  *srvkit.Degraded
 	idem *idemCache // nil when disabled
+	// batchRoute records upgraded-connection exchanges as /v1/batch
+	// requests, beside the ones the obs middleware records.
+	batchRoute *obs.Route
 }
 
 // IdempotencyKeyHeader carries the client's per-request replay key: a
@@ -301,10 +310,13 @@ func (s *server) degrade(err error) { s.deg.Degrade(err) }
 
 // wireScratch is the per-request buffer bundle the batch path reuses
 // through wirePool: the raw body, decoded ops, execution results, backend
-// call buffers, and the outgoing frame. One request borrows exactly one
-// scratch, so steady-state binary batches allocate nothing beyond the
-// values they store.
+// call buffers, and the outgoing frame. One request (or one upgraded
+// connection, for all its exchanges) borrows exactly one scratch, so
+// steady-state binary batches allocate nothing beyond the values they
+// store.
 type wireScratch struct {
+	key     []byte // exchange idempotency key
+	env     []byte // exchange reply envelope
 	body    []byte
 	ops     []Op
 	results []OpResult
@@ -665,6 +677,15 @@ func (c *idemCache) get(key string) (ct string, body []byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
+	return e.ct, e.body, ok
+}
+
+// getBytes is get for a key held in a byte slice, without converting it
+// to a string.
+func (c *idemCache) getBytes(key []byte) (ct string, body []byte, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[string(key)]
 	return e.ct, e.body, ok
 }
 

@@ -1,12 +1,16 @@
 package tabled
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pairfn/internal/core"
 )
 
 // TestWireSpecExamples pins docs/WIRE.md to the codec: every
@@ -40,10 +44,45 @@ func TestWireSpecExamples(t *testing.T) {
 		},
 	}
 
+	// §7 exchange envelopes: the request is encoded by the pool's encoder;
+	// each reply is what a member's exchange loop writes for the §7
+	// request example, so the member is pinned, not an encoder copy. The
+	// member answering 200 logs to a fresh WAL, so its set is record 0 and
+	// the reply's position is 1.
+	exchangeKey, exchangeOps := "k1", requests["request-set-get"]
+	exchangeReplies := map[string]ServerOptions{
+		"exchange-reply-ok":      {WAL: openTestWAL(t, nil)},
+		"exchange-reply-refusal": {MaxBodyBytes: 16},
+	}
+
 	examples := parseWireExamples(t, filepath.Join("..", "..", "docs", "WIRE.md"))
-	if len(examples) != len(requests)+len(responses) {
+	if want := len(requests) + len(responses) + 1 + len(exchangeReplies); len(examples) != want {
 		t.Errorf("spec has %d wire-example blocks, test knows %d — add the new example here",
-			len(examples), len(requests)+len(responses))
+			len(examples), want)
+	}
+	exchangeRequest, err := appendExchangeRequest(nil, exchangeKey, 0, exchangeOps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(examples["exchange-request"], exchangeRequest) {
+		t.Errorf("exchange-request: spec bytes diverge from encoder:\n spec:    % x\n encoder: % x",
+			examples["exchange-request"], exchangeRequest)
+	}
+	for name, opt := range exchangeReplies {
+		table, err := NewSharded[string](core.SquareShell{}, 4, pagedStore, 64, 64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply bytes.Buffer
+		bw := bufio.NewWriter(&reply)
+		s := newExchangeServer(table, opt)
+		s.exchange(context.Background(), bufio.NewReader(bytes.NewReader(exchangeRequest)), bw,
+			new(wireScratch), s.batchRoute, "")
+		bw.Flush()
+		if !bytes.Equal(examples[name], reply.Bytes()) {
+			t.Errorf("%s: spec bytes diverge from the member's reply:\n spec:   % x\n member: % x",
+				name, examples[name], reply.Bytes())
+		}
 	}
 
 	for name, specBytes := range examples {
@@ -52,6 +91,8 @@ func TestWireSpecExamples(t *testing.T) {
 			var got []byte
 			var err error
 			switch {
+			case strings.HasPrefix(name, "exchange-"):
+				return // checked above
 			case requests[name] != nil:
 				got, err = AppendBatchRequest(nil, requests[name])
 			case responses[name] != nil:

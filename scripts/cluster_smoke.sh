@@ -5,7 +5,9 @@
 #
 #   1. bench the router against a standalone single node driving the same
 #      load (both JSON report lines land in BENCH_cluster.json — the line
-#      with a "nodes" field is the router's);
+#      with a "nodes" field is the router's), and require every member's
+#      tabled_conn_exchanges_total to be nonzero — the routed load must
+#      have travelled the upgraded member wire;
 #   2. drive a -seq ack-logged load through the router and SIGKILL one
 #      member mid-load;
 #   3. assert the router's /readyz detail reports the dead member while
@@ -94,6 +96,19 @@ for TARGET in "http://127.0.0.1:$DIRECT_PORT" "http://127.0.0.1:$ROUTER_PORT"; d
         exit 1
     fi
     grep 'ops/s' "$DIR/bench.log" | tail -1
+done
+
+# The router must have reached every member over upgraded connections
+# (docs/WIRE.md §7): a member that served the routed load without a single
+# exchange means sub-batches went some other way.
+for i in 0 1 2; do
+    N=$(curl -fsS "http://127.0.0.1:$((BASE_PORT + i))/metrics" |
+        awk '$1 == "tabled_conn_exchanges_total" {print $2}')
+    if [ -z "$N" ] || [ "$N" -le 0 ]; then
+        echo "cluster-smoke: FAIL: node-$i served no upgraded-connection exchanges (tabled_conn_exchanges_total=${N:-missing})"
+        exit 1
+    fi
+    echo "cluster-smoke: node-$i served $N exchanges on upgraded connections"
 done
 
 # --- 2. SIGKILL a member mid-load ---------------------------------------
