@@ -430,7 +430,9 @@ func newDirectDriver(backend, mapping string, shards int, rows, cols int64) (*di
 }
 
 func (d *directDriver) setBatch(cells []tabled.Cell[string]) error {
-	for _, err := range d.b.SetBatch(cells) {
+	errs := make([]error, len(cells))
+	d.b.SetBatchInto(cells, errs)
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
@@ -439,7 +441,9 @@ func (d *directDriver) setBatch(cells []tabled.Cell[string]) error {
 }
 
 func (d *directDriver) getBatch(keys []tabled.Pos) error {
-	for _, r := range d.b.GetBatch(keys) {
+	res := make([]tabled.GetResult[string], len(keys))
+	d.b.GetBatchInto(keys, res)
+	for _, r := range res {
 		if r.Err != nil {
 			return r.Err
 		}

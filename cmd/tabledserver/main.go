@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	tabledserver -addr :8080 -mapping square-shell -backend sharded \
-//	             -shards 16 -rows 1024 -cols 1024 \
+//	tabledserver -addr :8080 -mapping square-shell -shards 16 \
+//	             -rows 1024 -cols 1024 \
 //	             [-snapshot table.gob [-snapshot-every 30s]] \
 //	             [-wal table.wal [-wal-sync 2ms]] [-faults SPEC] \
 //	             [-replicate-from http://primary:8081] [-repl-ack 2s] \
@@ -34,18 +34,18 @@
 // server flag. The binary path is the zero-allocation one; use it for bulk
 // loads (tabledload -wire binary).
 //
-// Backends: "sharded" (the address-striped store; the default), "sync"
-// (extarray.Sync's single RWMutex around a paged Array — the E23 baseline),
-// and "hash" (position-hashed §3-aside store behind the same mutex; no
-// mapping, no spread). The -mapping flag accepts any core.ByName form
-// (diagonal, square-shell, aspect-AxB, hyperbolic, morton, ...).
+// The table is always the address-striped tabled.Sharded store; the E23
+// baselines (a single-mutex Sync array, the §3-aside hash store) run
+// in-process under tabledload -direct -backend sync|hash. The -mapping
+// flag accepts any core.ByName form (diagonal, square-shell, aspect-AxB,
+// hyperbolic, morton, ...).
 //
 // With -snapshot, the table is loaded from the file on boot when it
 // exists (the mapping name inside the snapshot is checked), persisted
 // every -snapshot-every (0 disables the timer), on POST /v1/snapshot, and
 // once more during shutdown. Writes are atomic (temp file + fsync +
 // rename): a crash mid-write never corrupts the previous snapshot.
-// Snapshots require the sharded backend. Every save attempt is accounted
+// Every save attempt is accounted
 // under srvkit_persist_*{name="snapshot"}; after three consecutive
 // failures /readyz stays 200 but its body flips to
 // "ready (snapshot failing: N consecutive failures)".
@@ -59,7 +59,7 @@
 // and the truncation happen under one cut, so recovery is always snapshot
 // + tail. If the WAL volume fails at runtime the server degrades to
 // read-only (writes 503, reads 200, /readyz 503) instead of dying; a
-// restart recovers. WAL requires the sharded backend.
+// restart recovers.
 //
 // With -replicate-from, the server runs as a read-only FOLLOWER of the
 // named primary (which must itself run with -wal): it tails the primary's
@@ -112,7 +112,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -133,15 +132,14 @@ func main() {
 func run() int {
 	addr := flag.String("addr", ":8080", "listen address")
 	mapping := flag.String("mapping", "square-shell", "storage mapping (any core.ByName form)")
-	backend := flag.String("backend", "sharded", "table backend: sharded | sync | hash")
-	shards := flag.Int("shards", 16, "shard count for the sharded backend (rounded up to a power of two)")
+	shards := flag.Int("shards", 16, "shard count (rounded up to a power of two)")
 	rows := flag.Int64("rows", 1024, "initial rows")
 	cols := flag.Int64("cols", 1024, "initial cols")
-	snapshot := flag.String("snapshot", "", "snapshot file: load on boot, save periodically and on shutdown (sharded backend only)")
+	snapshot := flag.String("snapshot", "", "snapshot file: load on boot, save periodically and on shutdown")
 	snapEvery := flag.Duration("snapshot-every", 0, "periodic snapshot interval (0 = only on demand and shutdown)")
-	walPath := flag.String("wal", "", "write-ahead log file: fsync every acked write, replay on boot (sharded backend only)")
+	walPath := flag.String("wal", "", "write-ahead log file: fsync every acked write, replay on boot")
 	walSync := flag.Duration("wal-sync", 0, "WAL group-commit window (0 = fsync every append)")
-	replFrom := flag.String("replicate-from", "", "primary base URL: run as a read-only follower replicating its WAL (requires -wal; forbids -snapshot)")
+	replFrom := flag.String("replicate-from", "", "primary base URL: run as a read-only follower replicating its WAL (requires -wal; with -snapshot it can reseed)")
 	replAck := flag.Duration("repl-ack", 0, "withhold write acks until a follower durably replicated them, 503 after this wait (0 = async replication; requires -wal)")
 	faultSpec := flag.String("faults", "", "fault injection spec, e.g. seed=7,errrate=0.05,latency=2ms,tornat=8192,syncerr=0.01 (chaos testing)")
 	maxBatch := flag.Int("maxbatch", tabled.DefaultMaxBatch, "max ops per /v1/batch request")
@@ -152,11 +150,9 @@ func run() int {
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
-	if *replFrom != "" {
-		if *walPath == "" || *backend != "sharded" {
-			fmt.Fprintln(os.Stderr, "tabledserver: -replicate-from requires -wal and -backend sharded")
-			return 2
-		}
+	if *replFrom != "" && *walPath == "" {
+		fmt.Fprintln(os.Stderr, "tabledserver: -replicate-from requires -wal")
+		return 2
 	}
 	if *replAck > 0 && *walPath == "" {
 		fmt.Fprintln(os.Stderr, "tabledserver: -repl-ack requires -wal")
@@ -184,134 +180,106 @@ func run() int {
 	newStore := func() extarray.Store[string] { return extarray.NewPagedStore[string]() }
 
 	var (
-		table      tabled.Backend[string]
-		saveSnap   func() error
-		wal        *tabled.WAL
-		follower   *tabled.Follower
-		writable   *obs.Flag
-		snapSaveAt func(w io.Writer, cut, epoch uint64) error
+		saveSnap  func() error
+		wal       *tabled.WAL
+		follower  *tabled.Follower
+		writable  *obs.Flag
+		sh        *tabled.Sharded[string]
+		snapSeq   uint64
+		snapEpoch uint64
 	)
-	switch *backend {
-	case "sharded":
-		var sh *tabled.Sharded[string]
-		var snapSeq, snapEpoch uint64
-		if *snapshot != "" {
-			if _, statErr := os.Stat(*snapshot); statErr == nil {
-				// A truncated or bit-rotted snapshot must be a clean refusal
-				// to boot (operator intervention), never a decode panic.
-				sh, snapSeq, snapEpoch, err = tabled.LoadShardedFileMeta[string](*snapshot, f, *shards, newStore, m)
-				if err != nil {
-					logger.Error("snapshot load", "path", *snapshot, "err", err)
-					return 1
-				}
-				r, c := sh.Dims()
-				logger.Info("snapshot loaded", "path", *snapshot, "rows", r, "cols", c,
-					"cells", sh.Len(), "repl_seq", snapSeq, "repl_epoch", snapEpoch)
-			}
-		}
-		if sh == nil {
-			sh, err = tabled.NewSharded[string](f, *shards, newStore, *rows, *cols, m)
+	if *snapshot != "" {
+		if _, statErr := os.Stat(*snapshot); statErr == nil {
+			// A truncated or bit-rotted snapshot must be a clean refusal
+			// to boot (operator intervention), never a decode panic.
+			sh, snapSeq, snapEpoch, err = tabled.LoadShardedFileMeta[string](*snapshot, f, *shards, newStore, m)
 			if err != nil {
-				logger.Error("backend", "err", err)
+				logger.Error("snapshot load", "path", *snapshot, "err", err)
 				return 1
 			}
+			r, c := sh.Dims()
+			logger.Info("snapshot loaded", "path", *snapshot, "rows", r, "cols", c,
+				"cells", sh.Len(), "repl_seq", snapSeq, "repl_epoch", snapEpoch)
 		}
-		if *walPath != "" {
-			// Recovery = newest snapshot (loaded above) + WAL tail replayed
-			// on top; a torn final record is truncated, not fatal. The
-			// .state sidecar keeps the log's base sequence and epoch marks
-			// durable, and the snapshot's embedded cut resolves any crash
-			// window between a snapshot write and the log reset.
-			var replayed int
-			wal, replayed, err = tabled.OpenWAL(*walPath,
-				func(rec tabled.WALRecord) error { return tabled.ApplyWALRecord(sh, rec) },
-				tabled.WALOptions{
-					SyncWindow:    *walSync,
-					Metrics:       m,
-					WrapFile:      injector.WrapWALFile,
-					StatePath:     *walPath + ".state",
-					SnapshotSeq:   snapSeq,
-					SnapshotEpoch: snapEpoch,
-				})
-			if err != nil {
-				logger.Error("wal open", "path", *walPath, "err", err)
-				return 1
-			}
-			base, next := wal.SeqState()
-			logger.Info("wal open", "path", *walPath, "replayed", replayed,
-				"bytes", wal.Size(), "seq", fmt.Sprintf("[%d,%d)", base, next),
-				"epoch", wal.Epoch(), "sync_window", *walSync)
-			snapSaveAt = sh.SaveAt
-		}
-		if *replFrom != "" {
-			// The boot position is absolute: the sidecar base plus the
-			// replayed records — checkpointed records keep their numbers,
-			// so a checkpointing follower still presents the right `from`.
-			writable = obs.NewFlag(false)
-			_, next := wal.SeqState()
-			fopt := tabled.FollowerOptions{
-				Source:   *replFrom,
-				Writable: writable,
-				Metrics:  m,
-				Logger:   logger,
-			}
-			if *snapshot != "" {
-				// Reseed capability: stranded (410) or forked-under-a-newer-
-				// epoch (409) followers rebuild from the primary's snapshot
-				// instead of sticking.
-				fopt.SnapshotPath = *snapshot
-				fopt.Restore = sh.RestoreSnapshot
-			}
-			follower = tabled.NewFollower(sh, wal, next, fopt)
-			logger.Info("follower mode", "source", *replFrom, "position", next,
-				"reseed", *snapshot != "")
-		}
-		if *snapshot != "" {
-			path := *snapshot
-			saveSnap = func() error { return sh.SaveFile(path) }
-			if wal != nil {
-				// Checkpoint: the snapshot save and the log reset share one
-				// cut, so recovery stays snapshot + tail with nothing lost
-				// and nothing applied twice. The cut sequence and epoch are
-				// stamped into the snapshot for the boot rule above.
-				w := wal
-				saveSnap = func() error {
-					e := w.Epoch()
-					return w.CheckpointAt(func(cut uint64) error { return sh.SaveFileAt(path, cut, e) })
-				}
-			}
-			if follower != nil {
-				// A reseed install must never interleave with a checkpoint:
-				// both rewrite the snapshot/WAL pair.
-				inner := saveSnap
-				saveSnap = func() error { return follower.GuardInstall(inner) }
-			}
-		}
-		table = sh
-	case "sync":
-		arr, err := extarray.New[string](f, extarray.NewPagedStore[string](), *rows, *cols)
+	}
+	if sh == nil {
+		sh, err = tabled.NewSharded[string](f, *shards, newStore, *rows, *cols, m)
 		if err != nil {
 			logger.Error("backend", "err", err)
 			return 1
 		}
-		table = tabled.WrapTable[string](extarray.NewSync[string](arr),
-			tabled.Info{Backend: "sync", Mapping: f.Name(), Shards: 1})
-	case "hash":
-		table = tabled.WrapTable[string](extarray.NewSync[string](extarray.NewHashBacked[string](*rows, *cols)),
-			tabled.Info{Backend: "hash", Shards: 1})
-	default:
-		fmt.Fprintf(os.Stderr, "tabledserver: unknown backend %q (sharded | sync | hash)\n", *backend)
-		return 2
 	}
-	if *snapshot != "" && saveSnap == nil {
-		fmt.Fprintln(os.Stderr, "tabledserver: -snapshot requires -backend sharded")
-		return 2
+	if *walPath != "" {
+		// Recovery = newest snapshot (loaded above) + WAL tail replayed
+		// on top; a torn final record is truncated, not fatal. The
+		// .state sidecar keeps the log's base sequence and epoch marks
+		// durable, and the snapshot's embedded cut resolves any crash
+		// window between a snapshot write and the log reset.
+		var replayed int
+		wal, replayed, err = tabled.OpenWAL(*walPath,
+			func(rec tabled.WALRecord) error { return tabled.ApplyWALRecord(sh, rec) },
+			tabled.WALOptions{
+				SyncWindow:    *walSync,
+				Metrics:       m,
+				WrapFile:      injector.WrapWALFile,
+				StatePath:     *walPath + ".state",
+				SnapshotSeq:   snapSeq,
+				SnapshotEpoch: snapEpoch,
+			})
+		if err != nil {
+			logger.Error("wal open", "path", *walPath, "err", err)
+			return 1
+		}
+		base, next := wal.SeqState()
+		logger.Info("wal open", "path", *walPath, "replayed", replayed,
+			"bytes", wal.Size(), "seq", fmt.Sprintf("[%d,%d)", base, next),
+			"epoch", wal.Epoch(), "sync_window", *walSync)
 	}
-	if *walPath != "" && wal == nil {
-		fmt.Fprintln(os.Stderr, "tabledserver: -wal requires -backend sharded")
-		return 2
+	if *replFrom != "" {
+		// The boot position is absolute: the sidecar base plus the
+		// replayed records — checkpointed records keep their numbers,
+		// so a checkpointing follower still presents the right `from`.
+		writable = obs.NewFlag(false)
+		_, next := wal.SeqState()
+		fopt := tabled.FollowerOptions{
+			Source:   *replFrom,
+			Writable: writable,
+			Metrics:  m,
+			Logger:   logger,
+		}
+		if *snapshot != "" {
+			// Reseed capability: stranded (410) or forked-under-a-newer-
+			// epoch (409) followers rebuild from the primary's snapshot
+			// instead of sticking.
+			fopt.SnapshotPath = *snapshot
+			fopt.Restore = sh.RestoreSnapshot
+		}
+		follower = tabled.NewFollower(sh, wal, next, fopt)
+		logger.Info("follower mode", "source", *replFrom, "position", next,
+			"reseed", *snapshot != "")
 	}
-	table = injector.WrapBackend(table)
+	if *snapshot != "" {
+		path := *snapshot
+		saveSnap = func() error { return sh.SaveFileAt(path, 0, 0) }
+		if wal != nil {
+			// Checkpoint: the snapshot save and the log reset share one
+			// cut, so recovery stays snapshot + tail with nothing lost
+			// and nothing applied twice. The cut sequence and epoch are
+			// stamped into the snapshot for the boot rule above.
+			w := wal
+			saveSnap = func() error {
+				e := w.Epoch()
+				return w.CheckpointSeq(func(cut uint64) error { return sh.SaveFileAt(path, cut, e) })
+			}
+		}
+		if follower != nil {
+			// A reseed install must never interleave with a checkpoint:
+			// both rewrite the snapshot/WAL pair.
+			inner := saveSnap
+			saveSnap = func() error { return follower.GuardInstall(inner) }
+		}
+	}
+	table := injector.WrapBackend(sh)
 
 	// Every snapshot save — periodic, on-demand (/v1/snapshot), and the
 	// shutdown one — goes through the persist scheduler, so failures are
@@ -337,17 +305,15 @@ func run() int {
 			repl.Gate = &tabled.ReplGate{Timeout: *replAck}
 			logger.Info("semi-synchronous replication", "ack_timeout", *replAck)
 		}
-		if snapSaveAt != nil {
-			// Snapshot transfer for stranded followers: /v1/repl/snapshot
-			// streams a cut-consistent snapshot spooled next to the WAL.
-			repl.Snap = &tabled.ReplSnapshots{
-				WAL:      wal,
-				Save:     snapSaveAt,
-				Dir:      filepath.Dir(*walPath),
-				Injector: injector,
-				Metrics:  m,
-				Logger:   logger,
-			}
+		// Snapshot transfer for stranded followers: /v1/repl/snapshot
+		// streams a cut-consistent snapshot spooled next to the WAL.
+		repl.Snap = &tabled.ReplSnapshots{
+			WAL:      wal,
+			Save:     sh.SaveAt,
+			Dir:      filepath.Dir(*walPath),
+			Injector: injector,
+			Metrics:  m,
+			Logger:   logger,
 		}
 	}
 

@@ -16,21 +16,15 @@ type Info struct {
 // WrapTable adapts any extarray.Table — e.g. a Sync-wrapped Array, the E23
 // baseline — by looping the batch through per-op calls (each paying the
 // wrapped table's per-op lock, which is exactly the contrast under test).
+//
+// The batch operations write their outcomes into caller-owned slices,
+// whose lengths must equal the input's, so the server reuses pooled
+// buffers across requests and the batch path allocates nothing.
 type Backend[T any] interface {
 	extarray.Table[T]
-	SetBatch(cells []Cell[T]) []error
-	GetBatch(keys []Pos) []GetResult[T]
-	Describe() Info
-}
-
-// BatchInto is the allocation-free face of a Backend: batch operations
-// that write outcomes into caller-owned slices (whose lengths must equal
-// the input's) instead of allocating result slices. The binary wire path
-// asserts for it and reuses pooled buffers across requests; backends
-// without it fall back to the allocating Backend methods.
-type BatchInto[T any] interface {
 	SetBatchInto(cells []Cell[T], errs []error)
 	GetBatchInto(keys []Pos, res []GetResult[T])
+	Describe() Info
 }
 
 // Describe implements Backend.
@@ -56,19 +50,7 @@ func WrapTable[T any](t extarray.Table[T], info Info) Backend[T] {
 
 func (b *tableBackend[T]) Describe() Info { return b.info }
 
-func (b *tableBackend[T]) SetBatch(cells []Cell[T]) []error {
-	errs := make([]error, len(cells))
-	b.SetBatchInto(cells, errs)
-	return errs
-}
-
-func (b *tableBackend[T]) GetBatch(keys []Pos) []GetResult[T] {
-	res := make([]GetResult[T], len(keys))
-	b.GetBatchInto(keys, res)
-	return res
-}
-
-// SetBatchInto implements BatchInto (still one locked call per cell — the
+// SetBatchInto implements Backend (still one locked call per cell — the
 // contrast under test; only the result slice is caller-owned).
 func (b *tableBackend[T]) SetBatchInto(cells []Cell[T], errs []error) {
 	for i, c := range cells {
@@ -76,7 +58,7 @@ func (b *tableBackend[T]) SetBatchInto(cells []Cell[T], errs []error) {
 	}
 }
 
-// GetBatchInto implements BatchInto.
+// GetBatchInto implements Backend.
 func (b *tableBackend[T]) GetBatchInto(keys []Pos, res []GetResult[T]) {
 	for i, k := range keys {
 		res[i].V, res[i].OK, res[i].Err = b.Get(k.X, k.Y)

@@ -52,10 +52,10 @@
 // binary path is the zero-allocation one: the server decodes ops and
 // encodes results in pooled scratch (server.go), plans shard routing with
 // the batched core.EncodeBatch surface (sharded.go), and executes through
-// the BatchInto interfaces into caller-owned slices — in steady state a
-// get batch is served end to end with zero heap allocations, and a set
-// batch with exactly one per op (the clone of the stored value out of the
-// pooled request buffer). tabled.Client selects the wire with its Wire
+// Backend's one batch surface, SetBatchInto/GetBatchInto, into
+// caller-owned slices — in steady state a get batch is served end to end
+// with zero heap allocations, and a set batch with exactly one per op (the
+// clone of the stored value out of the pooled request buffer). tabled.Client selects the wire with its Wire
 // field and reuses pooled request frames over a pooled transport
 // (DefaultTransport pins per-host idle connections at
 // MaxConcurrentBatchConns, where net/http's default of 2 would re-dial
@@ -77,7 +77,7 @@
 // window) before the HTTP 200 is written. Recovery is newest snapshot +
 // WAL tail, replayed idempotently in log order; a torn final record — the
 // signature of a crash mid-append — is truncated, losing only writes that
-// were never acknowledged. Snapshots checkpoint the log: WAL.Checkpoint
+// were never acknowledged. Snapshots checkpoint the log: CheckpointSeq
 // holds the append lock across the snapshot save and then truncates, so
 // the snapshot cut and the log reset are one atomic event and nothing is
 // ever replayed against a snapshot that already contains it.

@@ -240,29 +240,7 @@ func (f *faultBackend) Resize(rows, cols int64) error {
 	return f.b.Resize(rows, cols)
 }
 
-func (f *faultBackend) SetBatch(cells []Cell[string]) []error {
-	if err := f.roll(); err != nil {
-		errs := make([]error, len(cells))
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	return f.b.SetBatch(cells)
-}
-
-func (f *faultBackend) GetBatch(keys []Pos) []GetResult[string] {
-	if err := f.roll(); err != nil {
-		res := make([]GetResult[string], len(keys))
-		for i := range res {
-			res[i].Err = err
-		}
-		return res
-	}
-	return f.b.GetBatch(keys)
-}
-
-// SetBatchInto implements BatchInto so a fault-wrapped backend keeps the
+// SetBatchInto implements Backend; a fault-wrapped backend keeps the
 // zero-allocation server path (modulo the injected fault roll).
 func (f *faultBackend) SetBatchInto(cells []Cell[string], errs []error) {
 	if err := f.roll(); err != nil {
@@ -271,14 +249,10 @@ func (f *faultBackend) SetBatchInto(cells []Cell[string], errs []error) {
 		}
 		return
 	}
-	if bi, ok := f.b.(BatchInto[string]); ok {
-		bi.SetBatchInto(cells, errs)
-		return
-	}
-	copy(errs, f.b.SetBatch(cells))
+	f.b.SetBatchInto(cells, errs)
 }
 
-// GetBatchInto implements BatchInto.
+// GetBatchInto implements Backend.
 func (f *faultBackend) GetBatchInto(keys []Pos, res []GetResult[string]) {
 	if err := f.roll(); err != nil {
 		clear(res)
@@ -287,11 +261,7 @@ func (f *faultBackend) GetBatchInto(keys []Pos, res []GetResult[string]) {
 		}
 		return
 	}
-	if bi, ok := f.b.(BatchInto[string]); ok {
-		bi.GetBatchInto(keys, res)
-		return
-	}
-	copy(res, f.b.GetBatch(keys))
+	f.b.GetBatchInto(keys, res)
 }
 
 // faultFile injects torn writes and sync failures in front of a WALFile.

@@ -77,19 +77,13 @@ func TestFaultBackendBatchOps(t *testing.T) {
 	fb := NewFaultInjector(&Faults{Seed: 3, ErrRate: 1}).WrapBackend(b)
 
 	cells := []Cell[string]{{X: 1, Y: 1, V: "a"}, {X: 2, Y: 2, V: "b"}}
-	errs := fb.SetBatch(cells)
-	if len(errs) != len(cells) {
-		t.Fatalf("SetBatch returned %d errors for %d cells", len(errs), len(cells))
-	}
+	errs := setBatch(fb, cells)
 	for i, e := range errs {
 		if !errors.Is(e, ErrInjected) {
 			t.Fatalf("cell %d: %v, want injected", i, e)
 		}
 	}
-	res := fb.GetBatch([]Pos{{X: 1, Y: 1}, {X: 2, Y: 2}})
-	if len(res) != 2 {
-		t.Fatalf("GetBatch returned %d results", len(res))
-	}
+	res := getBatch(fb, []Pos{{X: 1, Y: 1}, {X: 2, Y: 2}})
 	for i, r := range res {
 		if !errors.Is(r.Err, ErrInjected) {
 			t.Fatalf("key %d: %v, want injected", i, r.Err)
@@ -107,7 +101,7 @@ func TestFaultBackendBatchOps(t *testing.T) {
 	}
 	// Nothing reached the real backend.
 	if _, ok, _ := b.Get(1, 1); ok {
-		t.Fatal("injected SetBatch leaked through to the backend")
+		t.Fatal("injected SetBatchInto leaked through to the backend")
 	}
 }
 

@@ -324,7 +324,7 @@ func (f *Follower) pullOnce(ctx context.Context) error {
 		if err := ApplyWALRecord(f.b, rec); err != nil {
 			return retry.Permanent(err)
 		}
-		if err := f.wal.AppendRaw(payload); err != nil {
+		if err := f.wal.Append(payload); err != nil {
 			return retry.Permanent(fmt.Errorf("tabled: repl append: %w", err))
 		}
 		f.applied.Add(1)

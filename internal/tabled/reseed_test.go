@@ -88,7 +88,7 @@ func TestReseedStrandedFollower(t *testing.T) {
 
 	// Checkpoint past 0: a follower asking from 0 is unservable from the
 	// log alone, which without reseed was a sticky divergence.
-	if err := primary.wal.CheckpointAt(func(cut uint64) error { return nil }); err != nil {
+	if err := primary.wal.CheckpointSeq(func(cut uint64) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	base, _ := primary.wal.SeqState()
@@ -144,7 +144,7 @@ func TestReseedCorruptTransferFailsClosed(t *testing.T) {
 	fi := NewFaultInjector(&Faults{Seed: 7, SnapCorruptRate: 1})
 	primary := startSnapPrimary(t, pdir, fi)
 	fillPrimary(t, primary, 0, 40)
-	if err := primary.wal.CheckpointAt(func(cut uint64) error { return nil }); err != nil {
+	if err := primary.wal.CheckpointSeq(func(cut uint64) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -400,7 +400,7 @@ func TestReseedDuringPrimaryCheckpoint(t *testing.T) {
 	pdir, fdir := t.TempDir(), t.TempDir()
 	primary := startSnapPrimary(t, pdir, nil)
 	fillPrimary(t, primary, 0, 40)
-	if err := primary.wal.CheckpointAt(func(cut uint64) error { return nil }); err != nil {
+	if err := primary.wal.CheckpointSeq(func(cut uint64) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -408,7 +408,7 @@ func TestReseedDuringPrimaryCheckpoint(t *testing.T) {
 
 	// Race more writes and a second checkpoint against the reseed.
 	fillPrimary(t, primary, 1, 30)
-	if err := primary.wal.CheckpointAt(func(cut uint64) error { return nil }); err != nil {
+	if err := primary.wal.CheckpointSeq(func(cut uint64) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	fillPrimary(t, primary, 2, 10)

@@ -557,7 +557,6 @@ func (s *server) batchBinary(body []byte, scr *wireScratch) (out []byte, status 
 // durability was lost mid-batch and the caller must not acknowledge.
 func (s *server) executeInto(ops []Op, scr *wireScratch) (results []OpResult, walErr error) {
 	results = scr.growResults(len(ops))
-	bi, batchInto := s.b.(BatchInto[string])
 	for i := 0; i < len(ops); {
 		j := i + 1
 		for (ops[i].Op == "get" || ops[i].Op == "set") && j < len(ops) && ops[j].Op == ops[i].Op {
@@ -572,13 +571,8 @@ func (s *server) executeInto(ops []Op, scr *wireScratch) (results []OpResult, wa
 			for k := i; k < j; k++ {
 				cells[k-i] = Cell[string]{X: ops[k].X, Y: ops[k].Y, V: ops[k].V}
 			}
-			var errs []error
-			if batchInto {
-				errs = scr.errs[:j-i]
-				bi.SetBatchInto(cells, errs)
-			} else {
-				errs = s.b.SetBatch(cells)
-			}
+			errs := scr.errs[:j-i]
+			s.b.SetBatchInto(cells, errs)
 			acked := cells[:0]
 			for k, err := range errs {
 				if err != nil {
@@ -602,13 +596,8 @@ func (s *server) executeInto(ops []Op, scr *wireScratch) (results []OpResult, wa
 			for k := i; k < j; k++ {
 				keys[k-i] = Pos{X: ops[k].X, Y: ops[k].Y}
 			}
-			var gets []GetResult[string]
-			if batchInto {
-				gets = scr.gets[:j-i]
-				bi.GetBatchInto(keys, gets)
-			} else {
-				gets = s.b.GetBatch(keys)
-			}
+			gets := scr.gets[:j-i]
+			s.b.GetBatchInto(keys, gets)
 			for k, gr := range gets {
 				if gr.Err != nil {
 					results[i+k] = OpResult{Err: gr.Err.Error()}

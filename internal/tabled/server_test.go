@@ -23,7 +23,7 @@ func newTestServer(t *testing.T, snapshotPath string) (*Client, *Sharded[string]
 	}
 	opt := ServerOptions{Registry: reg, Metrics: m, Ready: obs.NewFlag(true)}
 	if snapshotPath != "" {
-		opt.Snapshot = func() error { return table.SaveFile(snapshotPath) }
+		opt.Snapshot = func() error { return table.SaveFileAt(snapshotPath, 0, 0) }
 	}
 	ts := httptest.NewServer(NewHandler(table, opt))
 	t.Cleanup(ts.Close)
@@ -147,7 +147,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 	if err := c.Snapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
-	l, err := LoadShardedFile[string](path, table.Mapping(), 8, pagedStore, nil)
+	l, _, _, err := LoadShardedFileMeta[string](path, table.Mapping(), 8, pagedStore, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

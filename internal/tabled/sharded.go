@@ -262,21 +262,12 @@ func (s *Sharded[T]) encodeErr(x, y int64) error {
 	return fmt.Errorf("tabled: mapping %s batch-rejected (%d, %d) without an error", s.f.Name(), x, y)
 }
 
-// SetBatch stores every cell, taking each touched shard's write lock
-// exactly once. The returned slice has one entry per input cell: nil on
-// success, or the per-cell error (bounds, overflow). Cells in different
-// shards are applied in shard order, not input order; cells at the same
-// position within one batch are applied in input order.
-func (s *Sharded[T]) SetBatch(cells []Cell[T]) []error {
-	errs := make([]error, len(cells))
-	s.SetBatchInto(cells, errs)
-	return errs
-}
-
-// SetBatchInto is SetBatch writing its per-cell outcomes into errs (whose
-// length must equal len(cells)): the allocation-free form the binary wire
-// path uses with pooled result buffers. Entries are overwritten — nil on
-// success, the per-cell error otherwise.
+// SetBatchInto stores every cell, taking each touched shard's write lock
+// exactly once. Its per-cell outcomes go into errs, whose length must
+// equal len(cells); entries are overwritten — nil on success, or the
+// per-cell error (bounds, overflow). Cells in different shards are applied
+// in shard order, not input order; cells at the same position within one
+// batch are applied in input order.
 func (s *Sharded[T]) SetBatchInto(cells []Cell[T], errs []error) {
 	clear(errs)
 	scr := planPool.Get().(*planScratch)
@@ -316,16 +307,9 @@ func (s *Sharded[T]) SetBatchInto(cells []Cell[T], errs []error) {
 	}
 }
 
-// GetBatch reads every position, taking each touched shard's read lock
-// exactly once. Results are in input order.
-func (s *Sharded[T]) GetBatch(keys []Pos) []GetResult[T] {
-	res := make([]GetResult[T], len(keys))
-	s.GetBatchInto(keys, res)
-	return res
-}
-
-// GetBatchInto is GetBatch writing its results into res (whose length must
-// equal len(keys)): the allocation-free form. Entries are overwritten.
+// GetBatchInto reads every position, taking each touched shard's read
+// lock exactly once. Results go into res in input order; its length must
+// equal len(keys), and entries are overwritten.
 func (s *Sharded[T]) GetBatchInto(keys []Pos, res []GetResult[T]) {
 	clear(res)
 	scr := planPool.Get().(*planScratch)

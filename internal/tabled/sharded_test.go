@@ -24,6 +24,20 @@ func newSharded(t testing.TB, f core.StorageMapping, nshards int, rows, cols int
 	return s
 }
 
+// setBatch runs b.SetBatchInto with a result slice of its own.
+func setBatch[T any](b Backend[T], cells []Cell[T]) []error {
+	errs := make([]error, len(cells))
+	b.SetBatchInto(cells, errs)
+	return errs
+}
+
+// getBatch runs b.GetBatchInto with a result slice of its own.
+func getBatch[T any](b Backend[T], keys []Pos) []GetResult[T] {
+	res := make([]GetResult[T], len(keys))
+	b.GetBatchInto(keys, res)
+	return res
+}
+
 // TestShardedMatchesArray drives the same randomized op sequence through a
 // Sharded table and a reference extarray.Array and demands identical
 // observable state throughout — including after grows and shrinks.
@@ -98,7 +112,7 @@ func TestShardedMatchesArray(t *testing.T) {
 // results for the batched calls.
 func TestShardedBatchSemantics(t *testing.T) {
 	s := newSharded(t, core.Diagonal{}, 8, 4, 4)
-	errs := s.SetBatch([]Cell[int64]{
+	errs := setBatch(s, []Cell[int64]{
 		{X: 1, Y: 1, V: 11},
 		{X: 9, Y: 1, V: 91}, // out of bounds
 		{X: 0, Y: 2, V: 2},  // domain
@@ -110,7 +124,7 @@ func TestShardedBatchSemantics(t *testing.T) {
 	if !errors.Is(errs[1], extarray.ErrBounds) || !errors.Is(errs[2], extarray.ErrBounds) {
 		t.Fatalf("invalid cells: %v, %v", errs[1], errs[2])
 	}
-	res := s.GetBatch([]Pos{{X: 4, Y: 4}, {X: 1, Y: 1}, {X: 2, Y: 2}, {X: 5, Y: 5}})
+	res := getBatch(s, []Pos{{X: 4, Y: 4}, {X: 1, Y: 1}, {X: 2, Y: 2}, {X: 5, Y: 5}})
 	if res[0].V != 44 || !res[0].OK || res[1].V != 11 || !res[1].OK {
 		t.Fatalf("batch get order wrong: %+v", res)
 	}
@@ -131,7 +145,7 @@ func TestShardedOverflowSurfaces(t *testing.T) {
 	if !errors.Is(err, numtheory.ErrOverflow) {
 		t.Fatalf("Set near 2^61: err = %v, want ErrOverflow", err)
 	}
-	errs := s.SetBatch([]Cell[int64]{{X: 1 << 61, Y: 1 << 61, V: 1}, {X: 1, Y: 1, V: 7}})
+	errs := setBatch(s, []Cell[int64]{{X: 1 << 61, Y: 1 << 61, V: 1}, {X: 1, Y: 1, V: 7}})
 	if !errors.Is(errs[0], numtheory.ErrOverflow) || errs[1] != nil {
 		t.Fatalf("batch overflow isolation: %v", errs)
 	}
@@ -176,9 +190,9 @@ func TestShardedConcurrent(t *testing.T) {
 					for k := range cells {
 						cells[k] = Cell[int64]{X: rng.Int63n(64) + 1, Y: rng.Int63n(64) + 1, V: int64(i)}
 					}
-					for k, err := range s.SetBatch(cells) {
+					for k, err := range setBatch(s, cells) {
 						if err != nil {
-							t.Errorf("SetBatch[%d]: %v", k, err)
+							t.Errorf("SetBatchInto[%d]: %v", k, err)
 						}
 					}
 				default:
@@ -186,9 +200,9 @@ func TestShardedConcurrent(t *testing.T) {
 					for k := range keys {
 						keys[k] = Pos{X: rng.Int63n(64) + 1, Y: rng.Int63n(64) + 1}
 					}
-					for k, gr := range s.GetBatch(keys) {
+					for k, gr := range getBatch(s, keys) {
 						if gr.Err != nil {
-							t.Errorf("GetBatch[%d]: %v", k, gr.Err)
+							t.Errorf("GetBatchInto[%d]: %v", k, gr.Err)
 						}
 					}
 				}

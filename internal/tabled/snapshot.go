@@ -9,20 +9,15 @@ import (
 	"pairfn/internal/extarray"
 )
 
-// Save serializes the table in the extarray snapshot format (one wire
+// SaveAt serializes the table in the extarray snapshot format (one wire
 // format for the whole repo: an extarray.Array can load a tabled snapshot
-// under the same mapping). All shard read locks are held for the duration,
-// so the snapshot is a consistent cut; writers queue behind it like behind
-// a reshape.
-func (s *Sharded[T]) Save(w io.Writer) error {
-	return s.SaveAt(w, 0, 0)
-}
-
-// SaveAt is Save with the replication cut stamped into the snapshot: the
-// table state being written is exactly the effect of WAL records [0, seq)
-// under primary epoch. The caller (typically inside walog.CheckpointSeq or
-// walog.Cut, which block appends) is responsible for seq actually being
-// the cut of the state snapshotted here.
+// under the same mapping), stamped with the replication cut: the table
+// state being written is exactly the effect of WAL records [0, seq) under
+// primary epoch. A node without a WAL saves at cut (0, 0). The caller
+// (typically inside walog.CheckpointSeq or walog.Cut, which block appends)
+// is responsible for seq actually being the cut of the state snapshotted
+// here. All shard read locks are held for the duration, so the snapshot
+// is a consistent cut; writers queue behind it like behind a reshape.
 func (s *Sharded[T]) SaveAt(w io.Writer, seq, epoch uint64) error {
 	for i := range s.shards {
 		s.shards[i].mu.RLock()
@@ -44,7 +39,7 @@ func (s *Sharded[T]) SaveAt(w io.Writer, seq, epoch uint64) error {
 		for y := int64(1); y <= s.cols; y++ {
 			addr, err := s.f.Encode(x, y)
 			if err != nil {
-				return fmt.Errorf("tabled: Save: %w", err)
+				return fmt.Errorf("tabled: save: %w", err)
 			}
 			if v, ok := s.shardOf(addr).store.Get(addr); ok {
 				snap.Addrs = append(snap.Addrs, addr)
@@ -71,33 +66,22 @@ func (s *Sharded[T]) statsLocked() extarray.Stats {
 	return st
 }
 
-// SaveFile atomically persists the table to path (temp file + fsync +
-// rename via extarray.AtomicWriteFile): the previous snapshot survives any
-// failure or crash mid-write.
-func (s *Sharded[T]) SaveFile(path string) error {
-	return s.SaveFileAt(path, 0, 0)
-}
-
-// SaveFileAt is SaveFile with the replication cut stamped in (see SaveAt).
+// SaveFileAt atomically persists the table to path (temp file + fsync +
+// rename via extarray.AtomicWriteFile), with the replication cut stamped
+// in (see SaveAt): the previous snapshot survives any failure or crash
+// mid-write.
 func (s *Sharded[T]) SaveFileAt(path string, seq, epoch uint64) error {
 	return extarray.AtomicWriteFile(path, func(w io.Writer) error { return s.SaveAt(w, seq, epoch) })
 }
 
-// LoadSharded reconstructs a Sharded table from a snapshot written by Save
-// (or by extarray's Array.Save). The caller supplies the same storage
-// mapping (checked by name) and the shard geometry; every address is
-// validated to decode into the snapshot's logical box before it is
-// trusted.
-func LoadSharded[T any](r io.Reader, f core.StorageMapping, nshards int, newStore func() extarray.Store[T], m *Metrics) (*Sharded[T], error) {
-	s, _, _, err := LoadShardedMeta[T](r, f, nshards, newStore, m)
-	return s, err
-}
-
-// LoadShardedMeta is LoadSharded returning the replication cut stamped
-// into the snapshot as well: the table is the effect of WAL records
-// [0, seq) under primary epoch — the numbers the caller hands to
-// walog.Open (SnapshotSeq/SnapshotEpoch) so the boot rule can resolve
-// checkpoint and reseed crash windows.
+// LoadShardedMeta reconstructs a Sharded table from a snapshot written by
+// SaveAt (or by extarray's Array.Save) and returns the replication cut
+// stamped into it: the table is the effect of WAL records [0, seq) under
+// primary epoch — the numbers the caller hands to walog.Open
+// (SnapshotSeq/SnapshotEpoch) so the boot rule can resolve checkpoint and
+// reseed crash windows. The caller supplies the same storage mapping
+// (checked by name) and the shard geometry; every address is validated to
+// decode into the snapshot's logical box before it is trusted.
 func LoadShardedMeta[T any](r io.Reader, f core.StorageMapping, nshards int, newStore func() extarray.Store[T], m *Metrics) (_ *Sharded[T], seq, epoch uint64, _ error) {
 	snap, err := extarray.DecodeSnapshot[T](r)
 	if err != nil {
@@ -128,13 +112,7 @@ func LoadShardedMeta[T any](r io.Reader, f core.StorageMapping, nshards int, new
 	return s, snap.ReplSeq, snap.ReplEpoch, nil
 }
 
-// LoadShardedFile is LoadSharded over a file written by SaveFile.
-func LoadShardedFile[T any](path string, f core.StorageMapping, nshards int, newStore func() extarray.Store[T], m *Metrics) (*Sharded[T], error) {
-	s, _, _, err := LoadShardedFileMeta[T](path, f, nshards, newStore, m)
-	return s, err
-}
-
-// LoadShardedFileMeta is LoadShardedMeta over a file written by SaveFile.
+// LoadShardedFileMeta is LoadShardedMeta over a file written by SaveFileAt.
 func LoadShardedFileMeta[T any](path string, f core.StorageMapping, nshards int, newStore func() extarray.Store[T], m *Metrics) (*Sharded[T], uint64, uint64, error) {
 	r, err := os.Open(path)
 	if err != nil {

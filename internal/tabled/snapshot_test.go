@@ -31,10 +31,10 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := s.SaveAt(&buf, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	l, err := LoadSharded[string](bytes.NewReader(buf.Bytes()), f, 2, pagedStore, nil)
+	l, _, _, err := LoadShardedMeta[string](bytes.NewReader(buf.Bytes()), f, 2, pagedStore, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("reshapes after load = %d", st.Reshapes)
 	}
 	// Wrong mapping is rejected by name.
-	if _, err := LoadSharded[string](bytes.NewReader(buf.Bytes()), core.Diagonal{}, 2, pagedStore, nil); err == nil {
+	if _, _, _, err := LoadShardedMeta[string](bytes.NewReader(buf.Bytes()), core.Diagonal{}, 2, pagedStore, nil); err == nil {
 		t.Fatal("load under wrong mapping should fail")
 	}
 }
@@ -74,7 +74,7 @@ func TestSnapshotCrossCompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := s.SaveAt(&buf, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	arr, err := extarray.Load[string](&buf, f, extarray.NewMapStore[string]())
@@ -92,7 +92,7 @@ func TestSnapshotCrossCompatible(t *testing.T) {
 	if err := arr.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := LoadSharded[string](&buf, f, 16, pagedStore, nil)
+	s2, _, _, err := LoadShardedMeta[string](&buf, f, 16, pagedStore, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSnapshotCrossCompatible(t *testing.T) {
 	}
 }
 
-// TestShardedSaveFileAtomic exercises the file path: SaveFile twice (the
+// TestShardedSaveFileAtomic exercises the file path: SaveFileAt twice (the
 // second must atomically replace), then load.
 func TestShardedSaveFileAtomic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tabled.gob")
@@ -113,16 +113,16 @@ func TestShardedSaveFileAtomic(t *testing.T) {
 	if err := s.Set(1, 1, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveFile(path); err != nil {
+	if err := s.SaveFileAt(path, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Set(2, 2, "b"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveFile(path); err != nil {
+	if err := s.SaveFileAt(path, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	l, err := LoadShardedFile[string](path, f, 4, pagedStore, nil)
+	l, _, _, err := LoadShardedFileMeta[string](path, f, 4, pagedStore, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package tabled
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -18,13 +17,13 @@ import (
 // leaves the server. The append/fsync/replay/checkpoint mechanics live in
 // the shared internal/walog core (lifted out of this file so the WBC
 // coordinator journal runs the same loop); what remains here is the tabled
-// record codec and the typed wrapper.
+// record codec.
 //
 // Ordering contract: mutations are applied to the in-memory table FIRST,
 // then logged, then acknowledged. Both steps happen before the ack, so an
 // acknowledged write is always in memory AND durable; a crash between
 // apply and log loses only writes that were never acknowledged, which is
-// the contract clients get. Checkpoint holds the WAL lock across the
+// the contract clients get. CheckpointSeq holds the WAL lock across the
 // snapshot save, so no acknowledged write can land between the snapshot's
 // consistent cut and the log truncation — anything in memory at the cut is
 // in the snapshot, and anything logged after the cut replays idempotently
@@ -89,8 +88,14 @@ type WALOptions struct {
 // the original error, and the server is expected to degrade to read-only
 // (the already-applied but unacknowledged suffix is truncated as a torn
 // tail on the next boot).
+//
+// The log mechanics (checkpoints, cuts, epochs, the replication stream,
+// Close) are the embedded walog.Log's methods; WAL adds only the tabled
+// record format. The follower re-appends exactly the payload bytes the
+// primary framed (Append), so its log is a byte-identical prefix of the
+// primary's and its record count IS its replication position.
 type WAL struct {
-	log *walog.Log
+	*walog.Log
 }
 
 // walObserver adapts the shared log's instrumentation hook to the tabled
@@ -128,14 +133,8 @@ func OpenWAL(path string, apply func(WALRecord) error, opt WALOptions) (*WAL, in
 	if err != nil {
 		return nil, replayed, err
 	}
-	return &WAL{log: l}, replayed, nil
+	return &WAL{Log: l}, replayed, nil
 }
-
-// Size returns the current log length in bytes.
-func (w *WAL) Size() int64 { return w.log.Size() }
-
-// Err returns the sticky failure, if any.
-func (w *WAL) Err() error { return w.log.Err() }
 
 // AppendSet logs a batch of acknowledged cell writes. It returns only
 // after the record is durable (fsynced, possibly as part of a group
@@ -146,7 +145,7 @@ func (w *WAL) AppendSet(cells []Cell[string]) error {
 		if n > maxWALChunkCells {
 			n = maxWALChunkCells
 		}
-		if err := w.log.Append(encodeSetRecord(cells[:n])); err != nil {
+		if err := w.Append(encodeSetRecord(cells[:n])); err != nil {
 			return err
 		}
 		cells = cells[n:]
@@ -156,91 +155,8 @@ func (w *WAL) AppendSet(cells []Cell[string]) error {
 
 // AppendResize logs an acknowledged dimension change.
 func (w *WAL) AppendResize(rows, cols int64) error {
-	return w.log.Append(encodeResizeRecord(rows, cols))
+	return w.Append(encodeResizeRecord(rows, cols))
 }
-
-// Checkpoint runs save (which must persist a consistent snapshot of the
-// table, e.g. Sharded.SaveFile via AtomicWriteFile) and then resets the
-// log to empty: the snapshot now carries everything the log carried.
-// Appends are blocked for the duration, which is what makes the cut
-// airtight — see the ordering contract at the top of this file. On a
-// sticky-failed WAL the snapshot is still taken (it may be the last good
-// persistence this process manages) but the log is left alone and the
-// failure is returned.
-func (w *WAL) Checkpoint(save func() error) error {
-	return w.log.Checkpoint(save)
-}
-
-// CheckpointAt is Checkpoint with the cut sequence handed to save so the
-// snapshot can embed it (Sharded.SaveFileAt): the boot rule then resolves
-// any crash between the snapshot write and the log truncation. See
-// walog.Log.CheckpointSeq.
-func (w *WAL) CheckpointAt(save func(cut uint64) error) error {
-	return w.log.CheckpointSeq(save)
-}
-
-// Cut syncs the log and hands save the durable horizon and its epoch while
-// appends are blocked — the /v1/repl/snapshot serving primitive. See
-// walog.Log.Cut.
-func (w *WAL) Cut(save func(cut, epoch uint64) error) error {
-	return w.log.Cut(save)
-}
-
-// ResetTo discards every record and reseats the log at seq under epoch —
-// the reseed install step, run after the fetched snapshot is durably on
-// disk. See walog.Log.ResetTo.
-func (w *WAL) ResetTo(seq, epoch uint64) error { return w.log.ResetTo(seq, epoch) }
-
-// Epoch returns the WAL's current primary epoch (0 before any promotion).
-func (w *WAL) Epoch() uint64 { return w.log.Epoch() }
-
-// EpochAt returns the epoch record seq was (or will be) appended under.
-func (w *WAL) EpochAt(seq uint64) uint64 { return w.log.EpochAt(seq) }
-
-// SetEpoch durably advances the epoch — the promotion path. See
-// walog.Log.SetEpoch.
-func (w *WAL) SetEpoch(e uint64) error { return w.log.SetEpoch(e) }
-
-// ObserveEpoch mirrors a source's epoch boundary — the follower path. See
-// walog.Log.ObserveEpoch.
-func (w *WAL) ObserveEpoch(e, start uint64) error { return w.log.ObserveEpoch(e, start) }
-
-// EpochBarrier reports where history newer than epoch since begins. See
-// walog.Log.EpochBarrier.
-func (w *WAL) EpochBarrier(since uint64) (start uint64, ok bool) {
-	return w.log.EpochBarrier(since)
-}
-
-// Close syncs outstanding records and closes the file. Appends after
-// Close return ErrWALClosed.
-func (w *WAL) Close() error { return w.log.Close() }
-
-// SeqState reports the log's sequence line: records [base, next) are
-// durable, with [0, base) already folded into a snapshot by checkpoints.
-// Record sequence numbers are stable across checkpoints — the replication
-// protocol's coordinate system.
-func (w *WAL) SeqState() (base, next uint64) { return w.log.SeqState() }
-
-// WaitCommitted blocks until at least seq records are durable (the
-// /v1/repl/frames long-poll primitive). See walog.Log.WaitCommitted.
-func (w *WAL) WaitCommitted(ctx context.Context, seq uint64) error {
-	return w.log.WaitCommitted(ctx, seq)
-}
-
-// Tail serves committed records [from, next) as raw CRC-framed bytes for
-// replication. See walog.Log.Tail for chunking and the divergence errors
-// (walog.ErrSeqGap, walog.ErrSeqAhead).
-func (w *WAL) Tail(from uint64, maxBytes int) (frames []byte, next uint64, err error) {
-	return w.log.Tail(from, maxBytes)
-}
-
-// AppendRaw appends one already-encoded record payload, fsynced before
-// return — the follower ingestion path. The follower re-appends exactly
-// the payload bytes the primary framed, so its log is a byte-identical
-// prefix of the primary's and its record count IS its replication
-// position: boot replay of its own log recovers the applied sequence with
-// no separate counter to persist.
-func (w *WAL) AppendRaw(payload []byte) error { return w.log.Append(payload) }
 
 // DecodeRecord parses one frame payload into a typed record — exposed for
 // the follower, which receives primary payloads over the wire and must
@@ -342,7 +258,9 @@ func decodeWALRecord(payload []byte) (WALRecord, error) {
 func ApplyWALRecord(b Backend[string], rec WALRecord) error {
 	switch rec.Kind {
 	case walKindSet:
-		for _, err := range b.SetBatch(rec.Cells) {
+		errs := make([]error, len(rec.Cells))
+		b.SetBatchInto(rec.Cells, errs)
+		for _, err := range errs {
 			if err != nil {
 				return fmt.Errorf("tabled: wal replay set: %w", err)
 			}

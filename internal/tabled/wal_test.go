@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pairfn/internal/core"
+	"pairfn/internal/extarray"
 )
 
 // newWALBackend returns an empty sharded table for WAL tests.
@@ -63,7 +64,7 @@ func TestWALRoundTrip(t *testing.T) {
 	cells := []Cell[string]{
 		{X: 1, Y: 1, V: "a"}, {X: 2, Y: 3, V: "b"}, {X: 16, Y: 16, V: "corner"},
 	}
-	if errs := live.SetBatch(cells); errs[0] != nil || errs[1] != nil || errs[2] != nil {
+	if errs := setBatch(live, cells); errs[0] != nil || errs[1] != nil || errs[2] != nil {
 		t.Fatal(errs)
 	}
 	if err := w.AppendSet(cells); err != nil {
@@ -76,7 +77,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	late := []Cell[string]{{X: 30, Y: 5, V: "after-grow"}}
-	if errs := live.SetBatch(late); errs[0] != nil {
+	if errs := setBatch(live, late); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
 	if err := w.AppendSet(late); err != nil {
@@ -105,6 +106,18 @@ func TestWALRoundTrip(t *testing.T) {
 		if got[k] != v {
 			t.Errorf("cell %v: %q, want %q", k, got[k], v)
 		}
+	}
+}
+
+// TestWALReplaySurfacesCellErrors: a replayed set record whose cell the
+// table cannot take aborts recovery, wherever in the record the cell sits.
+func TestWALReplaySurfacesCellErrors(t *testing.T) {
+	rec := WALRecord{Kind: walKindSet, Cells: []Cell[string]{
+		{X: 1, Y: 1, V: "fits"}, {X: 2, Y: 2, V: "fits"}, {X: 9, Y: 1, V: "out of bounds"},
+	}}
+	err := ApplyWALRecord(newWALBackend(t, 8, 8), rec)
+	if !errors.Is(err, extarray.ErrBounds) {
+		t.Fatalf("replaying an out-of-bounds last cell: %v, want ErrBounds", err)
 	}
 }
 
@@ -215,7 +228,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestWALCheckpoint verifies the snapshot/truncate cut: after Checkpoint,
+// TestWALCheckpoint verifies the snapshot/truncate cut: after CheckpointSeq,
 // the log is empty, the save ran, and appends continue on the fresh log.
 func TestWALCheckpoint(t *testing.T) {
 	dir := t.TempDir()
@@ -226,7 +239,7 @@ func TestWALCheckpoint(t *testing.T) {
 	defer w.Close()
 
 	pre := []Cell[string]{{X: 2, Y: 2, V: "in-snapshot"}}
-	if errs := live.SetBatch(pre); errs[0] != nil {
+	if errs := setBatch(live, pre); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
 	if err := w.AppendSet(pre); err != nil {
@@ -235,7 +248,7 @@ func TestWALCheckpoint(t *testing.T) {
 	if w.Size() == 0 {
 		t.Fatal("log empty before checkpoint")
 	}
-	if err := w.Checkpoint(func() error { return live.SaveFile(snap) }); err != nil {
+	if err := w.CheckpointSeq(func(cut uint64) error { return live.SaveFileAt(snap, cut, 0) }); err != nil {
 		t.Fatal(err)
 	}
 	if w.Size() != 0 {
@@ -243,7 +256,7 @@ func TestWALCheckpoint(t *testing.T) {
 	}
 
 	post := []Cell[string]{{X: 3, Y: 3, V: "after-checkpoint"}}
-	if errs := live.SetBatch(post); errs[0] != nil {
+	if errs := setBatch(live, post); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
 	if err := w.AppendSet(post); err != nil {
@@ -251,9 +264,12 @@ func TestWALCheckpoint(t *testing.T) {
 	}
 
 	// Recovery = snapshot + tail: both cells, each exactly from its layer.
-	recovered, err := LoadShardedFile[string](snap, core.SquareShell{}, 4, pagedStore, nil)
+	recovered, seq, _, err := LoadShardedFileMeta[string](snap, core.SquareShell{}, 4, pagedStore, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if seq != 1 {
+		t.Fatalf("snapshot cut %d, want 1 (the one pre-checkpoint record)", seq)
 	}
 	if v, ok, _ := recovered.Get(2, 2); !ok || v != "in-snapshot" {
 		t.Fatalf("snapshot cell: %q %v", v, ok)

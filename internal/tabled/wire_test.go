@@ -273,12 +273,17 @@ func TestServerBatchPathAllocFree(t *testing.T) {
 
 // TestShardedBatchIntoAllocFree pins the backend half on its own: planning
 // (batched address encode + counting sort) and the shard loops reuse
-// pooled scratch, so GetBatchInto/SetBatchInto allocate nothing.
+// pooled scratch, so GetBatchInto/SetBatchInto allocate nothing — and a
+// fault-wrapped table keeps that path, injected fault rolls included.
 func TestShardedBatchIntoAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race: sync.Pool randomly drops puts")
 	}
 	table, err := NewSharded[string](core.Diagonal{}, 8, pagedStore, 256, 256, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := ParseFaults("seed=3,errrate=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,13 +296,23 @@ func TestShardedBatchIntoAllocFree(t *testing.T) {
 	}
 	errs := make([]error, n)
 	res := make([]GetResult[string], n)
+	for _, tc := range []struct {
+		name string
+		b    Backend[string]
+	}{
+		{"sharded", table},
+		{"faultwrap", NewFaultInjector(fc).WrapBackend(table)},
+	} {
+		tc.b.SetBatchInto(cells, errs)
+		if a := testing.AllocsPerRun(200, func() { tc.b.SetBatchInto(cells, errs) }); a != 0 {
+			t.Errorf("%s SetBatchInto: %.2f allocs per batch, want 0", tc.name, a)
+		}
+		if a := testing.AllocsPerRun(200, func() { tc.b.GetBatchInto(keys, res) }); a != 0 {
+			t.Errorf("%s GetBatchInto: %.2f allocs per batch, want 0", tc.name, a)
+		}
+	}
 	table.SetBatchInto(cells, errs)
-	if a := testing.AllocsPerRun(200, func() { table.SetBatchInto(cells, errs) }); a != 0 {
-		t.Errorf("SetBatchInto: %.2f allocs per batch, want 0", a)
-	}
-	if a := testing.AllocsPerRun(200, func() { table.GetBatchInto(keys, res) }); a != 0 {
-		t.Errorf("GetBatchInto: %.2f allocs per batch, want 0", a)
-	}
+	table.GetBatchInto(keys, res)
 	for i := range errs {
 		if errs[i] != nil {
 			t.Fatalf("cell %d: %v", i, errs[i])
