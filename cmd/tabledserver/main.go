@@ -62,10 +62,11 @@
 // restart recovers.
 //
 // With -replicate-from, the server runs as a read-only FOLLOWER of the
-// named primary (which must itself run with -wal): it tails the primary's
-// /v1/repl/frames, applies every record locally, and re-appends it to its
-// own WAL — a byte-identical suffix of the primary's record stream —
-// fsynced before advancing. Requires -wal. A follower MAY also run with
+// named primary (which must itself run with -wal): it pulls the primary's
+// log over one persistent upgraded connection (GET /v1/repl/conn,
+// docs/WIRE.md §8), applies every record locally, and re-appends it to its
+// own WAL — a byte-identical suffix of the primary's record stream — with
+// one fsync per pulled chunk before advancing. Requires -wal. A follower MAY also run with
 // -snapshot: record numbering is durable (the WAL keeps a small .state
 // sidecar carrying its base sequence and epoch history), so the follower
 // checkpoints its own log like a primary does, and a checkpointed
@@ -297,7 +298,7 @@ func run() int {
 
 	// Any server with a WAL serves the replication surface: a primary so a
 	// follower can chain from it, a follower so a promoted one already has
-	// its own /v1/repl/frames for the next follower.
+	// its own pull route for the next follower.
 	var repl *tabled.Repl
 	if wal != nil {
 		repl = &tabled.Repl{WAL: wal, Follower: follower, Metrics: m, Logger: logger}

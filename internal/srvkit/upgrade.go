@@ -43,9 +43,10 @@ func TrackUpgrades(srv *http.Server) *Upgrades {
 }
 
 // Close stops the set: idle connections close at once, busy ones as soon
-// as their exchange in flight is answered, and no connection upgrades
-// afterwards. It returns when every connection has closed, or when ctx
-// ends, after closing the stragglers mid-exchange, with ctx's error.
+// as their exchange in flight is answered, every connection's Context
+// ends, and no connection upgrades afterwards. It returns when every
+// connection has closed, or when ctx ends, after closing the stragglers
+// mid-exchange, with ctx's error.
 func (u *Upgrades) Close(ctx context.Context) error {
 	u.mu.Lock()
 	if !u.closing {
@@ -55,6 +56,7 @@ func (u *Upgrades) Close(ctx context.Context) error {
 		}
 	}
 	for c := range u.conns {
+		c.cancel()
 		if !c.busy {
 			c.Conn.Close()
 		}
@@ -126,6 +128,8 @@ type UpgradedConn struct {
 	set         *Upgrades // nil when the server tracks none
 	idle, write time.Duration
 	busy        bool // guarded by set.mu
+	ctx         context.Context
+	cancel      context.CancelFunc
 }
 
 var (
@@ -168,12 +172,21 @@ func Upgrade(w http.ResponseWriter, r *http.Request, proto string) (*UpgradedCon
 		return nil, err
 	}
 	c.Conn, c.R, c.W = conn, brw.Reader, brw.Writer
+	c.ctx, c.cancel = context.WithCancel(r.Context())
 	if c.set != nil && !c.set.add(c) {
+		c.cancel()
 		conn.Close() // the drain began during the handshake
 		return nil, errDraining
 	}
 	return c, nil
 }
+
+// Context returns a context that ends when the server starts draining or
+// the connection closes. An exchange that may wait for something to
+// happen — a long-poll — waits on it, so that a drain does not wait the
+// poll out; an exchange that must finish once begun uses the request's
+// context instead.
+func (c *UpgradedConn) Context() context.Context { return c.ctx }
 
 // Idle marks the connection between exchanges and arms its idle read
 // deadline. It reports false once the server is draining: the owner
@@ -198,6 +211,7 @@ func (c *UpgradedConn) Busy() bool {
 
 // Close closes the connection and releases it from the server's set.
 func (c *UpgradedConn) Close() error {
+	c.cancel()
 	err := c.Conn.Close()
 	if c.set != nil {
 		c.set.remove(c)

@@ -34,8 +34,6 @@ import (
 // dialed connection without spending a retry attempt.
 type ConnPool struct {
 	base    string
-	addr    string
-	upgrade []byte // the HTTP/1.1 upgrade request
 	retry   *retry.Policy
 	timeout time.Duration
 
@@ -48,20 +46,30 @@ type ConnPool struct {
 // "http://10.0.0.7:8080"). retry and timeout are Client's Retry and
 // Timeout. It dials nothing until the first batch.
 func NewConnPool(base string, retry *retry.Policy, timeout time.Duration) (*ConnPool, error) {
+	if _, _, err := upgradeTarget(base, ConnPath, ConnProtocol); err != nil {
+		return nil, fmt.Errorf("tabled: connection pool base %q: %w", base, err)
+	}
+	return &ConnPool{base: base, retry: retry, timeout: timeout}, nil
+}
+
+// upgradeTarget returns the TCP address of the server at base (e.g.
+// "http://10.0.0.7:8080") and the HTTP/1.1 request that upgrades a
+// connection on path to proto.
+func upgradeTarget(base, path, proto string) (addr string, req []byte, err error) {
 	u, err := url.Parse(base)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	if u.Scheme != "http" || u.Host == "" {
-		return nil, fmt.Errorf("tabled: connection pool base %q: want http://host[:port]", base)
+		return "", nil, errors.New("want http://host[:port]")
 	}
-	addr := u.Host
+	addr = u.Host
 	if u.Port() == "" {
 		addr = net.JoinHostPort(u.Hostname(), "80")
 	}
-	req := "GET " + ConnPath + " HTTP/1.1\r\nHost: " + u.Host +
-		"\r\nConnection: Upgrade\r\nUpgrade: " + ConnProtocol + "\r\n\r\n"
-	return &ConnPool{base: base, addr: addr, upgrade: []byte(req), retry: retry, timeout: timeout}, nil
+	req = []byte("GET " + path + " HTTP/1.1\r\nHost: " + u.Host +
+		"\r\nConnection: Upgrade\r\nUpgrade: " + proto + "\r\n\r\n")
+	return addr, req, nil
 }
 
 // poolConn is one upgraded connection.
@@ -190,25 +198,42 @@ var aLongTimeAgo = time.Unix(1, 0)
 
 // dial opens a connection and upgrades it.
 func (p *ConnPool) dial(ctx context.Context) (*poolConn, error) {
-	var d net.Dialer
-	c, err := d.DialContext(ctx, "tcp", p.addr)
+	c, br, err := dialUpgrade(ctx, p.base, ConnPath, ConnProtocol)
 	if err != nil {
 		return nil, err
 	}
+	return &poolConn{c: c, br: br}, nil
+}
+
+// dialUpgrade connects to the server at base and upgrades the connection
+// on path to proto, all bounded by ctx. It returns the connection and its
+// reader positioned after the 101 answer. Any other answer is an error
+// carrying the status as a Client would report it; a base that is not an
+// http:// URL is a permanent error.
+func dialUpgrade(ctx context.Context, base, path, proto string) (net.Conn, *bufio.Reader, error) {
+	addr, req, err := upgradeTarget(base, path, proto)
+	if err != nil {
+		return nil, nil, retry.Permanent(fmt.Errorf("tabled: %q: %w", base, err))
+	}
+	var d net.Dialer
+	c, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
 	stop := context.AfterFunc(ctx, func() { c.SetDeadline(aLongTimeAgo) })
-	pc, err := p.handshake(c)
+	br, err := handshake(c, req, base, proto)
 	if !stop() && err == nil {
 		err = ctx.Err()
 	}
 	if err != nil {
 		c.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	return pc, nil
+	return c, br, nil
 }
 
-func (p *ConnPool) handshake(c net.Conn) (*poolConn, error) {
-	if _, err := c.Write(p.upgrade); err != nil {
+func handshake(c net.Conn, req []byte, base, proto string) (*bufio.Reader, error) {
+	if _, err := c.Write(req); err != nil {
 		return nil, err
 	}
 	br := bufio.NewReader(c)
@@ -219,14 +244,14 @@ func (p *ConnPool) handshake(c net.Conn) (*poolConn, error) {
 	if resp.StatusCode != http.StatusSwitchingProtocols {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		resp.Body.Close()
-		return nil, fmt.Errorf("upgrading %s to %s: %w", p.base, ConnProtocol,
+		return nil, fmt.Errorf("upgrading %s to %s: %w", base, proto,
 			remoteStatusError(resp.StatusCode, resp.Status, msg))
 	}
-	if resp.Header.Get("Upgrade") != ConnProtocol {
+	if resp.Header.Get("Upgrade") != proto {
 		return nil, fmt.Errorf("%w: upgrading %s: server switched to %q, want %q",
-			ErrRemote, p.base, resp.Header.Get("Upgrade"), ConnProtocol)
+			ErrRemote, base, resp.Header.Get("Upgrade"), proto)
 	}
-	return &poolConn{c: c, br: br}, nil
+	return br, nil
 }
 
 // maxRefusal bounds the refusal text a client accepts; longer means the

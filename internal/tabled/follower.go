@@ -1,11 +1,14 @@
 package tabled
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -19,9 +22,11 @@ import (
 )
 
 // A Follower is the pull side of per-range replication: it tails the
-// primary's /v1/repl/frames, and for every record (in primary log order)
-// applies it to the local backend and re-appends the identical payload to
-// the local WAL, fsynced, before advancing its position. The position is
+// primary's log over one persistent upgraded connection (ReplConnPath,
+// docs/WIRE.md §8), and for every record of a pulled chunk (in primary log
+// order) applies it to the local backend and re-appends the identical
+// payload to the local WAL; one fsync covers the chunk before the
+// position advances past it. The position is
 // therefore never ahead of what a crash would recover — boot replay of
 // the follower's own WAL is the position — and the `from` it presents on
 // the next pull is an honest durability acknowledgement, which is what
@@ -50,7 +55,8 @@ import (
 type FollowerOptions struct {
 	// Source is the primary's base URL, e.g. "http://10.0.0.7:8081".
 	Source string
-	// HTTPClient issues the pulls (nil → the shared pooled default).
+	// HTTPClient fetches the reseed snapshot (nil → the shared pooled
+	// default). Pulls ride their own upgraded connection.
 	HTTPClient *http.Client
 	// PollWait is the server-side long-poll window requested per pull
 	// (0 → DefaultReplWait).
@@ -117,6 +123,12 @@ type Follower struct {
 	// taken between ResetTo and Restore would snapshot a table that does
 	// not match the WAL cut. Exposed via GuardInstall.
 	installMu sync.Mutex
+
+	// The pull connection and its buffers, used by the Run goroutine
+	// alone.
+	conn net.Conn
+	br   *bufio.Reader
+	body []byte
 
 	mu      sync.Mutex
 	err     error              // sticky divergence/apply failure
@@ -202,6 +214,7 @@ func (f *Follower) Run(ctx context.Context) {
 	f.mu.Unlock()
 	defer close(f.stopped)
 	defer cancel()
+	defer f.closeConn()
 	err := f.opt.Retry.Do(ctx, func(ctx context.Context) error {
 		for {
 			if err := f.pullOnce(ctx); err != nil {
@@ -227,124 +240,189 @@ func (f *Follower) Run(ctx context.Context) {
 	}
 }
 
-// pullOnce performs one frames request and applies whatever it returns.
+// pullOnce performs one pull exchange and applies whatever it returns.
 // A nil error means progress (possibly zero new records after a quiet
 // long-poll); transient transport trouble comes back plain (retryable);
 // divergence and local failures come back retry.Permanent.
 func (f *Follower) pullOnce(ctx context.Context) error {
 	from := f.applied.Load()
 	localEpoch := f.wal.Epoch()
-	url := fmt.Sprintf("%s%s?from=%d&epoch=%d&wait_ms=%d&max=%d", f.opt.Source, ReplFramesPath,
-		from, localEpoch, f.opt.PollWait/time.Millisecond, f.opt.MaxBytes)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	rep, err := f.exchange(ctx, from, localEpoch)
 	if err != nil {
-		return retry.Permanent(err)
+		f.closeConn() // the stream state is unknown: the next pull redials
+		return err
 	}
-	resp, err := f.opt.HTTPClient.Do(req)
-	if err != nil {
-		return err // transport: primary restarting/unreachable — retry
-	}
-	defer resp.Body.Close()
-	f.opt.Metrics.replPull(resp.StatusCode)
-	srcEpoch, hasSrcEpoch := uint64(0), false
-	if es := resp.Header.Get(ReplEpochHeader); es != "" {
-		if srcEpoch, err = strconv.ParseUint(es, 10, 64); err == nil {
-			hasSrcEpoch = true
-		}
-	}
+	f.opt.Metrics.replPull(rep.status)
 	// An epoch behind ours means the source was never promoted past our
 	// history — we are talking to a stale ex-primary (or a misrouted
 	// node). Applying its frames would adopt a fenced fork; fail closed.
-	// (On a 200 the header carries the served chunk's epoch, but a chunk
+	// (On a 200 the reply carries the served chunk's epoch, but a chunk
 	// at our position can never be older than our own epoch's start.)
-	if hasSrcEpoch && srcEpoch < localEpoch {
+	if rep.epoch < localEpoch {
 		return retry.Permanent(fmt.Errorf(
 			"tabled: epoch regression: source %s at epoch %d is behind local epoch %d",
-			f.opt.Source, srcEpoch, localEpoch))
+			f.opt.Source, rep.epoch, localEpoch))
 	}
-	switch resp.StatusCode {
+	switch rep.status {
 	case http.StatusOK:
 	case http.StatusGone:
 		// Our next record was checkpointed away on the source. The log
 		// suffix is gone, but a snapshot reseed rebuilds us from the
 		// source's checkpoint — same bytes, new base.
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		if f.reseedCapable() {
 			return &reseedNeeded{reason: fmt.Sprintf("source checkpointed past %d (%s): %s",
-				from, resp.Status, msg)}
+				from, statusText(rep.status), rep.msg)}
 		}
 		return retry.Permanent(fmt.Errorf("tabled: follower diverged from %s (%s): %s",
-			f.opt.Source, resp.Status, msg))
+			f.opt.Source, statusText(rep.status), rep.msg))
 	case http.StatusConflict:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		if hasSrcEpoch && srcEpoch > localEpoch && f.reseedCapable() {
+		if rep.epoch > localEpoch && f.reseedCapable() {
 			// The source is on a newer epoch and our log forked from its
 			// history (the classic ex-primary rejoin). The source is
 			// authoritative; our unshared suffix was never ack'd under the
 			// new epoch, so discarding it via reseed is the correct move.
 			return &reseedNeeded{reason: fmt.Sprintf("history forked at epoch %d (%s): %s",
-				srcEpoch, resp.Status, msg)}
+				rep.epoch, statusText(rep.status), rep.msg)}
 		}
 		// Same-epoch conflict: we hold records the source never wrote,
 		// with no promotion to explain it. That is true divergence —
 		// reseeding would silently discard locally-durable records.
 		return retry.Permanent(fmt.Errorf("tabled: follower diverged from %s (%s): %s",
-			f.opt.Source, resp.Status, msg))
+			f.opt.Source, statusText(rep.status), rep.msg))
 	default:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("tabled: repl pull: %s: %s", resp.Status, msg)
+		return fmt.Errorf("tabled: repl pull: %s: %s", statusText(rep.status), rep.msg)
 	}
-	if committed, err := strconv.ParseUint(resp.Header.Get(ReplCommittedHeader), 10, 64); err == nil {
-		f.primNext.Store(committed)
-	}
-	if hasSrcEpoch && srcEpoch > localEpoch {
+	f.primNext.Store(rep.committed)
+	if rep.epoch > localEpoch {
 		// The chunk we are about to apply was written under a newer
 		// primary epoch; record the transition durably before applying so
 		// a restart presents the right epoch on its first pull.
-		if err := f.wal.ObserveEpoch(srcEpoch, from); err != nil {
+		if err := f.wal.ObserveEpoch(rep.epoch, from); err != nil {
 			return retry.Permanent(fmt.Errorf("tabled: repl epoch adopt: %w", err))
 		}
-		f.opt.Metrics.replEpoch(srcEpoch)
+		f.opt.Metrics.replEpoch(rep.epoch)
 	}
-	// Bound the read: the primary caps bodies at MaxBytes except when a
-	// single record is larger, so allow one max-size frame of slack.
-	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(f.opt.MaxBytes)+extarray.MaxFramePayload+16))
-	if err != nil {
-		return fmt.Errorf("tabled: repl pull: reading body: %w", err)
-	}
-	n, err := walog.ReadStream(body, func(payload []byte) error {
+	// Primary order: apply each record to memory, then log it; one fsync
+	// then covers the whole chunk. A crash before it replays these
+	// records from the next pull (the position only advances once they
+	// are durable), and re-applying is idempotent.
+	var last walog.Ticket
+	n, err := walog.ReadStream(rep.frames, func(payload []byte) error {
 		rec, err := DecodeRecord(payload)
 		if err != nil {
 			return retry.Permanent(fmt.Errorf("tabled: repl apply: %w", err))
 		}
-		// Primary order: apply to memory, then make durable. A crash
-		// between the two replays this record from the next pull (the
-		// position only advances with the local append), and re-applying
-		// is idempotent.
 		if err := ApplyWALRecord(f.b, rec); err != nil {
 			return retry.Permanent(err)
 		}
-		if err := f.wal.Append(payload); err != nil {
-			return retry.Permanent(fmt.Errorf("tabled: repl append: %w", err))
-		}
-		f.applied.Add(1)
+		last = f.wal.Enqueue(payload)
 		return nil
 	})
+	if n > 0 {
+		if werr := last.Wait(); werr != nil {
+			return retry.Permanent(fmt.Errorf("tabled: repl append: %w", werr))
+		}
+		f.applied.Add(uint64(n))
+	}
 	f.opt.Metrics.replApplied(n, f.Lag())
 	if err != nil {
-		// A truncated stream (ReadStream error without Permanent) is a
-		// torn HTTP body: records before the tear are applied and
-		// position-advanced, so a plain retry resumes exactly after them.
+		// A stream torn mid-frame (a ReadStream error without Permanent)
+		// is a transport fault: records before the tear are applied and
+		// position-advanced, so a plain retry on a fresh connection
+		// resumes exactly after them.
+		f.closeConn()
 		return err
 	}
 	return nil
 }
 
+// statusText renders a refusal status the way net/http would, e.g.
+// "410 Gone".
+func statusText(code int) string {
+	return strconv.Itoa(code) + " " + http.StatusText(code)
+}
+
+// replReplySlack is how long past the requested long-poll window the
+// follower waits for a reply before it gives the connection up as dead.
+const replReplySlack = 10 * time.Second
+
+// exchange sends one pull request on the follower's connection, dialing
+// one if it has none, and reads the reply (docs/WIRE.md §8). Its frames
+// alias the follower's buffer until the next exchange. Any error leaves
+// the connection in an unknown state; the caller closes it.
+func (f *Follower) exchange(ctx context.Context, from, epoch uint64) (rep replReply, err error) {
+	if f.conn == nil {
+		if f.conn, f.br, err = dialUpgrade(ctx, f.opt.Source, ReplConnPath, ReplConnProtocol); err != nil {
+			return rep, err
+		}
+	}
+	c := f.conn
+	c.SetDeadline(time.Now().Add(f.opt.PollWait + replReplySlack))
+	stop := context.AfterFunc(ctx, func() { c.SetDeadline(aLongTimeAgo) })
+	defer func() {
+		if !stop() && err != nil {
+			err = ctx.Err()
+		}
+	}()
+	var req [4 * binary.MaxVarintLen64]byte
+	if _, err := c.Write(appendPullRequest(req[:0], from, epoch, f.opt.PollWait, f.opt.MaxBytes)); err != nil {
+		return rep, fmt.Errorf("tabled: repl pull from %s: %w", f.opt.Source, err)
+	}
+	var hdr [5]uint64 // status, next, committed, epoch, body length
+	for i := range hdr {
+		if hdr[i], err = binary.ReadUvarint(f.br); err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return rep, fmt.Errorf("tabled: repl pull from %s: %w", f.opt.Source, err)
+		}
+	}
+	rep = replReply{status: int(hdr[0]), next: hdr[1], committed: hdr[2], epoch: hdr[3]}
+	// The primary caps frames at MaxBytes except when a single record is
+	// larger, so allow one max-size frame of slack.
+	limit := uint64(f.opt.MaxBytes) + extarray.MaxFramePayload + 16
+	if rep.status != http.StatusOK {
+		limit = maxRefusal
+	}
+	if hdr[4] > limit {
+		return rep, fmt.Errorf("%w: repl pull from %s: status %d with a %d-byte body",
+			ErrRemote, f.opt.Source, rep.status, hdr[4])
+	}
+	f.body = grow(f.body, int(hdr[4]))
+	if _, err := io.ReadFull(f.br, f.body); err != nil {
+		return rep, fmt.Errorf("tabled: repl pull from %s: reading body: %w", f.opt.Source, err)
+	}
+	if rep.status == http.StatusOK {
+		rep.frames = f.body
+	} else {
+		rep.msg = string(f.body)
+	}
+	return rep, nil
+}
+
+// appendPullRequest appends one pull request: the next record wanted (and
+// the durable horizon it acknowledges), the follower's epoch, the
+// long-poll window in milliseconds, and the frame byte cap.
+func appendPullRequest(dst []byte, from, epoch uint64, wait time.Duration, maxBytes int) []byte {
+	dst = binary.AppendUvarint(dst, from)
+	dst = binary.AppendUvarint(dst, epoch)
+	dst = binary.AppendUvarint(dst, uint64(wait/time.Millisecond))
+	return binary.AppendUvarint(dst, uint64(maxBytes))
+}
+
+// closeConn closes the follower's connection, if any.
+func (f *Follower) closeConn() {
+	if f.conn != nil {
+		f.conn.Close()
+		f.conn, f.br = nil, nil
+	}
+}
+
 // Promote executes the follower → primary transition: stop the pull
 // loop, wait for it to exit (no frame is mid-apply past this point),
 // flip the writable flag, and return the final applied position. After
-// Promote the node serves writes and its own /v1/repl/frames — a new
-// follower can chain from it. Idempotent.
+// Promote the node serves writes and its own pulls — a new follower can
+// chain from it. Idempotent.
 func (f *Follower) Promote() (applied uint64) {
 	f.mu.Lock()
 	already := f.promoted.Swap(true)

@@ -88,9 +88,9 @@ func NewMetrics(reg *obs.Registry, nshards int) *Metrics {
 	reg.Help("tabled_idempotent_replays_total", "Batch requests answered from the idempotency cache without re-executing.")
 	reg.Help("tabled_conn_exchanges_total", "Batch exchanges served on upgraded connections (the router's member wire).")
 	reg.Help("tabled_conns_open", "Upgraded batch connections currently open.")
-	reg.Help("tabled_repl_served_records_total", "WAL records served to followers over /v1/repl/frames.")
-	reg.Help("tabled_repl_served_bytes_total", "Framed bytes served to followers.")
-	reg.Help("tabled_repl_pulls_total", "Follower pull requests issued, by result class.")
+	reg.Help("tabled_repl_served_records_total", "WAL records served to followers in pull exchanges on /v1/repl/conn connections.")
+	reg.Help("tabled_repl_served_bytes_total", "Framed bytes served to followers in pull exchanges.")
+	reg.Help("tabled_repl_pulls_total", "Pull exchanges this follower got a reply to, by result: ok (200), diverged (409, 410), error (other).")
 	reg.Help("tabled_repl_applied_records_total", "Primary WAL records applied by this follower.")
 	reg.Help("tabled_repl_lag_records", "Follower record lag behind the primary's committed horizon at the last pull.")
 	reg.Help("tabled_repl_promotions_total", "Follower-to-primary promotions performed.")
@@ -273,7 +273,7 @@ func (m *Metrics) connOpen(d int64) {
 	m.connsOpenG.Add(d)
 }
 
-// replServe records one frames response sent to a follower.
+// replServe records the frames of one pull reply sent to a follower.
 func (m *Metrics) replServe(bytes, records int) {
 	if m == nil {
 		return
@@ -282,7 +282,7 @@ func (m *Metrics) replServe(bytes, records int) {
 	m.replServedRecs.Add(int64(records))
 }
 
-// replPull records one pull attempt's outcome by HTTP status class.
+// replPull records one answered pull exchange by its status.
 func (m *Metrics) replPull(status int) {
 	if m == nil {
 		return

@@ -1,40 +1,54 @@
 package tabled
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"pairfn/internal/obs"
+	"pairfn/internal/srvkit"
 	"pairfn/internal/walog"
 )
 
 // This file is the server half of per-range WAL replication (DESIGN §5d):
-// a primary serves its committed log suffix over HTTP as raw CRC-framed
-// bytes, a follower (follower.go) pulls and re-applies them, and an
-// explicit promotion flips the follower writable when the primary dies.
+// a primary serves its committed log suffix as raw CRC-framed bytes over
+// persistent upgraded connections (docs/WIRE.md §8), a follower
+// (follower.go) pulls and re-applies them, and an explicit promotion flips
+// the follower writable when the primary dies.
 //
-// The pull's `from` parameter does double duty: it names the next record
-// the follower wants AND acknowledges that records [0, from) are durable
-// on the follower (it only advances `from` after its own fsync). That one
-// number is what makes semi-synchronous acks possible with a pull
-// protocol: the primary's ReplGate watches the acknowledged horizon and
-// holds each write's HTTP response until the horizon covers it.
+// A pull's `from` does double duty: it names the next record the follower
+// wants AND acknowledges that records [0, from) are durable on the
+// follower (it only advances `from` after its own fsync). That one number
+// is what makes semi-synchronous acks possible with a pull protocol: the
+// primary's ReplGate watches the acknowledged horizon and holds each
+// write's response until the horizon covers it.
 
 // Replication endpoints, mounted by NewHandler when ServerOptions.Repl is
 // set:
 //
-//	GET  /v1/repl/frames?from=N[&wait_ms=M][&max=B]  committed frames from seq N
-//	GET  /v1/repl/status                             role / sequence line / lag (JSON)
-//	POST /v1/promote                                 follower → primary transition
+//	GET  /v1/repl/conn     upgrade to tabled-repl/1: back-to-back pulls (WIRE.md §8)
+//	GET  /v1/repl/status   role / sequence line / lag (JSON)
+//	POST /v1/promote       follower → primary transition
 
-// ReplFramesPath is the frame-streaming endpoint.
+// ReplConnPath is the route that upgrades a follower's connection to the
+// pull protocol.
+const ReplConnPath = "/v1/repl/conn"
+
+// ReplConnProtocol is the protocol token of ReplConnPath's HTTP/1.1
+// Upgrade.
+const ReplConnProtocol = "tabled-repl/1"
+
+// ReplFramesPath is the path label pull exchanges are recorded under in
+// the http_* metrics and the request log (method EXCHANGE). No HTTP route
+// serves it.
 const ReplFramesPath = "/v1/repl/frames"
 
 // ReplStatusPath is the replication status endpoint.
@@ -43,27 +57,20 @@ const ReplStatusPath = "/v1/repl/status"
 // PromotePath is the follower-promotion endpoint.
 const PromotePath = "/v1/promote"
 
-// Frame-stream response headers: the next sequence to request, the
-// primary's committed horizon at serve time (the follower's lag is
-// committed − applied), and the epoch of the records in the response (on
-// errors, the server's current epoch — what a follower needs to decide
-// between reseeding and failing closed).
-const (
-	ReplNextHeader      = "X-Tabled-Repl-Next"
-	ReplCommittedHeader = "X-Tabled-Repl-Committed"
-	ReplEpochHeader     = "X-Tabled-Repl-Epoch"
-)
-
-// DefaultReplWait is the server-side long-poll window on /v1/repl/frames
-// when the request doesn't name one.
+// DefaultReplWait is the long-poll window a follower asks for on each pull
+// unless FollowerOptions.PollWait says otherwise.
 const DefaultReplWait = 2 * time.Second
 
-// maxReplWait caps the client-requested long-poll window so a follower
-// cannot pin a handler goroutine indefinitely.
+// maxReplWait caps the requested long-poll window so a follower cannot
+// pin a connection's exchange indefinitely.
 const maxReplWait = 30 * time.Second
 
-// DefaultReplMaxBytes caps one frames response body.
+// DefaultReplMaxBytes caps one pull's frames when the request names no
+// cap (max 0).
 const DefaultReplMaxBytes = 1 << 20
+
+// maxReplMaxBytes caps the cap a pull may ask for.
+const maxReplMaxBytes = 64 << 20
 
 // ErrReplAckTimeout is the gate's refusal: the write is durable locally
 // but the follower did not confirm it in time, so the ack is withheld
@@ -168,9 +175,12 @@ func (rp *Repl) Role() string {
 	return "primary"
 }
 
-// register mounts the replication endpoints on mux.
-func (rp *Repl) register(mux *http.ServeMux) {
-	mux.HandleFunc("GET "+ReplFramesPath, rp.handleFrames)
+// register mounts the replication endpoints on mux; pull exchanges are
+// recorded on rt.
+func (rp *Repl) register(mux *http.ServeMux, rt *obs.Route) {
+	mux.HandleFunc("GET "+ReplConnPath, func(w http.ResponseWriter, r *http.Request) {
+		rp.handleConn(w, r, rt)
+	})
 	mux.HandleFunc("GET "+ReplStatusPath, rp.handleStatus)
 	mux.HandleFunc("POST "+PromotePath, rp.handlePromote)
 	if rp.Snap != nil {
@@ -181,112 +191,142 @@ func (rp *Repl) register(mux *http.ServeMux) {
 	rp.Metrics.replEpoch(rp.WAL.Epoch())
 }
 
-// handleFrames serves committed WAL frames from the requested sequence,
-// long-polling briefly when the follower is caught up. The from parameter
-// is also the follower's durability acknowledgement — it feeds the gate
-// before anything else, so acks release even on requests that then just
-// long-poll.
-func (rp *Repl) handleFrames(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
+// handleConn upgrades a follower's connection and serves its pulls, one
+// exchange at a time, until the follower closes it, the idle deadline
+// reaps it, or a drain stops it. A pull parked in its long-poll waits on
+// the connection's context, so a drain answers it at once instead of
+// waiting the poll out.
+func (rp *Repl) handleConn(w http.ResponseWriter, r *http.Request, rt *obs.Route) {
+	uc, err := srvkit.Upgrade(w, r, ReplConnProtocol)
 	if err != nil {
-		http.Error(w, "bad request: from must be a sequence number", http.StatusBadRequest)
-		return
+		return // Upgrade answered the request
 	}
-	// Every response carries the server's current epoch so the requester
-	// can tell a reseedable condition (source ahead) from a fatal one
-	// (source behind); successful frame responses overwrite it below with
-	// the epoch of the records actually served.
-	srcEpoch := rp.WAL.Epoch()
-	w.Header().Set(ReplEpochHeader, strconv.FormatUint(srcEpoch, 10))
-	reqEpoch, hasReqEpoch := uint64(0), false
-	if es := q.Get("epoch"); es != "" {
-		if reqEpoch, err = strconv.ParseUint(es, 10, 64); err != nil {
-			http.Error(w, "bad request: epoch must be an integer", http.StatusBadRequest)
+	defer uc.Close()
+	for uc.Idle() {
+		if _, err := uc.R.Peek(1); err != nil {
+			return // closed by the follower, reaped, or drained
+		}
+		if !uc.Busy() {
 			return
 		}
-		hasReqEpoch = true
+		if !rp.exchange(uc.Context(), uc.R, uc.W, rt, r.RemoteAddr) {
+			return
+		}
+		if err := uc.W.Flush(); err != nil {
+			return
+		}
+	}
+}
+
+// A replReply is the answer to one pull (docs/WIRE.md §8): the status, the
+// next sequence to ask for, the committed horizon, the epoch, and either
+// the frames (200) or the refusal text.
+type replReply struct {
+	status          int
+	next, committed uint64
+	epoch           uint64
+	frames          []byte
+	msg             string
+}
+
+// exchange reads one pull request from br and writes its reply to bw
+// (unflushed), recording it on rt. It reports false after an I/O error
+// reading the request, when nothing is answered.
+func (rp *Repl) exchange(ctx context.Context, br *bufio.Reader, bw *bufio.Writer, rt *obs.Route, remote string) bool {
+	start := time.Now()
+	var req [4]uint64 // from, epoch, wait_ms, max
+	for i := range req {
+		v, err := binary.ReadUvarint(br)
+		if err != nil {
+			return false
+		}
+		req[i] = v
+	}
+	wait := maxReplWait
+	if ms := req[2]; ms < uint64(maxReplWait/time.Millisecond) {
+		wait = time.Duration(ms) * time.Millisecond
+	}
+	maxBytes := DefaultReplMaxBytes
+	if req[3] > 0 {
+		maxBytes = int(min(req[3], maxReplMaxBytes))
+	}
+	rep := rp.pull(ctx, req[0], req[1], wait, maxBytes)
+	body := rep.frames
+	if rep.status != http.StatusOK {
+		body = []byte(rep.msg)
+	}
+	var hdr [5 * binary.MaxVarintLen64]byte
+	b := binary.AppendUvarint(hdr[:0], uint64(rep.status))
+	b = binary.AppendUvarint(b, rep.next)
+	b = binary.AppendUvarint(b, rep.committed)
+	b = binary.AppendUvarint(b, rep.epoch)
+	b = binary.AppendUvarint(b, uint64(len(body)))
+	bw.Write(b)
+	bw.Write(body)
+	rt.Observe(ctx, exchangeMethod, ReplFramesPath, remote, rep.status, int64(len(body)), time.Since(start))
+	return true
+}
+
+// pull answers one pull: the committed frames from sequence from on, after
+// long-polling up to wait (or until ctx ends) while nothing past from is
+// committed. from is also the follower's durability acknowledgement — it
+// feeds the gate before anything else, so acks release even on pulls that
+// then just long-poll. reqEpoch is the follower's epoch.
+func (rp *Repl) pull(ctx context.Context, from, reqEpoch uint64, wait time.Duration, maxBytes int) replReply {
+	// Every reply carries an epoch so the requester can tell a
+	// reseedable condition (source ahead) from a fatal one (source
+	// behind): on refusals the server's current epoch, on frames the
+	// epoch of the records served.
+	srcEpoch := rp.WAL.Epoch()
+	refuse := func(status int, msg string) replReply {
+		_, committed := rp.WAL.SeqState()
+		return replReply{status: status, next: from, committed: committed, epoch: srcEpoch, msg: msg}
 	}
 	switch {
-	case hasReqEpoch && reqEpoch > srcEpoch:
+	case reqEpoch > srcEpoch:
 		// The requester has seen a primary newer than us: WE are the
 		// stale node. Fence ourselves (stop acking writes) and refuse —
 		// serving frames from a fenced fork would propagate it.
 		rp.selfFence(reqEpoch)
-		http.Error(w, fmt.Sprintf("tabled: source epoch %d behind requester epoch %d (fenced)",
-			srcEpoch, reqEpoch), http.StatusConflict)
-		return
-	case hasReqEpoch && reqEpoch < srcEpoch:
+		return refuse(http.StatusConflict, fmt.Sprintf("tabled: source epoch %d behind requester epoch %d (fenced)",
+			srcEpoch, reqEpoch))
+	case reqEpoch < srcEpoch:
 		// An old-epoch requester may still read shared history — records
 		// up to where the first newer epoch began. Past that barrier its
-		// log is a fork of ours and only a reseed reconciles it.
+		// log is a fork of ours and only a reseed reconciles it. Its
+		// position is no semi-sync ack: an old-epoch straggler catching
+		// up must not release write acks.
 		if barrier, ok := rp.WAL.EpochBarrier(reqEpoch); ok && from > barrier {
-			http.Error(w, fmt.Sprintf("tabled: epoch %d history forked at %d, asked %d (reseed required)",
-				reqEpoch, barrier, from), http.StatusConflict)
-			return
+			return refuse(http.StatusConflict, fmt.Sprintf("tabled: epoch %d history forked at %d, asked %d (reseed required)",
+				reqEpoch, barrier, from))
 		}
-	}
-	if !hasReqEpoch || reqEpoch == srcEpoch {
-		// Only a same-epoch follower's position is a semi-sync ack; an
-		// old-epoch straggler catching up must not release write acks.
+	default:
 		rp.Gate.Advance(from)
 	}
-	wait := DefaultReplWait
-	if ms := q.Get("wait_ms"); ms != "" {
-		n, err := strconv.Atoi(ms)
-		if err != nil || n < 0 {
-			http.Error(w, "bad request: wait_ms must be a non-negative integer", http.StatusBadRequest)
-			return
-		}
-		wait = time.Duration(n) * time.Millisecond
-		if wait > maxReplWait {
-			wait = maxReplWait
-		}
-	}
-	maxBytes := DefaultReplMaxBytes
-	if mb := q.Get("max"); mb != "" {
-		n, err := strconv.Atoi(mb)
-		if err != nil || n <= 0 {
-			http.Error(w, "bad request: max must be a positive byte count", http.StatusBadRequest)
-			return
-		}
-		maxBytes = n
-	}
 	// Long-poll until something past `from` is committed; "nothing new
-	// before the window closed" is a success with an empty body.
+	// before the window closed" is a success with no frames.
 	if wait > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), wait)
-		err := rp.WAL.WaitCommitted(ctx, from+1)
+		wctx, cancel := context.WithTimeout(ctx, wait)
+		rp.WAL.WaitCommitted(wctx, from+1)
 		cancel()
-		if err != nil && r.Context().Err() != nil {
-			return // client went away
-		}
 	}
 	frames, next, err := rp.WAL.Tail(from, maxBytes)
 	switch {
 	case errors.Is(err, walog.ErrSeqGap):
 		// The records were checkpointed away; the follower must resync.
-		http.Error(w, err.Error(), http.StatusGone)
-		return
+		return refuse(http.StatusGone, err.Error())
 	case errors.Is(err, walog.ErrSeqAhead):
 		// The follower knows records this log never wrote: divergence.
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
+		return refuse(http.StatusConflict, err.Error())
 	case err != nil:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return refuse(http.StatusInternalServerError, err.Error())
 	}
 	_, committed := rp.WAL.SeqState()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(ReplNextHeader, strconv.FormatUint(next, 10))
-	w.Header().Set(ReplCommittedHeader, strconv.FormatUint(committed, 10))
+	rp.Metrics.replServe(len(frames), int(next-from))
 	// Tail never crosses an epoch mark, so one epoch describes the whole
 	// chunk (for an empty chunk, the epoch the next record will carry).
-	w.Header().Set(ReplEpochHeader, strconv.FormatUint(rp.WAL.EpochAt(from), 10))
-	rp.Metrics.replServe(len(frames), int(next-from))
-	if _, err := w.Write(frames); err != nil && rp.Logger != nil {
-		rp.Logger.Warn("repl: frames write", "err", err)
-	}
+	return replReply{status: http.StatusOK, next: next, committed: committed,
+		epoch: rp.WAL.EpochAt(from), frames: frames}
 }
 
 // handleStatus reports the node's replication view — the checker reads it

@@ -39,7 +39,7 @@ func startReplNode(t *testing.T, path string, build func(n *replNode) ServerOpti
 	return n
 }
 
-// startPrimary builds a primary serving /v1/repl/frames (gate optional).
+// startPrimary builds a primary serving follower pulls (gate optional).
 func startPrimary(t *testing.T, dir string, gate *ReplGate) *replNode {
 	t.Helper()
 	return startReplNode(t, dir+"/primary.wal", func(n *replNode) ServerOptions {

@@ -32,11 +32,11 @@ import (
 const ReplSnapshotPath = "/v1/repl/snapshot"
 
 // Snapshot-transfer response headers: the WAL cut the snapshot captures
-// (the state is exactly records [0, seq)), and the total spool size in
-// bytes (the resume target). The snapshot's epoch rides the shared
-// ReplEpochHeader.
+// (the state is exactly records [0, seq)), the snapshot's epoch, and the
+// total spool size in bytes (the resume target).
 const (
 	ReplSnapshotSeqHeader  = "X-Tabled-Repl-Snapshot-Seq"
+	ReplEpochHeader        = "X-Tabled-Repl-Epoch"
 	ReplSnapshotSizeHeader = "X-Tabled-Repl-Snapshot-Size"
 )
 

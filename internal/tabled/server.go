@@ -118,7 +118,7 @@ type ServerOptions struct {
 	// persist scheduler's failure text here so a snapshot loop going bad
 	// is visible on the probe without flipping readiness.
 	ReadyDetail func() string
-	// Repl, when non-nil, mounts the replication surface (/v1/repl/frames,
+	// Repl, when non-nil, mounts the replication surface (/v1/repl/conn,
 	// /v1/repl/status, /v1/promote — see repl.go) and, when Repl.Gate is
 	// set, withholds write acks until the follower confirms durability.
 	Repl *Repl
@@ -169,8 +169,8 @@ func NewHandler(b Backend[string], opt ServerOptions) http.Handler {
 			return base()
 		}
 	}
-	srv := &server{b: b, opt: opt,
-		batchRoute: obs.NewRequests(opt.Registry, opt.Logger).Route("/v1/batch")}
+	reqs := obs.NewRequests(opt.Registry, opt.Logger)
+	srv := &server{b: b, opt: opt, batchRoute: reqs.Route("/v1/batch")}
 	srv.deg = srvkit.NewDegraded(srvkit.DegradedConfig{
 		Detail:     "read-only (WAL volume failed)",
 		LogMessage: "wal failure: entering read-only degraded mode",
@@ -207,7 +207,7 @@ func NewHandler(b Backend[string], opt ServerOptions) http.Handler {
 	mux.HandleFunc("GET /v1/stats", srv.handleStats)
 	mux.HandleFunc("POST /v1/snapshot", srv.handleSnapshot)
 	if opt.Repl != nil {
-		opt.Repl.register(mux)
+		opt.Repl.register(mux, reqs.Route(ReplFramesPath))
 	}
 	if opt.Registry != nil {
 		mux.Handle("GET /metrics", opt.Registry.Handler())
@@ -232,7 +232,7 @@ func NewHandler(b Backend[string], opt ServerOptions) http.Handler {
 		PathLabel: func(r *http.Request) string {
 			switch r.URL.Path {
 			case "/v1/batch", ConnPath, "/v1/stats", "/v1/snapshot", "/metrics", "/healthz", "/readyz",
-				ReplFramesPath, ReplStatusPath, ReplSnapshotPath, PromotePath:
+				ReplConnPath, ReplStatusPath, ReplSnapshotPath, PromotePath:
 				return r.URL.Path
 			}
 			return "other"

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pairfn/internal/core"
+	"pairfn/internal/obs"
 )
 
 // TestWireSpecExamples pins docs/WIRE.md to the codec: every
@@ -55,8 +56,15 @@ func TestWireSpecExamples(t *testing.T) {
 		"exchange-reply-refusal": {MaxBodyBytes: 16},
 	}
 
+	// §8 pull envelopes: the request is the follower's encoder's; each
+	// reply is what a primary's pull loop writes for it — one holding §3's
+	// set as record 0, and the same primary once a checkpoint has moved
+	// its log base past it.
+	pullRequest := appendPullRequest(nil, 0, 0, DefaultReplWait, DefaultReplMaxBytes)
+	pullReplies := map[string]bool{"pull-reply-ok": false, "pull-reply-refusal": true}
+
 	examples := parseWireExamples(t, filepath.Join("..", "..", "docs", "WIRE.md"))
-	if want := len(requests) + len(responses) + 1 + len(exchangeReplies); len(examples) != want {
+	if want := len(requests) + len(responses) + 1 + len(exchangeReplies) + 1 + len(pullReplies); len(examples) != want {
 		t.Errorf("spec has %d wire-example blocks, test knows %d — add the new example here",
 			len(examples), want)
 	}
@@ -85,13 +93,41 @@ func TestWireSpecExamples(t *testing.T) {
 		}
 	}
 
+	if !bytes.Equal(examples["pull-request"], pullRequest) {
+		t.Errorf("pull-request: spec bytes diverge from encoder:\n spec:    % x\n encoder: % x",
+			examples["pull-request"], pullRequest)
+	}
+	for name, checkpointed := range pullReplies {
+		w := openTestWAL(t, nil)
+		if err := w.AppendSet([]Cell[string]{{X: 2, Y: 3, V: "hi"}}); err != nil {
+			t.Fatal(err)
+		}
+		if checkpointed {
+			if err := w.CheckpointSeq(func(uint64) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var reply bytes.Buffer
+		bw := bufio.NewWriter(&reply)
+		rp := &Repl{WAL: w}
+		if !rp.exchange(context.Background(), bufio.NewReader(bytes.NewReader(pullRequest)), bw,
+			obs.NewRequests(nil, nil).Route(ReplFramesPath), "") {
+			t.Fatalf("%s: the primary did not answer the pull", name)
+		}
+		bw.Flush()
+		if !bytes.Equal(examples[name], reply.Bytes()) {
+			t.Errorf("%s: spec bytes diverge from the primary's reply:\n spec:    % x\n primary: % x",
+				name, examples[name], reply.Bytes())
+		}
+	}
+
 	for name, specBytes := range examples {
 		name, specBytes := name, specBytes
 		t.Run(name, func(t *testing.T) {
 			var got []byte
 			var err error
 			switch {
-			case strings.HasPrefix(name, "exchange-"):
+			case strings.HasPrefix(name, "exchange-"), strings.HasPrefix(name, "pull-"):
 				return // checked above
 			case requests[name] != nil:
 				got, err = AppendBatchRequest(nil, requests[name])

@@ -15,7 +15,11 @@
 // log order identical to state-mutation order — the WBC coordinator, whose
 // ops do not commute — enqueue while still holding their state lock), and
 // Ticket.Wait blocks until the record is fsynced, possibly sharing one
-// group-commit sync with concurrent appends. Because frames are laid out
+// group-commit sync with concurrent appends. The fsync itself runs with
+// the log's mutex released, one at a time, so appends, Tail and epoch
+// reads never queue behind the disk; Waits arriving during a sync park
+// until it ends and then find their record covered or lead the next one.
+// Because frames are laid out
 // in enqueue order and fsync covers the file prefix, durability is
 // prefix-closed: if record n survives a crash, so does every record before
 // it — which is what makes sequence-gated replay (skip records at or below

@@ -258,6 +258,7 @@ func (l *Log) ResetTo(seq, epoch uint64) error {
 	defer l.readMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.waitSyncLocked()
 	if l.failed != nil {
 		return l.failed
 	}
@@ -276,6 +277,7 @@ func (l *Log) ResetTo(seq, epoch uint64) error {
 	}
 	l.size = 0
 	l.synced = 0
+	l.gen++
 	l.base = seq
 	l.offs = l.offs[:0]
 	if epoch > 0 {

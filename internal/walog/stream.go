@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"pairfn/internal/extarray"
 )
@@ -90,7 +89,8 @@ func (l *Log) WaitCommitted(ctx context.Context, seq uint64) error {
 // following call; next == from means nothing new was committed.
 //
 // Errors: ErrSeqGap when from < base (checkpointed away), ErrSeqAhead
-// when from > committed (diverged), and real read failures.
+// when from > committed (diverged), ErrClosed after Close, and real read
+// failures.
 func (l *Log) Tail(from uint64, maxBytes int) (frames []byte, next uint64, err error) {
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
@@ -104,6 +104,9 @@ func (l *Log) Tail(from uint64, maxBytes int) (frames []byte, next uint64, err e
 	l.mu.Lock()
 	base, committed := l.base, l.committed
 	switch {
+	case l.closed:
+		l.mu.Unlock()
+		return nil, from, ErrClosed
 	case from < base:
 		l.mu.Unlock()
 		return nil, from, fmt.Errorf("%w: asked %d, log base %d", ErrSeqGap, from, base)
@@ -142,16 +145,12 @@ func (l *Log) Tail(from uint64, maxBytes int) (frames []byte, next uint64, err e
 	}
 	l.mu.Unlock()
 
-	// Read the region from a private handle: the append handle's position
-	// belongs to the writer, and replay-side reads never go through the
-	// fault-injection wrapper.
-	rf, err := os.Open(l.path)
-	if err != nil {
-		return nil, from, fmt.Errorf("%s: tail open: %w", l.name, err)
-	}
-	defer rf.Close()
+	// Read the region through the read-only handle: the append handle's
+	// position belongs to the writer, and replay-side reads never go
+	// through the fault-injection wrapper. Truncation happens in place
+	// (under readMu, excluded here), so the handle stays valid.
 	buf := make([]byte, end-start)
-	if _, err := rf.ReadAt(buf, start); err != nil && err != io.EOF {
+	if _, err := l.rf.ReadAt(buf, start); err != nil && err != io.EOF {
 		return nil, from, fmt.Errorf("%s: tail read [%d, %d): %w", l.name, start, end, err)
 	}
 	return buf, next, nil

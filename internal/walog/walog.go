@@ -82,24 +82,34 @@ type Options struct {
 // failure becomes sticky-failed: every later append returns the original
 // error (see the package comment for the degraded-mode contract).
 type Log struct {
-	path   string
 	name   string
 	window time.Duration
 	obs    Observer
 
-	// readMu serializes Tail's file reads against Checkpoint's truncation:
-	// Tail reads a committed byte region outside mu (so appends keep
-	// flowing during the disk read), which is only safe while no
-	// checkpoint can cut the file under it. Lock order: readMu before mu.
+	// readMu serializes Tail's file reads against truncation and Close:
+	// Tail reads a committed byte region through rf outside mu (so
+	// appends keep flowing during the disk read), which is only safe
+	// while no checkpoint can cut the file under it and rf stays open.
+	// Lock order: readMu before mu.
 	readMu sync.RWMutex
+	rf     *os.File // read-only handle on path, opened by Open, closed by Close
 
 	mu      sync.Mutex
 	f       File
 	size    int64
-	synced  int64 // bytes known durable (direct-sync mode)
+	synced  int64 // bytes known durable
 	failed  error
 	closed  bool
 	waiters []chan error
+
+	// One fsync at a time runs with mu released (leadSyncLocked):
+	// syncing is true while it does, and syncDone, on mu, wakes the
+	// waiters parked behind it. gen counts truncations (CheckpointSeq,
+	// ResetTo); a sync or Ticket from an older generation describes
+	// bytes that no longer exist.
+	syncing  bool
+	syncDone *sync.Cond
+	gen      uint64
 
 	// Streaming state (see stream.go). base is the sequence number of the
 	// first record in the file (records checkpointed away keep their
@@ -198,15 +208,20 @@ func Open(path string, apply func(payload []byte) error, opt Options) (*Log, int
 		f.Close()
 		return nil, replayed, err
 	}
+	rf, err := os.Open(path)
+	if err != nil {
+		f.Close()
+		return nil, replayed, fmt.Errorf("%s: open for reads: %w", name, err)
+	}
 	var wf File = f
 	if opt.WrapFile != nil {
 		wf = opt.WrapFile(wf)
 	}
 	l := &Log{
-		path:      path,
 		name:      name,
 		window:    opt.SyncWindow,
 		obs:       opt.Observer,
+		rf:        rf,
 		f:         wf,
 		size:      valid,
 		synced:    valid,
@@ -218,6 +233,7 @@ func Open(path string, apply func(payload []byte) error, opt Options) (*Log, int
 		done:      make(chan struct{}),
 		statePath: opt.StatePath,
 	}
+	l.syncDone = sync.NewCond(&l.mu)
 	l.marks = normalizeMarks(st.Marks, base, l.committed, opt.SnapshotEpoch)
 	if opt.StatePath != "" {
 		// Re-persist the normalized state so the boot-time resolution
@@ -227,6 +243,7 @@ func Open(path string, apply func(payload []byte) error, opt Options) (*Log, int
 		l.mu.Unlock()
 		if err != nil {
 			f.Close()
+			rf.Close()
 			return nil, replayed, fmt.Errorf("%s: persist state: %w", name, err)
 		}
 	}
@@ -262,6 +279,7 @@ func (l *Log) Err() error {
 type Ticket struct {
 	l   *Log
 	off int64      // log size just past this record
+	gen uint64     // the log's truncation generation at enqueue
 	ch  chan error // group-commit completion, when SyncWindow > 0
 	err error      // enqueue-time failure (sticky error, closed log)
 }
@@ -303,7 +321,7 @@ func (l *Log) Enqueue(payload []byte) Ticket {
 		l.obs.LogSize(l.size)
 	}
 	if l.window <= 0 {
-		return Ticket{l: l, off: l.size}
+		return Ticket{l: l, off: l.size, gen: l.gen}
 	}
 	ch := make(chan error, 1)
 	l.waiters = append(l.waiters, ch)
@@ -316,7 +334,11 @@ func (l *Log) Enqueue(payload []byte) Ticket {
 
 // Wait blocks until the enqueued record is durable (or the log has
 // failed). Because one fsync covers the whole file prefix, a Wait that
-// finds a later sync already happened returns immediately.
+// finds a later sync already happened returns immediately. Without a
+// group-commit window, the first Wait to find no sync in flight leads one
+// with the log's mutex released, so appends, tails and epoch reads are not
+// held up by the disk; Waits arriving meanwhile park until it finishes and
+// then either find their record covered or lead the next sync.
 func (t Ticket) Wait() error {
 	if t.err != nil {
 		return t.err
@@ -330,32 +352,78 @@ func (t Ticket) Wait() error {
 	l := t.l
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for {
+		switch {
+		case l.failed != nil:
+			return l.failed
+		case t.gen != l.gen || t.off <= l.synced:
+			// A sync covered the record, or a checkpoint truncated the log
+			// after saving a snapshot that holds it.
+			return nil
+		case !l.syncing:
+			return l.leadSyncLocked()
+		}
+		l.syncDone.Wait()
+	}
+}
+
+// leadSyncLocked fsyncs with l.mu released and then marks durable what
+// was written when it began. The caller holds l.mu with no sync in
+// flight; leadSyncLocked returns with l.mu held.
+func (l *Log) leadSyncLocked() error {
+	size, next, gen := l.size, l.base+uint64(len(l.offs)), l.gen
+	l.syncing = true
+	l.mu.Unlock()
+	start := time.Now()
+	err := l.f.Sync()
+	d := time.Since(start)
+	l.mu.Lock()
+	l.syncing = false
+	l.syncDone.Broadcast()
+	return l.syncedLocked(d, err, size, next, gen)
+}
+
+// syncLocked fsyncs while holding l.mu, after waiting out a sync in
+// flight — for the paths whose next step must see nothing appended in
+// between (checkpoint, cut, epoch bump, reset, close).
+func (l *Log) syncLocked() error {
+	l.waitSyncLocked()
+	start := time.Now()
+	err := l.f.Sync()
+	return l.syncedLocked(time.Since(start), err, l.size, l.base+uint64(len(l.offs)), l.gen)
+}
+
+// waitSyncLocked parks until no sync runs outside l.mu, so the caller may
+// truncate, close or sync the file itself.
+func (l *Log) waitSyncLocked() {
+	for l.syncing {
+		l.syncDone.Wait()
+	}
+}
+
+// syncedLocked records the outcome of a sync that began when the log was
+// size bytes and next records long, in truncation generation gen. A
+// failure is sticky. Success advances the durable size and the committed
+// horizon — waking Tail long-polls — unless a truncation came between,
+// which left both where it set them.
+func (l *Log) syncedLocked(d time.Duration, err error, size int64, next, gen uint64) error {
+	if l.obs != nil {
+		l.obs.LogSync(d, err)
+	}
+	if err != nil && l.failed == nil {
+		l.failed = fmt.Errorf("%s: sync: %w", l.name, err)
+		l.wakeCommittedLocked()
+	}
 	if l.failed != nil {
 		return l.failed
 	}
-	if t.off <= l.synced {
-		return nil // a concurrent Wait's sync already covered this record
+	if gen != l.gen {
+		return nil
 	}
-	return l.syncLocked()
-}
-
-// syncLocked fsyncs under l.mu and records the outcome. A failure is
-// sticky; success marks everything written so far durable.
-func (l *Log) syncLocked() error {
-	start := time.Now()
-	err := l.f.Sync()
-	if l.obs != nil {
-		l.obs.LogSync(time.Since(start), err)
+	if size > l.synced {
+		l.synced = size
 	}
-	if err != nil {
-		l.failed = fmt.Errorf("%s: sync: %w", l.name, err)
-		l.wakeCommittedLocked()
-		return l.failed
-	}
-	l.synced = l.size
-	// Every record in the file is now durable: advance the replication
-	// horizon and wake any Tail long-polls waiting for fresh frames.
-	if next := l.base + uint64(len(l.offs)); next != l.committed {
+	if next > l.committed {
 		l.committed = next
 		l.wakeCommittedLocked()
 	}
@@ -379,9 +447,10 @@ func (l *Log) syncer() {
 	for range l.kick {
 		time.Sleep(l.window)
 		l.mu.Lock()
-		err := l.syncLocked()
+		l.waitSyncLocked()
 		ws := l.waiters
 		l.waiters = nil
+		err := l.leadSyncLocked()
 		l.mu.Unlock()
 		for _, ch := range ws {
 			ch <- err
@@ -428,6 +497,7 @@ func (l *Log) CheckpointSeq(save func(cut uint64) error) error {
 	defer l.readMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.waitSyncLocked()
 	if err := save(l.base + uint64(len(l.offs))); err != nil {
 		return err
 	}
@@ -449,6 +519,7 @@ func (l *Log) CheckpointSeq(save func(cut uint64) error) error {
 	}
 	l.size = 0
 	l.synced = 0
+	l.gen++
 	// Checkpointed records keep their sequence numbers: the snapshot now
 	// carries them, so the log's first record (if any ever lands) is the
 	// next sequence. A follower tailing below the new base must resync
@@ -483,8 +554,8 @@ func (l *Log) CheckpointSeq(save func(cut uint64) error) error {
 	return nil
 }
 
-// Close syncs outstanding records and closes the file. Appends after
-// Close return ErrClosed.
+// Close syncs outstanding records and closes the file. Appends and Tails
+// after Close return ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -499,13 +570,20 @@ func (l *Log) Close() error {
 	l.mu.Unlock()
 	<-l.done
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	var err error
 	if l.failed == nil {
 		err = l.syncLocked()
+	} else {
+		l.waitSyncLocked()
 	}
 	if cerr := l.f.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("%s: close: %w", l.name, cerr)
 	}
+	l.mu.Unlock()
+	// Tails that saw the log open still read through rf (lock order:
+	// readMu before mu, so it is taken after mu is released).
+	l.readMu.Lock()
+	l.rf.Close()
+	l.readMu.Unlock()
 	return err
 }

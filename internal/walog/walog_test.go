@@ -2,6 +2,7 @@ package walog_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -114,30 +115,72 @@ func TestTornTailTruncated(t *testing.T) {
 // share fsyncs, every Append still blocks until its record is durable, and
 // the records all replay.
 func TestGroupCommit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	l, _, _ := collect(t, path, walog.Options{SyncWindow: time.Millisecond})
-	const writers, each = 8, 25
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				if err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
-					t.Errorf("Append: %v", err)
-					return
-				}
+	// Window 0 is direct mode: each Wait leads an fsync outside the log
+	// mutex or parks behind the one in flight. A reader tails committed
+	// records throughout, as a follower's pulls do.
+	for _, window := range []time.Duration{time.Millisecond, 0} {
+		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "log")
+			l, _, _ := collect(t, path, walog.Options{SyncWindow: window})
+			const writers, each = 8, 25
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						if err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+							t.Errorf("Append: %v", err)
+							return
+						}
+					}
+				}(w)
 			}
-		}(w)
-	}
-	wg.Wait()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, _, n := collect(t, path, walog.Options{SyncWindow: time.Millisecond})
-	defer l2.Close()
-	if n != writers*each {
-		t.Fatalf("replayed %d records, want %d", n, writers*each)
+			stop := make(chan struct{})
+			tailed := make(chan int)
+			go func() {
+				var from uint64
+				for {
+					frames, next, err := l.Tail(from, 256)
+					if err != nil {
+						t.Errorf("Tail(%d): %v", from, err)
+						break
+					}
+					if _, err := walog.ReadStream(frames, func([]byte) error { return nil }); err != nil {
+						t.Errorf("Tail(%d) frames: %v", from, err)
+						break
+					}
+					if next == from {
+						ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+						l.WaitCommitted(ctx, from+1)
+						cancel()
+					}
+					from = next
+					select {
+					case <-stop:
+						if _, committed := l.SeqState(); from == committed {
+							tailed <- int(from)
+							return
+						}
+					default:
+					}
+				}
+				tailed <- -1
+			}()
+			wg.Wait()
+			close(stop)
+			if n := <-tailed; n != writers*each {
+				t.Fatalf("tailed %d committed records, want %d", n, writers*each)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l2, _, n := collect(t, path, walog.Options{SyncWindow: window})
+			defer l2.Close()
+			if n != writers*each {
+				t.Fatalf("replayed %d records, want %d", n, writers*each)
+			}
+		})
 	}
 }
 

@@ -8,7 +8,9 @@
 #   1. drive a -seq ack-logged load through the router and SIGKILL
 #      primary-1 mid-run (primaries run semi-sync: -repl-ack holds write
 #      acks until the follower durably replicated them, so every acked
-#      cell survives the kill by construction);
+#      cell survives the kill by construction); every primary must have
+#      served pull exchanges on its upgraded replication connection
+#      (primary-1 just before its kill, the others after the load);
 #   2. promote follower-1 (POST /v1/promote) and time how long the router
 #      takes to observe the role change and resume writes on the range —
 #      the promote latency lands in BENCH_failover.json;
@@ -103,6 +105,19 @@ for _ in $(seq 1 200); do
     kill -0 "$LOAD_PID" 2>/dev/null || break
     sleep 0.1
 done
+# Every follower must have pulled over its upgraded replication connection
+# (docs/WIRE.md §8): a primary that served the load without a single pull
+# exchange means replication went some other way.
+check_repl_exchanges() { # primary index
+    N=$(curl -fsS "http://127.0.0.1:$((BASE_PORT + $1))/metrics" |
+        awk '$1 ~ /^http_requests_total\{/ && /path="\/v1\/repl\/frames"/ && /code="2xx"/ {n += $2} END {print n + 0}')
+    if [ "$N" -le 0 ]; then
+        echo "failover-smoke: FAIL: primary-$1 served no pull exchanges on /v1/repl/conn (http_requests_total{path=\"/v1/repl/frames\",code=\"2xx\"}=$N)"
+        return 1
+    fi
+    echo "failover-smoke: primary-$1 served $N pull exchanges on its replication connection"
+}
+check_repl_exchanges 1 || exit 1
 kill -9 "${PRIMARY_PIDS[1]}" 2>/dev/null
 KILL_AT_LINES=$( (wc -l <"$ACKLOG") 2>/dev/null || echo 0)
 echo "failover-smoke: SIGKILL primary-1 after $KILL_AT_LINES acked cells"
@@ -134,6 +149,7 @@ echo "failover-smoke: router observed promotion in ${PROMOTE_MS}ms"
 wait "$LOAD_PID"
 echo "failover-smoke: seq load exit $? ($(wc -l <"$ACKLOG") cells acked)"
 tail -2 "$DIR/seqload.log"
+for i in 0 2; do check_repl_exchanges "$i" || exit 1; done
 printf '{"bench":"failover_promote","promote_ms":%d,"acked_cells":%d,"kill_at":%d,"seq_ops":%d}\n' \
     "$PROMOTE_MS" "$(wc -l <"$ACKLOG")" "$KILL_AT_LINES" "$SEQ_OPS" >BENCH_failover.json
 
