@@ -9,7 +9,7 @@
 //	tabledserver -addr :8080 -mapping square-shell -shards 16 \
 //	             -rows 1024 -cols 1024 \
 //	             [-snapshot table.gob [-snapshot-every 30s]] \
-//	             [-wal table.wal [-wal-sync 2ms]] [-faults SPEC] \
+//	             [-wal table.wal] [-faults SPEC] \
 //	             [-replicate-from http://primary:8081] [-repl-ack 2s] \
 //	             [-timeout 30s] [-drain 10s] [-maxbatch 4096] [-pprof]
 //
@@ -52,14 +52,14 @@
 //
 // With -wal, every acknowledged set/resize is appended to a CRC-framed
 // write-ahead log and fsynced before the HTTP response (a 200 means the
-// write survives a crash). -wal-sync sets a group-commit window: appends
-// within one window share a single fsync. On boot the server loads the
-// newest snapshot (if any), then replays the WAL tail on top of it,
-// truncating a torn final record. Snapshots checkpoint the log: the save
-// and the truncation happen under one cut, so recovery is always snapshot
-// + tail. If the WAL volume fails at runtime the server degrades to
-// read-only (writes 503, reads 200, /readyz 503) instead of dying; a
-// restart recovers.
+// write survives a crash); concurrent appends share one fsync, so there is
+// no sync window to tune (-wal-sync is kept only for old command lines and
+// accepts nothing but 0). On boot the server loads the newest snapshot (if
+// any), then replays the WAL tail on top of it, truncating a torn final
+// record. Snapshots checkpoint the log: the save and the truncation happen
+// under one cut, so recovery is always snapshot + tail. If the WAL volume
+// fails at runtime the server degrades to read-only (writes 503, reads
+// 200, /readyz 503) instead of dying; a restart recovers.
 //
 // With -replicate-from, the server runs as a read-only FOLLOWER of the
 // named primary (which must itself run with -wal): it pulls the primary's
@@ -139,7 +139,7 @@ func run() int {
 	snapshot := flag.String("snapshot", "", "snapshot file: load on boot, save periodically and on shutdown")
 	snapEvery := flag.Duration("snapshot-every", 0, "periodic snapshot interval (0 = only on demand and shutdown)")
 	walPath := flag.String("wal", "", "write-ahead log file: fsync every acked write, replay on boot")
-	walSync := flag.Duration("wal-sync", 0, "WAL group-commit window (0 = fsync every append)")
+	walSync := flag.Duration("wal-sync", 0, "removed: concurrent appends already share fsyncs; only 0 is accepted")
 	replFrom := flag.String("replicate-from", "", "primary base URL: run as a read-only follower replicating its WAL (requires -wal; with -snapshot it can reseed)")
 	replAck := flag.Duration("repl-ack", 0, "withhold write acks until a follower durably replicated them, 503 after this wait (0 = async replication; requires -wal)")
 	faultSpec := flag.String("faults", "", "fault injection spec, e.g. seed=7,errrate=0.05,latency=2ms,tornat=8192,syncerr=0.01 (chaos testing)")
@@ -153,6 +153,10 @@ func run() int {
 
 	if *replFrom != "" && *walPath == "" {
 		fmt.Fprintln(os.Stderr, "tabledserver: -replicate-from requires -wal")
+		return 2
+	}
+	if *walSync != 0 {
+		fmt.Fprintln(os.Stderr, "tabledserver: -wal-sync was removed: concurrent appends already share fsyncs; only 0 is accepted")
 		return 2
 	}
 	if *replAck > 0 && *walPath == "" {
@@ -220,7 +224,6 @@ func run() int {
 		wal, replayed, err = tabled.OpenWAL(*walPath,
 			func(rec tabled.WALRecord) error { return tabled.ApplyWALRecord(sh, rec) },
 			tabled.WALOptions{
-				SyncWindow:    *walSync,
 				Metrics:       m,
 				WrapFile:      injector.WrapWALFile,
 				StatePath:     *walPath + ".state",
@@ -234,7 +237,7 @@ func run() int {
 		base, next := wal.SeqState()
 		logger.Info("wal open", "path", *walPath, "replayed", replayed,
 			"bytes", wal.Size(), "seq", fmt.Sprintf("[%d,%d)", base, next),
-			"epoch", wal.Epoch(), "sync_window", *walSync)
+			"epoch", wal.Epoch())
 	}
 	if *replFrom != "" {
 		// The boot position is absolute: the sidecar base plus the

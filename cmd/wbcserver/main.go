@@ -6,7 +6,7 @@
 // Usage:
 //
 //	wbcserver -addr :8080 -apf T# -audit 0.25 -strikes 2 -span 1000 \
-//	          -wal wbc.wal -wal-sync 2ms -checkpoint wbc.ckpt \
+//	          -wal wbc.wal -checkpoint wbc.ckpt \
 //	          -checkpoint-every 1m -lease 30s -drain 10s [-pprof]
 //
 // Then, from any HTTP client:
@@ -22,15 +22,15 @@
 //	curl localhost:8080/readyz
 //
 // Durability: with -wal, every acknowledged mutation is journaled and
-// fsynced (group-committed within -wal-sync) before the HTTP response, so
-// registration, issuance, and attribution survive kill -9. Boot recovery
-// loads the newest -checkpoint (if present) and replays the journal tail;
-// a corrupt checkpoint or journal is a clean nonzero exit, a torn final
-// journal record is truncated. -checkpoint-every snapshots periodically
-// and truncates the journal under the append lock; every checkpoint
-// attempt is accounted under srvkit_persist_*{name="checkpoint"}, and
-// after three consecutive failures /readyz stays 200 but its body flips
-// to "ready (checkpoint failing: N consecutive failures)". A journal
+// fsynced (concurrent mutations share one fsync) before the HTTP
+// response, so registration, issuance, and attribution survive kill -9.
+// Boot recovery loads the newest -checkpoint (if present) and replays the
+// journal tail; a corrupt checkpoint or journal is a clean nonzero exit, a
+// torn final journal record is truncated. -checkpoint-every snapshots
+// periodically and truncates the journal under the append lock; every
+// checkpoint attempt is accounted under srvkit_persist_*{name="checkpoint"},
+// and after three consecutive failures /readyz stays 200 but its body
+// flips to "ready (checkpoint failing: N consecutive failures)". A journal
 // write failure degrades the server to read-only (mutations 503,
 // attribution and metrics 200, /readyz 503 "degraded") instead of
 // killing it.
@@ -80,7 +80,6 @@ func run() int {
 	span := flag.Int64("span", 1000, "prime-count block width")
 	seed := flag.Int64("seed", time.Now().UnixNano()%1e9, "audit sampling seed")
 	wal := flag.String("wal", "", "journal file for crash-safe mutations (empty = in-memory only)")
-	walSync := flag.Duration("wal-sync", 0, "group-commit fsync window (0 = fsync every mutation)")
 	ckpt := flag.String("checkpoint", "", "checkpoint file (loaded at boot if present; written at shutdown)")
 	ckptEvery := flag.Duration("checkpoint-every", 0, "periodic checkpoint interval (0 = shutdown only)")
 	lease := flag.Duration("lease", 0, "volunteer lease TTL; silent volunteers are expired and their tasks reclaimed (0 = off)")
@@ -148,8 +147,7 @@ func run() int {
 	var journal *wbc.Journal
 	if *wal != "" {
 		j, replayed, jerr := wbc.OpenJournal(*wal, c, wbc.JournalOptions{
-			SyncWindow: *walSync,
-			Obs:        reg,
+			Obs: reg,
 			OnDegrade: func(err error) {
 				logger.Error("journal failure: entering read-only degraded mode", "err", err)
 			},
@@ -159,7 +157,7 @@ func run() int {
 			return 1
 		}
 		journal = j
-		logger.Info("journal open", "path", *wal, "replayed", replayed, "sync_window", *walSync)
+		logger.Info("journal open", "path", *wal, "replayed", replayed)
 	}
 
 	// Every checkpoint — periodic and the shutdown one — goes through the

@@ -39,7 +39,7 @@ type window struct {
 	cur, prev int
 }
 
-func (l *Limiter) window() time.Duration {
+func (l *Limiter) span() time.Duration {
 	if l.Window > 0 {
 		return l.Window
 	}
@@ -70,7 +70,7 @@ func (l *Limiter) AllowHint(key string) (ok bool, after time.Duration) {
 	if l.Limit <= 0 {
 		return true, 0
 	}
-	w := l.window()
+	w := l.span()
 	now := l.now()
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -102,12 +102,12 @@ func TestRangeMapBoundaries(t *testing.T) {
 		addr int64
 		want int
 	}{
-		{1, 0},    // very first address
-		{99, 0},   // last of node a
-		{100, 1},  // exactly on a boundary: belongs to the upper node
-		{249, 1},  // last of node b
-		{250, 2},  // boundary again
-		{999, 2},  // last owned address
+		{1, 0},   // very first address
+		{99, 0},  // last of node a
+		{100, 1}, // exactly on a boundary: belongs to the upper node
+		{249, 1}, // last of node b
+		{250, 2}, // boundary again
+		{999, 2}, // last owned address
 	}
 	for _, tc := range cases {
 		n, err := rm.NodeFor(tc.addr)

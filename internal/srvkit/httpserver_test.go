@@ -18,8 +18,8 @@ func TestDeriveTimeouts(t *testing.T) {
 		req         time.Duration
 		read, write time.Duration
 	}{
-		{0, 0, 0},                 // unbounded handlers: no conn deadlines
-		{-time.Second, 0, 0},      // negative means disabled too
+		{0, 0, 0},            // unbounded handlers: no conn deadlines
+		{-time.Second, 0, 0}, // negative means disabled too
 		{10 * time.Second, MinReadTimeout, 30 * time.Second}, // read floored
 		{time.Minute, 80 * time.Second, 80 * time.Second},
 		// The regression case: the old tabledserver hardcoded

@@ -73,8 +73,8 @@
 // With a WAL configured (wal.go), the contract strengthens from "the last
 // snapshot survives" to "every acknowledged write survives": each set
 // batch and resize is applied in memory, appended to a CRC32-framed
-// write-ahead log, and fsynced (directly, or as part of a group-commit
-// window) before the HTTP 200 is written. Recovery is newest snapshot +
+// write-ahead log, and fsynced (concurrent appends share one fsync)
+// before the HTTP 200 is written. Recovery is newest snapshot +
 // WAL tail, replayed idempotently in log order; a torn final record — the
 // signature of a crash mid-append — is truncated, losing only writes that
 // were never acknowledged. Snapshots checkpoint the log: CheckpointSeq

@@ -78,7 +78,7 @@ func NewMetrics(reg *obs.Registry, nshards int) *Metrics {
 	reg.Help("tabled_snapshot_duration_seconds", "Snapshot save latency.")
 	reg.Help("tabled_wal_appends_total", "WAL records appended (one set batch or resize each).")
 	reg.Help("tabled_wal_appended_bytes_total", "Bytes appended to the WAL, framing included.")
-	reg.Help("tabled_wal_syncs_total", "WAL fsyncs, by result (group commit shares one sync across a window).")
+	reg.Help("tabled_wal_syncs_total", "WAL fsyncs, by result (concurrent appends share one sync).")
 	reg.Help("tabled_wal_sync_duration_seconds", "WAL fsync latency.")
 	reg.Help("tabled_wal_size_bytes", "Current WAL length; drops to zero at each checkpoint.")
 	reg.Help("tabled_wal_replayed_records_total", "Records replayed from the WAL at boot.")

@@ -12,9 +12,9 @@ import (
 // This file is the durability layer promised by §3's growth guarantee: a
 // table that never remaps surviving elements is only trustworthy if the
 // elements themselves survive a crash. The write-ahead log records every
-// acknowledged set and resize as a CRC32-framed record and fsyncs —
-// directly or through a group-commit window — before the HTTP response
-// leaves the server. The append/fsync/replay/checkpoint mechanics live in
+// acknowledged set and resize as a CRC32-framed record and fsyncs it —
+// concurrent appends sharing one fsync — before the HTTP response leaves
+// the server. The append/fsync/replay/checkpoint mechanics live in
 // the shared internal/walog core (lifted out of this file so the WBC
 // coordinator journal runs the same loop); what remains here is the tabled
 // record codec.
@@ -61,11 +61,6 @@ type WALFile = walog.File
 
 // WALOptions configures OpenWAL.
 type WALOptions struct {
-	// SyncWindow is the group-commit window: appends within one window
-	// share a single fsync, trading up to SyncWindow of added ack latency
-	// for an order-of-magnitude fewer syncs under load. 0 fsyncs every
-	// append (strictest, slowest).
-	SyncWindow time.Duration
 	// Metrics receives wal_* instrumentation (nil records nothing).
 	Metrics *Metrics
 	// WrapFile, when non-nil, wraps the append-side file handle — the
@@ -122,7 +117,6 @@ func OpenWAL(path string, apply func(WALRecord) error, opt WALOptions) (*WAL, in
 		}
 		return apply(rec)
 	}, walog.Options{
-		SyncWindow:    opt.SyncWindow,
 		Observer:      walObserver{opt.Metrics},
 		WrapFile:      opt.WrapFile,
 		Name:          "tabled: wal",
@@ -137,8 +131,8 @@ func OpenWAL(path string, apply func(WALRecord) error, opt WALOptions) (*WAL, in
 }
 
 // AppendSet logs a batch of acknowledged cell writes. It returns only
-// after the record is durable (fsynced, possibly as part of a group
-// commit). Large batches are split across frames.
+// after the record is durable (fsynced, possibly by one fsync shared with
+// concurrent appends). Large batches are split across frames.
 func (w *WAL) AppendSet(cells []Cell[string]) error {
 	for len(cells) > 0 {
 		n := len(cells)

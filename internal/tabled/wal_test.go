@@ -288,66 +288,92 @@ func TestWALCheckpoint(t *testing.T) {
 	}
 }
 
-// countingWALFile counts Sync calls, for the group-commit test.
-type countingWALFile struct {
+// gateWALFile counts the frames written and the fsyncs run through it.
+// Its first Sync closes entered and then holds until want frames are
+// written, so every append made meanwhile finds that sync in flight.
+type gateWALFile struct {
 	WALFile
-	mu    sync.Mutex
-	syncs int
+	want    int
+	entered chan struct{}
+	full    chan struct{}
+
+	mu            sync.Mutex
+	writes, syncs int
 }
 
-func (c *countingWALFile) Sync() error {
-	c.mu.Lock()
-	c.syncs++
-	c.mu.Unlock()
-	return c.WALFile.Sync()
+func (g *gateWALFile) Write(p []byte) (int, error) {
+	n, err := g.WALFile.Write(p)
+	g.mu.Lock()
+	g.writes++
+	if g.writes == 2*g.want { // a frame is written as header, then payload
+		close(g.full)
+	}
+	g.mu.Unlock()
+	return n, err
 }
 
-// TestWALGroupCommit runs many concurrent appends under a sync window and
-// checks they all become durable while sharing far fewer fsyncs than
-// appends.
+func (g *gateWALFile) Sync() error {
+	g.mu.Lock()
+	g.syncs++
+	first := g.syncs == 1
+	g.mu.Unlock()
+	if first {
+		close(g.entered)
+		select {
+		case <-g.full:
+		case <-time.After(5 * time.Second):
+		}
+	}
+	return g.WALFile.Sync()
+}
+
+// TestWALGroupCommit: set batches appended while an fsync is in flight
+// share the next one. One appender's fsync is held until every other
+// appender has written its record, so exactly two fsyncs make all of them
+// durable, and every record replays.
 func TestWALGroupCommit(t *testing.T) {
+	const appenders = 8
 	path := filepath.Join(t.TempDir(), "table.wal")
-	var cf *countingWALFile
+	g := &gateWALFile{want: appenders, entered: make(chan struct{}), full: make(chan struct{})}
 	live := newWALBackend(t, 64, 64)
 	w, _ := openWALInto(t, path, live, WALOptions{
-		SyncWindow: 5 * time.Millisecond,
-		WrapFile: func(f WALFile) WALFile {
-			cf = &countingWALFile{WALFile: f}
-			return cf
-		},
+		WrapFile: func(f WALFile) WALFile { g.WALFile = f; return g },
 	})
 
-	const appenders, each = 8, 20
 	var wg sync.WaitGroup
-	for a := 0; a < appenders; a++ {
+	appendOne := func(a int) {
+		defer wg.Done()
+		if err := w.AppendSet([]Cell[string]{{X: int64(a + 1), Y: 1, V: "gc"}}); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Add(1)
+	go appendOne(0)
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first AppendSet never reached fsync")
+	}
+	for a := 1; a < appenders; a++ {
 		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				cells := []Cell[string]{{X: int64(a + 1), Y: int64(i + 1), V: "gc"}}
-				if err := w.AppendSet(cells); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(a)
+		go appendOne(a)
 	}
 	wg.Wait()
+	g.mu.Lock()
+	syncs := g.syncs
+	g.mu.Unlock()
+	if syncs != 2 {
+		t.Fatalf("%d appends took %d fsyncs, want 2", appenders, syncs)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
-	}
-	cf.mu.Lock()
-	syncs := cf.syncs
-	cf.mu.Unlock()
-	if syncs >= appenders*each {
-		t.Fatalf("group commit did not batch: %d syncs for %d appends", syncs, appenders*each)
 	}
 
 	recovered := newWALBackend(t, 64, 64)
 	w2, replayed := openWALInto(t, path, recovered, WALOptions{})
 	w2.Close()
-	if replayed != appenders*each {
-		t.Fatalf("replayed %d records, want %d", replayed, appenders*each)
+	if replayed != appenders {
+		t.Fatalf("replayed %d records, want %d", replayed, appenders)
 	}
 }
 

@@ -14,16 +14,15 @@
 // record into the file under the log's own lock (so callers that must keep
 // log order identical to state-mutation order — the WBC coordinator, whose
 // ops do not commute — enqueue while still holding their state lock), and
-// Ticket.Wait blocks until the record is fsynced, possibly sharing one
-// group-commit sync with concurrent appends. The fsync itself runs with
-// the log's mutex released, one at a time, so appends, Tail and epoch
-// reads never queue behind the disk; Waits arriving during a sync park
-// until it ends and then find their record covered or lead the next one.
-// Because frames are laid out
-// in enqueue order and fsync covers the file prefix, durability is
-// prefix-closed: if record n survives a crash, so does every record before
-// it — which is what makes sequence-gated replay (skip records at or below
-// the checkpoint's op counter) idempotent and torn-cut safe.
+// Ticket.Wait blocks until the record is fsynced. The fsync runs with the
+// log's mutex released, one at a time, so appends, Tail and epoch reads
+// never queue behind the disk; Waits arriving during a sync park until it
+// ends and then find their record covered or lead the next one, so
+// concurrent appends share fsyncs without any timer. Because frames are
+// laid out in enqueue order and fsync covers the file prefix, durability
+// is prefix-closed: if record n survives a crash, so does every record
+// before it — which is what makes sequence-gated replay (skip records at
+// or below the checkpoint's op counter) idempotent and torn-cut safe.
 //
 // Any append or sync failure is sticky: the log can no longer attest
 // durability, so every later append returns the original error and the

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"pairfn/internal/walog"
 )
@@ -223,16 +222,11 @@ func TestObserveEpoch(t *testing.T) {
 }
 
 // TestCutSyncsBeforeServing: the cut handed to save is the durable
-// horizon covering every prior append, even under a group-commit window
-// where appends may not have synced yet.
+// horizon covering every prior append, including appends enqueued but
+// never waited on, which no fsync has covered yet.
 func TestCutSyncsBeforeServing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	opt := stateOpts(path)
-	opt.SyncWindow = 100 * time.Millisecond // group commit: appends are unsynced at first
-	l, _, err := walog.Open(path, func([]byte) error { return nil }, opt)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	l, _, _ := collect(t, path, stateOpts(path))
 	defer l.Close()
 	for i := 0; i < 4; i++ {
 		l.Enqueue([]byte(fmt.Sprintf("r%d", i))) // enqueued, not yet durable

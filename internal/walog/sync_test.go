@@ -228,3 +228,95 @@ func TestSyncFailureReachesParkedWaiters(t *testing.T) {
 		t.Fatalf("committed = %d after a failed sync, want 0", next)
 	}
 }
+
+// gateFile counts the frames written and the fsyncs run through it. Its
+// first Sync closes entered and then holds until want frames are written,
+// so every append made meanwhile finds that sync in flight.
+type gateFile struct {
+	walog.File
+	want    int
+	entered chan struct{}
+	full    chan struct{}
+
+	mu            sync.Mutex
+	writes, syncs int
+}
+
+func newGateFile(want int) *gateFile {
+	return &gateFile{want: want, entered: make(chan struct{}), full: make(chan struct{})}
+}
+
+func (f *gateFile) wrap(file walog.File) walog.File { f.File = file; return f }
+
+func (f *gateFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.mu.Lock()
+	f.writes++
+	if f.writes == 2*f.want { // a frame is written as header, then payload
+		close(f.full)
+	}
+	f.mu.Unlock()
+	return n, err
+}
+
+func (f *gateFile) Sync() error {
+	f.mu.Lock()
+	f.syncs++
+	first := f.syncs == 1
+	f.mu.Unlock()
+	if first {
+		close(f.entered)
+		select {
+		case <-f.full:
+		case <-time.After(5 * time.Second):
+		}
+	}
+	return f.File.Sync()
+}
+
+func (f *gateFile) syncCount() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.syncs
+}
+
+// TestConcurrentAppendsShareFsync: appends that arrive while an fsync is
+// in flight share the next one. One writer's fsync is held until the other
+// writers have all written their frames, so exactly two fsyncs make all of
+// them durable: the held one and one more for everything behind it.
+func TestConcurrentAppendsShareFsync(t *testing.T) {
+	const writers = 8
+	gf := newGateFile(writers)
+	path := filepath.Join(t.TempDir(), "log")
+	l, _, _ := collect(t, path, walog.Options{WrapFile: gf.wrap})
+	var wg sync.WaitGroup
+	appendOne := func(i int) {
+		defer wg.Done()
+		if err := l.Append([]byte{byte(i)}); err != nil {
+			t.Errorf("Append %d: %v", i, err)
+		}
+	}
+	wg.Add(1)
+	go appendOne(0)
+	select {
+	case <-gf.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first Append never reached fsync")
+	}
+	for i := 1; i < writers; i++ {
+		wg.Add(1)
+		go appendOne(i)
+	}
+	wg.Wait()
+	if n := gf.syncCount(); n != 2 {
+		t.Fatalf("%d appends took %d fsyncs, want 2", writers, n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, _, n := collect(t, path, walog.Options{})
+	defer l2.Close()
+	if n != writers {
+		t.Fatalf("replayed %d records, want %d", n, writers)
+	}
+}

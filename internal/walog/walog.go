@@ -44,12 +44,6 @@ type Observer interface {
 
 // Options configures Open.
 type Options struct {
-	// SyncWindow is the group-commit window: appends within one window
-	// share a single fsync, trading up to SyncWindow of added ack latency
-	// for an order-of-magnitude fewer syncs under load. 0 fsyncs per
-	// Wait (strictest; concurrent Waits still share syncs, because one
-	// fsync covers every frame enqueued before it).
-	SyncWindow time.Duration
 	// Observer receives instrumentation (nil records nothing).
 	Observer Observer
 	// WrapFile, when non-nil, wraps the append-side file handle — the
@@ -82,9 +76,8 @@ type Options struct {
 // failure becomes sticky-failed: every later append returns the original
 // error (see the package comment for the degraded-mode contract).
 type Log struct {
-	name   string
-	window time.Duration
-	obs    Observer
+	name string
+	obs  Observer
 
 	// readMu serializes Tail's file reads against truncation and Close:
 	// Tail reads a committed byte region through rf outside mu (so
@@ -94,13 +87,12 @@ type Log struct {
 	readMu sync.RWMutex
 	rf     *os.File // read-only handle on path, opened by Open, closed by Close
 
-	mu      sync.Mutex
-	f       File
-	size    int64
-	synced  int64 // bytes known durable
-	failed  error
-	closed  bool
-	waiters []chan error
+	mu     sync.Mutex
+	f      File
+	size   int64
+	synced int64 // bytes known durable
+	failed error
+	closed bool
 
 	// One fsync at a time runs with mu released (leadSyncLocked):
 	// syncing is true while it does, and syncDone, on mu, wakes the
@@ -126,9 +118,6 @@ type Log struct {
 	// file ("" disables persistence), marks the epoch history.
 	statePath string
 	marks     []EpochMark
-
-	kick chan struct{}
-	done chan struct{}
 }
 
 // Open opens (creating if absent) the log at path, replays every intact
@@ -219,7 +208,6 @@ func Open(path string, apply func(payload []byte) error, opt Options) (*Log, int
 	}
 	l := &Log{
 		name:      name,
-		window:    opt.SyncWindow,
 		obs:       opt.Observer,
 		rf:        rf,
 		f:         wf,
@@ -229,8 +217,6 @@ func Open(path string, apply func(payload []byte) error, opt Options) (*Log, int
 		offs:      offs,
 		committed: base + uint64(len(offs)),
 		commitGen: make(chan struct{}),
-		kick:      make(chan struct{}, 1),
-		done:      make(chan struct{}),
 		statePath: opt.StatePath,
 	}
 	l.syncDone = sync.NewCond(&l.mu)
@@ -250,11 +236,6 @@ func Open(path string, apply func(payload []byte) error, opt Options) (*Log, int
 	if l.obs != nil {
 		l.obs.LogReplay(replayed, torn)
 		l.obs.LogSize(l.size)
-	}
-	if l.window > 0 {
-		go l.syncer()
-	} else {
-		close(l.done)
 	}
 	return l, replayed, nil
 }
@@ -278,10 +259,9 @@ func (l *Log) Err() error {
 // through unconditionally.
 type Ticket struct {
 	l   *Log
-	off int64      // log size just past this record
-	gen uint64     // the log's truncation generation at enqueue
-	ch  chan error // group-commit completion, when SyncWindow > 0
-	err error      // enqueue-time failure (sticky error, closed log)
+	off int64  // log size just past this record
+	gen uint64 // the log's truncation generation at enqueue
+	err error  // enqueue-time failure (sticky error, closed log)
 }
 
 // Append frames payload into the log and waits for durability — Enqueue
@@ -320,31 +300,21 @@ func (l *Log) Enqueue(payload []byte) Ticket {
 		l.obs.LogAppend(int64(n))
 		l.obs.LogSize(l.size)
 	}
-	if l.window <= 0 {
-		return Ticket{l: l, off: l.size, gen: l.gen}
-	}
-	ch := make(chan error, 1)
-	l.waiters = append(l.waiters, ch)
-	select {
-	case l.kick <- struct{}{}:
-	default: // a sync is already scheduled; it will cover this record
-	}
-	return Ticket{l: l, ch: ch}
+	return Ticket{l: l, off: l.size, gen: l.gen}
 }
 
 // Wait blocks until the enqueued record is durable (or the log has
 // failed). Because one fsync covers the whole file prefix, a Wait that
-// finds a later sync already happened returns immediately. Without a
-// group-commit window, the first Wait to find no sync in flight leads one
-// with the log's mutex released, so appends, tails and epoch reads are not
-// held up by the disk; Waits arriving meanwhile park until it finishes and
-// then either find their record covered or lead the next sync.
+// finds a later sync already happened returns immediately. The first Wait
+// to find no sync in flight leads one with the log's mutex released, so
+// appends, tails and epoch reads are not held up by the disk; Waits
+// arriving meanwhile park until it finishes and then either find their
+// record covered or lead the next sync. That is group commit without a
+// timer: concurrent appends share fsyncs whenever the disk is slower than
+// they arrive.
 func (t Ticket) Wait() error {
 	if t.err != nil {
 		return t.err
-	}
-	if t.ch != nil {
-		return <-t.ch
 	}
 	if t.l == nil {
 		return nil // zero Ticket: no log configured
@@ -437,38 +407,6 @@ func (l *Log) syncedLocked(d time.Duration, err error, size int64, next, gen uin
 func (l *Log) wakeCommittedLocked() {
 	close(l.commitGen)
 	l.commitGen = make(chan struct{})
-}
-
-// syncer is the group-commit loop: each kick waits out the window so
-// concurrent appends pile onto one fsync, then syncs and releases every
-// waiter with the shared result.
-func (l *Log) syncer() {
-	defer close(l.done)
-	for range l.kick {
-		time.Sleep(l.window)
-		l.mu.Lock()
-		l.waitSyncLocked()
-		ws := l.waiters
-		l.waiters = nil
-		err := l.leadSyncLocked()
-		l.mu.Unlock()
-		for _, ch := range ws {
-			ch <- err
-		}
-	}
-	// Close drained the kick channel; release any stragglers after one
-	// final sync so no acknowledged-pending writer is left hanging.
-	l.mu.Lock()
-	var err error
-	if len(l.waiters) > 0 {
-		err = l.syncLocked()
-	}
-	ws := l.waiters
-	l.waiters = nil
-	l.mu.Unlock()
-	for _, ch := range ws {
-		ch <- err
-	}
 }
 
 // Checkpoint runs save (which must persist a consistent snapshot of the
@@ -564,12 +502,6 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	l.wakeCommittedLocked() // long-polls must observe the close, not time out
-	if l.window > 0 {
-		close(l.kick) // safe: appends check closed under mu before kicking
-	}
-	l.mu.Unlock()
-	<-l.done
-	l.mu.Lock()
 	var err error
 	if l.failed == nil {
 		err = l.syncLocked()

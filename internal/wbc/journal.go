@@ -230,9 +230,6 @@ type Journal struct {
 
 // JournalOptions configures OpenJournal.
 type JournalOptions struct {
-	// SyncWindow is the group-commit fsync window (0 = fsync per
-	// mutation; see walog.Options.SyncWindow).
-	SyncWindow time.Duration
 	// Obs, when non-nil, receives wbc_journal_* metrics.
 	Obs *obs.Registry
 	// WrapFile wraps the append-side file handle — the fault-injection
@@ -318,10 +315,9 @@ func OpenJournal(path string, c *Coordinator, opt JournalOptions) (*Journal, int
 		}
 		return c.applyJournalRecord(rec)
 	}, walog.Options{
-		SyncWindow: opt.SyncWindow,
-		Observer:   newJournalObs(opt.Obs),
-		WrapFile:   opt.WrapFile,
-		Name:       "wbc: journal",
+		Observer: newJournalObs(opt.Obs),
+		WrapFile: opt.WrapFile,
+		Name:     "wbc: journal",
 	})
 	c.mu.Unlock()
 	if err != nil {

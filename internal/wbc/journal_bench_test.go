@@ -4,26 +4,25 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"pairfn/internal/apf"
 )
 
 // E25 benchmarks: what durability costs. The journal's price is paid per
-// acknowledged mutation (one framed append + an fsync, amortized by group
-// commit), and at boot (replay wall-clock grows linearly with the journal
+// acknowledged mutation (one framed append + an fsync, shared by
+// concurrent mutations), and at boot (replay wall-clock grows linearly with the journal
 // tail). Run with -benchtime to taste:
 //
 //	go test ./internal/wbc -bench 'JournaledSubmit|JournalRecovery' -benchtime 2s
 
-func benchCoordinator(b *testing.B, syncWindow time.Duration, journaled bool) (*Coordinator, VolunteerID) {
+func benchCoordinator(b *testing.B, journaled bool) (*Coordinator, VolunteerID) {
 	b.Helper()
 	c, err := NewCoordinator(Config{APF: apf.NewTHash(), Workload: Null{}, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	if journaled {
-		j, _, err := OpenJournal(filepath.Join(b.TempDir(), "journal"), c, JournalOptions{SyncWindow: syncWindow})
+		j, _, err := OpenJournal(filepath.Join(b.TempDir(), "journal"), c, JournalOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -32,22 +31,19 @@ func benchCoordinator(b *testing.B, syncWindow time.Duration, journaled bool) (*
 	return c, c.MustRegister(1)
 }
 
-// BenchmarkJournaledSubmit measures one next+submit round trip under the
-// three durability postures: no journal, fsync-per-mutation, and 2ms
-// group commit.
+// BenchmarkJournaledSubmit measures one next+submit round trip with no
+// journal and with an fsync per mutation.
 func BenchmarkJournaledSubmit(b *testing.B) {
 	cases := []struct {
 		name      string
 		journaled bool
-		window    time.Duration
 	}{
-		{"off", false, 0},
-		{"fsync", true, 0},
-		{"group2ms", true, 2 * time.Millisecond},
+		{"off", false},
+		{"fsync", true},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			c, id := benchCoordinator(b, tc.window, tc.journaled)
+			c, id := benchCoordinator(b, tc.journaled)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k, err := c.NextTask(id)
@@ -62,35 +58,29 @@ func BenchmarkJournaledSubmit(b *testing.B) {
 	}
 }
 
-// BenchmarkJournaledSubmitParallel shows what group commit buys under
-// load: concurrent volunteers share fsyncs, so per-op cost falls as
-// parallelism rises, while fsync-per-op pays the full latency serially.
+// BenchmarkJournaledSubmitParallel shows what shared fsyncs buy under
+// load: concurrent volunteers' mutations ride one fsync, so per-op cost
+// falls as parallelism rises.
 func BenchmarkJournaledSubmitParallel(b *testing.B) {
-	for _, window := range []time.Duration{0, 2 * time.Millisecond} {
-		name := "fsync"
-		if window > 0 {
-			name = "group2ms"
-		}
-		b.Run(name, func(b *testing.B) {
-			c, _ := benchCoordinator(b, window, true)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				id, err := c.Register(1)
+	b.Run("fsync", func(b *testing.B) {
+		c, _ := benchCoordinator(b, true)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			id, err := c.Register(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for pb.Next() {
+				k, err := c.NextTask(id)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for pb.Next() {
-					k, err := c.NextTask(id)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := c.Submit(id, k, 0); err != nil {
-						b.Fatal(err)
-					}
+				if _, err := c.Submit(id, k, 0); err != nil {
+					b.Fatal(err)
 				}
-			})
+			}
 		})
-	}
+	})
 }
 
 // BenchmarkJournalRecovery measures boot-time replay wall-clock against
@@ -107,7 +97,7 @@ func BenchmarkJournalRecovery(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				j, _, err := OpenJournal(path, c, JournalOptions{SyncWindow: time.Millisecond})
+				j, _, err := OpenJournal(path, c, JournalOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -19,7 +19,7 @@ go build -o "$DIR/tabledload" ./cmd/tabledload || exit 1
 
 start_server() {
     "$DIR/tabledserver" -addr "127.0.0.1:$PORT" \
-        -wal "$DIR/table.wal" -wal-sync 2ms \
+        -wal "$DIR/table.wal" \
         -snapshot "$DIR/table.gob" \
         -rows 2048 -cols 2048 >>"$DIR/server.log" 2>&1 &
     SRV_PID=$!
@@ -43,6 +43,16 @@ echo "chaos-smoke: server up (pid $SRV_PID); starting sequential load"
 LOAD_PID=$!
 
 sleep 2
+# Four clients must share fsyncs with no sync window: the WAL leads one
+# fsync at a time and appends arriving meanwhile ride the next one.
+METRICS=$(curl -fsS "http://127.0.0.1:$PORT/metrics")
+APPENDS=$(echo "$METRICS" | awk '/^tabled_wal_appends_total /{print $2}')
+SYNCS=$(echo "$METRICS" | awk '/^tabled_wal_syncs_total\{result="ok"\} /{print $2}')
+echo "chaos-smoke: $APPENDS WAL appends, $SYNCS fsyncs before the kill"
+if [ -z "$APPENDS" ] || [ -z "$SYNCS" ] || [ "$SYNCS" -ge "$APPENDS" ]; then
+    echo "chaos-smoke: FAIL: concurrent appends did not share fsyncs"
+    exit 1
+fi
 echo "chaos-smoke: SIGKILL server mid-load"
 kill -9 "$SRV_PID"
 SRV_PID=""

@@ -23,7 +23,7 @@ go build -o "$DIR/wbcvolunteer" ./cmd/wbcvolunteer || exit 1
 
 start_server() {
     "$DIR/wbcserver" -addr "127.0.0.1:$PORT" \
-        -wal "$DIR/wbc.wal" -wal-sync 2ms \
+        -wal "$DIR/wbc.wal" \
         -checkpoint "$DIR/wbc.ckpt" -checkpoint-every 2s \
         -lease 2s -audit 0 -seed 7 >>"$DIR/server.log" 2>&1 &
     SRV_PID=$!
