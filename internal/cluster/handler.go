@@ -1,14 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -19,12 +14,11 @@ import (
 
 // HandlerOptions configures NewHandler. Zero limits inherit the tabled
 // server defaults so a batch the router accepts is one every member will
-// accept too.
+// accept too; the body cap is always tabled.DefaultMaxBodyBytes, the cap
+// every member uses.
 type HandlerOptions struct {
 	// MaxBatch caps ops per request (0 → tabled.DefaultMaxBatch).
 	MaxBatch int
-	// MaxBodyBytes caps the /v1/batch body (0 → tabled.DefaultMaxBodyBytes).
-	MaxBodyBytes int64
 	// BatchTimeout bounds one routed batch end to end, fan-out included
 	// (0 → tabled.DefaultBatchTimeout).
 	BatchTimeout time.Duration
@@ -67,9 +61,6 @@ func NewHandler(src RouterSource, opt HandlerOptions) http.Handler {
 	if opt.MaxBatch <= 0 {
 		opt.MaxBatch = tabled.DefaultMaxBatch
 	}
-	if opt.MaxBodyBytes == 0 {
-		opt.MaxBodyBytes = tabled.DefaultMaxBodyBytes
-	}
 	if opt.BatchTimeout == 0 {
 		opt.BatchTimeout = tabled.DefaultBatchTimeout
 	}
@@ -80,7 +71,7 @@ func NewHandler(src RouterSource, opt HandlerOptions) http.Handler {
 	// reloaded router's Metrics (same registry, get-or-create) holds the
 	// identical counter object.
 	mux.Handle("POST /v1/batch", opt.Limiter.Middleware(nil, src.Router().m, srvkit.APIStack{
-		MaxBodyBytes:   opt.MaxBodyBytes,
+		MaxBodyBytes:   tabled.DefaultMaxBodyBytes,
 		RequestTimeout: opt.BatchTimeout,
 		TimeoutBody:    "batch timed out",
 	}.Wrap(http.HandlerFunc(h.handleBatch))))
@@ -114,71 +105,20 @@ type frontDoor struct {
 	opt HandlerOptions
 }
 
-// routerScratch recycles the per-request body and frame buffers — the
-// router re-encodes sub-batches through the connection pool's own
-// buffers, so this only covers the front-door decode/encode.
-type routerScratch struct {
-	body []byte
-	ops  []tabled.Op
-	out  []byte
-}
+var batchBufs = sync.Pool{New: func() any { return new(tabled.BatchBuf) }}
 
-var routerScratchPool = sync.Pool{New: func() any { return new(routerScratch) }}
-
-func isBinaryContentType(ct string) bool {
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.TrimSpace(ct) == tabled.ContentTypeBinary
-}
-
-// handleBatch decodes one batch (JSON or binary, mirroring tabledserver's
-// negotiation), routes it through the cluster, and answers in the same
-// encoding. Per-op failures come back inline under a 200; only a batch in
-// which EVERY op failed and at least one failure was member unavailability
-// collapses to a typed 503, so a blanket outage looks like one retryable
-// error instead of a success full of failures.
+// handleBatch reads one batch through tabled's wire layer (the same
+// negotiation, body cap and validation as a member's), routes it through
+// the cluster, and answers in the request's wire. Per-op failures come
+// back inline under a 200; only a batch in which EVERY op failed and at
+// least one failure was member unavailability collapses to a typed 503,
+// so a blanket outage looks like one retryable error instead of a
+// success full of failures.
 func (h *frontDoor) handleBatch(w http.ResponseWriter, r *http.Request) {
-	scr := routerScratchPool.Get().(*routerScratch)
-	defer routerScratchPool.Put(scr)
-	binary := isBinaryContentType(r.Header.Get("Content-Type"))
-	var err error
-	scr.body, err = readAll(scr.body[:0], r.Body)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "reading request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	var ops []tabled.Op
-	if binary {
-		ops, err = tabled.DecodeBatchRequest(scr.body, scr.ops, h.opt.MaxBatch)
-		if err != nil {
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		scr.ops = ops
-	} else {
-		var req tabled.BatchRequest
-		dec := json.NewDecoder(bytes.NewReader(scr.body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		ops = req.Ops
-	}
-	if len(ops) == 0 {
-		http.Error(w, "bad request: empty batch", http.StatusBadRequest)
-		return
-	}
-	if len(ops) > h.opt.MaxBatch {
-		http.Error(w, fmt.Sprintf("bad request: batch of %d exceeds limit %d",
-			len(ops), h.opt.MaxBatch), http.StatusBadRequest)
+	buf := batchBufs.Get().(*tabled.BatchBuf)
+	defer batchBufs.Put(buf)
+	ops, binary, ok := tabled.ReadBatch(w, r, buf, h.opt.MaxBatch)
+	if !ok {
 		return
 	}
 	results := h.src.Router().Execute(r.Context(), ops, r.Header.Get(tabled.IdempotencyKeyHeader))
@@ -195,41 +135,7 @@ func (h *frontDoor) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, firstError(results), status)
 		return
 	}
-	if binary {
-		scr.out, err = tabled.AppendBatchResponse(scr.out[:0], results)
-		if err != nil {
-			http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", tabled.ContentTypeBinary)
-		_, _ = w.Write(scr.out)
-		return
-	}
-	body, err := json.Marshal(&tabled.BatchResponse{Results: results})
-	if err != nil {
-		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
-}
-
-// readAll reads r into buf (reusing its capacity); the byte cap is already
-// imposed by the MaxBytesReader that APIStack wrapped around r.
-func readAll(buf []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
+	_ = tabled.WriteBatch(w, binary, results, buf)
 }
 
 func firstError(results []tabled.OpResult) string {

@@ -55,7 +55,11 @@
 // Backend's one batch surface, SetBatchInto/GetBatchInto, into
 // caller-owned slices — in steady state a get batch is served end to end
 // with zero heap allocations, and a set batch with exactly one per op (the
-// clone of the stored value out of the pooled request buffer). tabled.Client selects the wire with its Wire
+// clone of the stored value out of the pooled request buffer). Every
+// /v1/batch arm shares one pipeline: ReadBatch (negotiate, capped read,
+// decode, validate), the server's serve (replay, gates, execute, ack,
+// record), and WriteBatch (encode in the request's wire); the router's
+// front door calls the same ReadBatch and WriteBatch. tabled.Client selects the wire with its Wire
 // field and reuses pooled request frames over a pooled transport
 // (DefaultTransport pins per-host idle connections at
 // MaxConcurrentBatchConns, where net/http's default of 2 would re-dial
@@ -91,8 +95,10 @@
 // The client side completes the story: tabled.Client retries transport
 // failures and 5xx under jittered exponential backoff (internal/retry),
 // reusing one Idempotency-Key per logical batch, and the server replays
-// recorded responses for keys it has already answered — so a retried
-// batch whose original ack was lost is never applied (or logged) twice.
+// the recorded response to a write batch under a key it has already
+// acknowledged — so a retried batch whose original ack was lost is never
+// applied (or logged) twice. The record is the §4 response frame and
+// answers a retry in whichever wire it arrives; reads are not recorded.
 // Fault injection for all of these paths lives in faultwrap.go, behind
 // tabledserver's -faults flag, and is zero-cost when disabled.
 //

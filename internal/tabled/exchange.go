@@ -18,11 +18,11 @@ import (
 // ConnPath once per pooled connection and then runs back-to-back
 // exchanges over it, one at a time: an idempotency key and a §2 request
 // frame in, a status, a WAL position and either a §2 response frame or the
-// refusal text out. Each exchange runs the same code as a binary POST /v1/batch —
-// batchBinary, the replication ack gate, the idempotency cache, pooled
-// scratch — minus the per-request HTTP parsing, header maps, and
-// TimeoutHandler goroutine that made the member hop cost more than the
-// batch it carried.
+// refusal text out. Each exchange runs the same code as a binary POST
+// /v1/batch — the frame decode and serve, with its gates, replication ack,
+// idempotency cache and pooled scratch — minus the per-request HTTP
+// parsing, header maps, and TimeoutHandler goroutine that made the member
+// hop cost more than the batch it carried.
 
 // ConnPath is the member route that upgrades a connection to the batch
 // exchange protocol.
@@ -75,7 +75,7 @@ func (s *server) handleConn(w http.ResponseWriter, r *http.Request) {
 // its end (answered, then the connection closes).
 func (s *server) exchange(ctx context.Context, br *bufio.Reader, bw *bufio.Writer, scr *wireScratch, rt *obs.Route, remote string) bool {
 	start := time.Now()
-	key, minPos, frame, status, msg, err := s.readExchange(br, scr)
+	key, minPos, status, msg, err := s.readExchange(br, scr)
 	if err != nil {
 		return false
 	}
@@ -83,7 +83,7 @@ func (s *server) exchange(ctx context.Context, br *bufio.Reader, bw *bufio.Write
 	var out []byte
 	var pos uint64
 	if keep {
-		out, pos, status, msg = s.serveExchange(ctx, key, minPos, frame, scr)
+		out, pos, status, msg = s.answer(ctx, key, minPos, scr)
 	}
 	scr.env = binary.AppendUvarint(scr.env[:0], uint64(status))
 	scr.env = binary.AppendUvarint(scr.env, pos)
@@ -104,87 +104,63 @@ func (s *server) exchange(ctx context.Context, br *bufio.Reader, bw *bufio.Write
 }
 
 // readExchange reads one request envelope into scr: the key, the minimum
-// position, then the frame, whose declared length is checked against the
-// body cap before the payload is read. A non-zero status is a refusal
-// that ends the connection (the rest of the request stays unread); err is
-// an I/O error.
-func (s *server) readExchange(br *bufio.Reader, scr *wireScratch) (key []byte, minPos uint64, frame []byte, status int, msg string, err error) {
+// position, then the frame into scr.body, its declared length checked
+// against the body cap before the payload is read. A non-zero status is a
+// refusal that ends the connection (the rest of the request stays
+// unread); err is an I/O error.
+func (s *server) readExchange(br *bufio.Reader, scr *wireScratch) (key []byte, minPos uint64, status int, msg string, err error) {
 	klen, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, 0, nil, 0, "", err
+		return nil, 0, 0, "", err
 	}
 	if klen > maxExchangeKey {
-		return nil, 0, nil, http.StatusBadRequest,
+		return nil, 0, http.StatusBadRequest,
 			fmt.Sprintf("bad request: idempotency key of %d bytes exceeds %d", klen, maxExchangeKey), nil
 	}
 	scr.key = grow(scr.key, int(klen))
 	if _, err := io.ReadFull(br, scr.key); err != nil {
-		return nil, 0, nil, 0, "", err
+		return nil, 0, 0, "", err
 	}
 	if minPos, err = binary.ReadUvarint(br); err != nil {
-		return nil, 0, nil, 0, "", err
+		return nil, 0, 0, "", err
 	}
 	scr.body = grow(scr.body, wireHeaderSize)
 	if _, err := io.ReadFull(br, scr.body); err != nil {
-		return nil, 0, nil, 0, "", err
+		return nil, 0, 0, "", err
 	}
 	size := wireHeaderSize + int64(binary.LittleEndian.Uint32(scr.body))
 	if limit := s.opt.MaxBodyBytes; limit > 0 && size > limit {
-		return nil, 0, nil, http.StatusRequestEntityTooLarge,
+		return nil, 0, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("request body exceeds %d bytes", limit), nil
 	}
 	if size > wireHeaderSize+MaxWirePayload {
-		return nil, 0, nil, http.StatusBadRequest,
+		return nil, 0, http.StatusBadRequest,
 			fmt.Sprintf("bad request: %v: payload of %d bytes exceeds %d", ErrBadFrame, size-wireHeaderSize, int64(MaxWirePayload)), nil
 	}
 	scr.body = grow(scr.body, int(size))
 	if _, err := io.ReadFull(br, scr.body[wireHeaderSize:]); err != nil {
-		return nil, 0, nil, 0, "", err
+		return nil, 0, 0, "", err
 	}
-	return scr.key, minPos, scr.body, 0, "", nil
+	return scr.key, minPos, 0, "", nil
 }
 
-// serveExchange answers one request exactly as handleBatchBinary answers a
-// binary POST /v1/batch, with two differences. Only replies to batches
-// that write are recorded under the key: a retried read re-executes,
-// which is as good as a replay and keeps the steady-state get exchange
-// free of allocations. And the exchange carries positions: a follower
-// that has applied fewer than minPos records refuses the batch unread
-// (412), and a batch that writes is answered with pos, a WAL position
-// that covers its records.
-func (s *server) serveExchange(ctx context.Context, key []byte, minPos uint64, frame []byte, scr *wireScratch) (out []byte, pos uint64, status int, msg string) {
-	if applied, ok := s.behind(minPos); ok {
-		return nil, 0, http.StatusPreconditionFailed,
-			fmt.Sprintf("replica behind: applied %d records, the batch needs %d", applied, minPos)
+// answer decodes the frame in scr.body and serves it exactly as a binary
+// POST /v1/batch is served, returning the reply's §4 frame (aliasing
+// scr.out) or its refusal. The key aliases scr.key for the exchange.
+func (s *server) answer(ctx context.Context, key []byte, minPos uint64, scr *wireScratch) (out []byte, pos uint64, status int, msg string) {
+	ops, err := scr.decode(true, s.opt.MaxBatch)
+	if err != nil {
+		return nil, 0, http.StatusBadRequest, "bad request: " + err.Error()
 	}
-	if s.idem != nil && len(key) > 0 {
-		if ct, body, ok := s.idem.getBytes(key); ok {
-			s.opt.Metrics.idempotentReplay()
-			if ct != ContentTypeBinary {
-				return nil, 0, http.StatusConflict, "idempotency key was recorded for a JSON batch"
-			}
-			// Only batches that write are recorded, and the position now
-			// is at or past the one that covered this batch.
-			return body, s.walPos(), http.StatusOK, ""
-		}
+	rep := s.serve(ctx, aliasString(key), minPos, ops, true, scr)
+	if rep.status != http.StatusOK {
+		return nil, 0, rep.status, rep.msg
 	}
-	out, status, msg = s.batchBinary(frame, scr)
-	if status != http.StatusOK {
-		return nil, 0, status, msg
+	if out, err = AppendBatchResponse(scr.out[:0], rep.results); err != nil {
+		return nil, 0, http.StatusInternalServerError, "encoding response: " + err.Error()
 	}
-	if !HasWrites(scr.ops) {
-		return out, 0, status, ""
-	}
-	// Read before the ack wait, which only ever lets the log grow.
-	pos = s.walPos()
-	if err := s.replAck(ctx, scr.ops); err != nil {
-		return nil, 0, http.StatusServiceUnavailable, refusalMsg(err)
-	}
-	if s.idem != nil && len(key) > 0 {
-		// The frame lives in pooled scratch; the cache needs its own copy.
-		s.idem.put(string(key), ContentTypeBinary, append([]byte(nil), out...))
-	}
-	return out, pos, status, ""
+	scr.out = out
+	return out, rep.pos, http.StatusOK, ""
 }
 
 // walPos is the WAL's commit position: the number of records logged,

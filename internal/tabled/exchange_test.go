@@ -116,10 +116,11 @@ func deref(rs []OpResult) []string {
 	return out
 }
 
-// TestConnPoolRefusalsMatchHTTP: every non-200 the HTTP path returns
-// reaches a pool caller as the same error, in the same retry class — and
-// a 413, which the member answers without reading the request to its end,
-// closes the connection.
+// TestConnPoolRefusalsMatchHTTP: every non-200 the binary HTTP path
+// returns reaches a pool caller as the same error, in the same retry
+// class — and a 413, which the member answers without reading the request
+// to its end, closes the connection. A JSON client gets the same status
+// and retry class (the JSON decoder words some refusals differently).
 func TestConnPoolRefusalsMatchHTTP(t *testing.T) {
 	set := []Op{{Op: "set", X: 1, Y: 1, V: "v"}}
 	cases := []struct {
@@ -157,15 +158,26 @@ func TestConnPoolRefusalsMatchHTTP(t *testing.T) {
 			ctx := context.Background()
 			ts, _ := serve()
 			hc := &Client{Base: ts.URL, HTTP: ts.Client(), Wire: WireBinary}
+			js, _ := serve()
+			jc := &Client{Base: js.URL, HTTP: js.Client()}
 			_, p := serve()
 			if tc.warmup {
 				hc.Batch(ctx, set)
+				jc.Batch(ctx, set)
 				p.BatchWithKey(ctx, set, "")
 			}
 			_, herr := hc.Batch(ctx, tc.ops)
+			_, jerr := jc.Batch(ctx, tc.ops)
 			_, perr := p.BatchWithKey(ctx, tc.ops, "key")
-			if herr == nil || perr == nil {
-				t.Fatalf("refusal not surfaced: HTTP %v, upgraded %v", herr, perr)
+			if herr == nil || jerr == nil || perr == nil {
+				t.Fatalf("refusal not surfaced: HTTP %v, JSON %v, upgraded %v", herr, jerr, perr)
+			}
+			if !errors.Is(jerr, ErrRemote) || !strings.Contains(jerr.Error(), ": "+tc.status+" ") {
+				t.Fatalf("JSON error %v, want ErrRemote with status %s", jerr, tc.status)
+			}
+			if retry.IsPermanent(jerr) != retry.IsPermanent(perr) {
+				t.Fatalf("retry class differs: JSON permanent=%v, upgraded permanent=%v",
+					retry.IsPermanent(jerr), retry.IsPermanent(perr))
 			}
 			if herr.Error() != perr.Error() {
 				t.Fatalf("errors differ:\n HTTP:     %v\n upgraded: %v", herr, perr)
@@ -295,11 +307,10 @@ func fakeMember(t *testing.T, serve func(i int, c net.Conn, br *bufio.Reader)) (
 func readRequest(br *bufio.Reader) ([]Op, error) {
 	s := &server{opt: ServerOptions{MaxBodyBytes: DefaultMaxBodyBytes}}
 	scr := new(wireScratch)
-	_, _, frame, _, _, err := s.readExchange(br, scr)
-	if err != nil {
+	if _, _, _, _, err := s.readExchange(br, scr); err != nil {
 		return nil, err
 	}
-	return DecodeBatchRequest(frame, nil, 0)
+	return DecodeBatchRequest(scr.body, nil, 0)
 }
 
 // answerOK writes a 200 reply with an OK result per op.
@@ -626,10 +637,10 @@ func (r *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestExchangeGetAllocFree extends the batchBinary guardrail to the whole
+// TestExchangeGetAllocFree extends the serve guardrail to the whole
 // exchange: with no logger, a steady-state keyed get exchange — envelope
-// read, idempotency lookup, execute, reply write, per-exchange metrics —
-// allocates nothing. (203 exchanges run, under 256 distinct keys.)
+// read, decode, serve, reply write, per-exchange metrics — allocates
+// nothing. (203 exchanges run, under 256 distinct keys.)
 func TestExchangeGetAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race: sync.Pool randomly drops puts")

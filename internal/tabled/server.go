@@ -1,6 +1,7 @@
 package tabled
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,8 +28,8 @@ const DefaultMaxBodyBytes = 4 << 20
 // that overruns it is abandoned and the client sees a 503.
 const DefaultBatchTimeout = 30 * time.Second
 
-// DefaultIdempotencyCache is how many recent Idempotency-Key responses the
-// server retains for replay.
+// DefaultIdempotencyCache is how many recent replies to batches that
+// write the server retains for Idempotency-Key replay.
 const DefaultIdempotencyCache = 4096
 
 // An Op is one operation in a batch request. Exactly the fields its kind
@@ -110,9 +111,6 @@ type ServerOptions struct {
 	// always-writable unless a WAL is configured, in which case NewHandler
 	// installs a flag so it can degrade.
 	Writable *obs.Flag
-	// IdempotencyCache is how many recent Idempotency-Key responses are
-	// kept for replay (0 → DefaultIdempotencyCache, negative → disabled).
-	IdempotencyCache int
 	// ReadyDetail, when non-nil and returning non-empty, is appended to
 	// the /readyz ready body as "ready (<detail>)" — the daemons wire the
 	// persist scheduler's failure text here so a snapshot loop going bad
@@ -170,7 +168,8 @@ func NewHandler(b Backend[string], opt ServerOptions) http.Handler {
 		}
 	}
 	reqs := obs.NewRequests(opt.Registry, opt.Logger)
-	srv := &server{b: b, opt: opt, batchRoute: reqs.Route("/v1/batch")}
+	srv := &server{b: b, opt: opt, idem: newIdemCache(DefaultIdempotencyCache),
+		batchRoute: reqs.Route("/v1/batch")}
 	srv.deg = srvkit.NewDegraded(srvkit.DegradedConfig{
 		Detail:     "read-only (WAL volume failed)",
 		LogMessage: "wal failure: entering read-only degraded mode",
@@ -183,13 +182,6 @@ func NewHandler(b Backend[string], opt ServerOptions) http.Handler {
 		// proves a newer primary epoch exists, this node stops
 		// acknowledging writes even if a client bypasses the router.
 		opt.Repl.Fence = srv.degrade
-	}
-	if opt.IdempotencyCache >= 0 {
-		n := opt.IdempotencyCache
-		if n == 0 {
-			n = DefaultIdempotencyCache
-		}
-		srv.idem = newIdemCache(n)
 	}
 	mux := http.NewServeMux()
 	// Only /v1/batch sits behind the hardening stack: stats is cheap, and
@@ -244,16 +236,16 @@ type server struct {
 	b    Backend[string]
 	opt  ServerOptions
 	deg  *srvkit.Degraded
-	idem *idemCache // nil when disabled
+	idem *idemCache
 	// batchRoute records upgraded-connection exchanges as /v1/batch
 	// requests, beside the ones the obs middleware records.
 	batchRoute *obs.Route
 }
 
 // IdempotencyKeyHeader carries the client's per-request replay key: a
-// server that already answered this key returns the recorded response
-// without re-executing (so a retried batch is never applied — or WAL-logged
-// — twice).
+// server that already acknowledged a batch that writes under this key
+// returns the recorded response without re-executing (so a retried batch
+// is never applied — or WAL-logged — twice).
 const IdempotencyKeyHeader = "Idempotency-Key"
 
 // HasWrites reports whether any op mutates the table (set or resize) —
@@ -277,10 +269,10 @@ func (s *server) readOnlyMsg() string {
 // replAck is the semi-synchronous replication gate: a write batch that
 // executed and logged locally parks here until the follower's pull
 // horizon confirms it is durable remotely too, or the gate times out and
-// the ack is refused (503, retryable). No-op without a configured gate or
-// for read-only batches — the common path costs one nil check.
-func (s *server) replAck(ctx context.Context, ops []Op) error {
-	if s.opt.Repl == nil || s.opt.Repl.Gate == nil || s.opt.WAL == nil || !HasWrites(ops) {
+// the ack is refused (503, retryable). No-op without a configured gate —
+// the common path costs one nil check. serve calls it for writes only.
+func (s *server) replAck(ctx context.Context) error {
+	if s.opt.Repl == nil || s.opt.Repl.Gate == nil || s.opt.WAL == nil {
 		return nil
 	}
 	// Every record of this batch is ≤ the committed horizon now (Append
@@ -308,23 +300,32 @@ func refusalMsg(err error) string {
 // re-opens the log) clears it.
 func (s *server) degrade(err error) { s.deg.Degrade(err) }
 
-// wireScratch is the per-request buffer bundle the batch path reuses
-// through wirePool: the raw body, decoded ops, execution results, backend
-// call buffers, and the outgoing frame. One request (or one upgraded
+// BatchBuf is the reusable storage of one /v1/batch request on either
+// front door, tabledserver's or tabledrouter's: the raw body, the decoded
+// ops, the results and the reply frame. ReadBatch and WriteBatch reuse its
+// capacity, so pool it: a steady-state binary batch then allocates nothing
+// on its way in or out.
+type BatchBuf struct {
+	body    []byte
+	ops     []Op
+	results []OpResult
+	out     []byte
+}
+
+// wireScratch is the per-request buffer bundle the node's batch path
+// reuses through wirePool: the request's BatchBuf plus the exchange
+// envelope and the backend call buffers. One request (or one upgraded
 // connection, for all its exchanges) borrows exactly one scratch, so
 // steady-state binary batches allocate nothing beyond the values they
 // store.
 type wireScratch struct {
-	key     []byte // exchange idempotency key
-	env     []byte // exchange reply envelope
-	body    []byte
-	ops     []Op
-	results []OpResult
-	cells   []Cell[string]
-	keys    []Pos
-	errs    []error
-	gets    []GetResult[string]
-	out     []byte
+	BatchBuf
+	key   []byte // exchange idempotency key
+	env   []byte // exchange reply envelope
+	cells []Cell[string]
+	keys  []Pos
+	errs  []error
+	gets  []GetResult[string]
 }
 
 var wirePool = sync.Pool{New: func() any { return new(wireScratch) }}
@@ -377,174 +378,189 @@ func readBody(buf []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// handleBatch serves one /v1/batch request. The body cap and request
-// timeout are already in place — srvkit.APIStack wraps this handler — so
-// r.Body is a MaxBytesReader and overruns surface as *http.MaxBytesError.
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if isBinaryContentType(r.Header.Get("Content-Type")) {
-		s.handleBatchBinary(w, r)
-		return
-	}
-	var req BatchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+// ReadBatch reads and decodes one POST /v1/batch request into buf. The
+// Content-Type picks the wire, returned as binary: a §2 frame or, by
+// default, a JSON BatchRequest. The body is read under the cap of the
+// caller's srvkit.APIStack, and the batch must hold 1 to maxBatch ops. On
+// failure ReadBatch has answered w — 413 for an oversized body, else 400 —
+// and ok is false. Set values decoded from a frame alias buf until its
+// next use.
+func ReadBatch(w http.ResponseWriter, r *http.Request, buf *BatchBuf, maxBatch int) (ops []Op, binary, ok bool) {
+	binary = isBinaryContentType(r.Header.Get("Content-Type"))
+	var err error
+	if buf.body, err = readBody(buf.body, r.Body); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
 				http.StatusRequestEntityTooLarge)
-			return
+		} else {
+			http.Error(w, "reading request: "+err.Error(), http.StatusBadRequest)
 		}
+		return nil, binary, false
+	}
+	if ops, err = buf.decode(binary, maxBatch); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
+		return nil, binary, false
 	}
-	if len(req.Ops) == 0 {
-		http.Error(w, "bad request: empty batch", http.StatusBadRequest)
-		return
+	return ops, binary, true
+}
+
+var errEmptyBatch = errors.New("empty batch")
+
+// decode decodes buf.body, a §2 frame when binary or else a JSON
+// BatchRequest, and checks the batch holds 1 to maxBatch ops.
+func (buf *BatchBuf) decode(binary bool, maxBatch int) ([]Op, error) {
+	var ops []Op
+	if binary {
+		var err error
+		if ops, err = DecodeBatchRequest(buf.body, buf.ops, maxBatch); err != nil {
+			return nil, err
+		}
+		buf.ops = ops
+	} else {
+		var req BatchRequest
+		dec := json.NewDecoder(bytes.NewReader(buf.body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			return nil, err
+		}
+		ops = req.Ops
 	}
-	if len(req.Ops) > s.opt.MaxBatch {
-		http.Error(w, fmt.Sprintf("bad request: batch of %d exceeds limit %d",
-			len(req.Ops), s.opt.MaxBatch), http.StatusBadRequest)
-		return
+	if len(ops) == 0 {
+		return nil, errEmptyBatch
 	}
-	if !s.opt.Writable.Get() && HasWrites(req.Ops) {
-		http.Error(w, s.readOnlyMsg(), http.StatusServiceUnavailable)
-		return
+	if len(ops) > maxBatch {
+		return nil, fmt.Errorf("batch of %d exceeds limit %d", len(ops), maxBatch)
 	}
-	key := r.Header.Get(IdempotencyKeyHeader)
-	if s.replayIdempotent(w, key) {
-		return
+	return ops, nil
+}
+
+// WriteBatch answers a batch with its results in the request's wire: a §4
+// frame, built in buf, when binary, else a JSON BatchResponse. It returns
+// the error of writing to the client; an encoding failure is answered
+// with a 500.
+func WriteBatch(w http.ResponseWriter, binary bool, results []OpResult, buf *BatchBuf) error {
+	var body []byte
+	var err error
+	ct := ContentTypeBinary
+	if binary {
+		body, err = AppendBatchResponse(buf.out[:0], results)
+		buf.out = body
+	} else {
+		ct = "application/json"
+		body, err = json.Marshal(&BatchResponse{Results: results})
 	}
-	scr := wirePool.Get().(*wireScratch)
-	defer wirePool.Put(scr)
-	results, walErr := s.executeInto(req.Ops, scr)
-	if walErr == nil {
-		walErr = s.replAck(r.Context(), req.Ops)
-	}
-	if walErr != nil {
-		// The batch was applied in memory but could not be made durable
-		// (or durably replicated): refuse the ack. The client retries and
-		// either lands on the read-only gate above or re-executes
-		// idempotently once replication catches up.
-		http.Error(w, refusalMsg(walErr), http.StatusServiceUnavailable)
-		return
-	}
-	resp := BatchResponse{Results: results}
-	body, err := json.Marshal(&resp)
 	if err != nil {
 		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
-		return
+		return nil
 	}
-	if s.idem != nil && key != "" {
-		s.idem.put(key, "application/json", body)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(body); err != nil && s.opt.Logger != nil {
-		s.opt.Logger.Warn("batch: write", "err", err)
-	}
-}
-
-// replayIdempotent answers a retransmitted batch from the idempotency
-// cache, reporting whether it did. The recorded response is replayed with
-// the content type it was first produced under — a client that retries a
-// batch keeps its wire format across retries.
-func (s *server) replayIdempotent(w http.ResponseWriter, key string) bool {
-	if s.idem == nil || key == "" {
-		return false
-	}
-	ct, body, ok := s.idem.get(key)
-	if !ok {
-		return false
-	}
-	// A retransmit of a batch we already executed and acknowledged
-	// (the ack was lost in flight): replay the recorded response.
-	s.opt.Metrics.idempotentReplay()
 	w.Header().Set("Content-Type", ct)
-	w.Header().Set("Idempotent-Replay", "true")
-	_, _ = w.Write(body)
-	return true
+	_, err = w.Write(body)
+	return err
 }
 
-// handleBatchBinary is the application/x-tabled-batch arm of /v1/batch:
-// one pooled scratch carries the request body, decoded ops, execution
-// buffers and the response frame end to end, so a steady-state batch
-// allocates only the values it stores (set values are cloned out of the
-// pooled body — everything else aliases or reuses scratch).
-func (s *server) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
+// handleBatch serves one /v1/batch request in either wire. The body cap
+// and request timeout are already in place: srvkit.APIStack wraps this
+// handler.
+func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	scr := wirePool.Get().(*wireScratch)
 	defer wirePool.Put(scr)
-	body, err := readBody(scr.body, r.Body)
-	scr.body = body
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "reading request: "+err.Error(), http.StatusBadRequest)
+	ops, binary, ok := ReadBatch(w, r, &scr.BatchBuf, s.opt.MaxBatch)
+	if !ok {
 		return
 	}
-	key := r.Header.Get(IdempotencyKeyHeader)
-	if s.replayIdempotent(w, key) {
+	rep := s.serve(r.Context(), r.Header.Get(IdempotencyKeyHeader), 0, ops, binary, scr)
+	if rep.status != http.StatusOK {
+		http.Error(w, rep.msg, rep.status)
 		return
 	}
-	out, status, msg := s.batchBinary(body, scr)
-	if status == http.StatusOK {
-		if err := s.replAck(r.Context(), scr.ops); err != nil {
-			status, msg = http.StatusServiceUnavailable, refusalMsg(err)
-		}
+	if rep.replay {
+		w.Header().Set("Idempotent-Replay", "true")
 	}
-	if status != http.StatusOK {
-		http.Error(w, msg, status)
-		return
-	}
-	if s.idem != nil && key != "" {
-		// The frame lives in pooled scratch; the cache needs its own copy.
-		s.idem.put(key, ContentTypeBinary, append([]byte(nil), out...))
-	}
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	if _, err := w.Write(out); err != nil && s.opt.Logger != nil {
+	if err := WriteBatch(w, binary, rep.results, &scr.BatchBuf); err != nil && s.opt.Logger != nil {
 		s.opt.Logger.Warn("batch: write", "err", err)
 	}
 }
 
-// batchBinary decodes, validates, executes and re-encodes one binary batch
-// body using scr throughout. On success it returns the response frame
-// (aliasing scr.out) and 200; otherwise the status and message for
-// http.Error. Factored off the HTTP handler so the allocation guardrail
-// test can pin the whole server-side batch path without the net/http
-// layer's own bookkeeping.
-func (s *server) batchBinary(body []byte, scr *wireScratch) (out []byte, status int, msg string) {
-	ops, err := DecodeBatchRequest(body, scr.ops, s.opt.MaxBatch)
-	if err != nil {
-		return nil, http.StatusBadRequest, "bad request: " + err.Error()
+// A batchReply is the node's answer to one batch, before any wire encoding.
+type batchReply struct {
+	status  int
+	msg     string     // the refusal text, when status is not 200
+	results []OpResult // the answer, when status is 200
+	pos     uint64     // a WAL position covering a batch that writes (§7)
+	replay  bool       // results come from the idempotency cache
+}
+
+// serve runs one decoded batch on this node: the one path behind both
+// /v1/batch wires and every exchange. In order: an unpromoted follower
+// that has applied fewer than minPos records refuses it (412); a batch
+// that writes under a recorded key is answered from the record; the
+// read-only gate refuses writes (503); the ops execute and log; a write
+// waits for the replication ack; and the reply to a keyed write is
+// recorded. The record is the §4 response frame, which answers a retry in
+// whichever wire it comes: the replay is decoded and re-encoded, and the
+// encoder is deterministic, so a binary retry gets the recorded bytes.
+// Reads are never recorded: a retried read re-executes, which is as good
+// as a replay. framed says ops were decoded from a frame in scr.body, so
+// their set values alias it.
+func (s *server) serve(ctx context.Context, key string, minPos uint64, ops []Op, framed bool, scr *wireScratch) batchReply {
+	if applied, ok := s.behind(minPos); ok {
+		return batchReply{status: http.StatusPreconditionFailed,
+			msg: fmt.Sprintf("replica behind: applied %d records, the batch needs %d", applied, minPos)}
 	}
-	scr.ops = ops
-	if len(ops) == 0 {
-		return nil, http.StatusBadRequest, "bad request: empty batch"
-	}
-	if !s.opt.Writable.Get() && HasWrites(ops) {
-		return nil, http.StatusServiceUnavailable, s.readOnlyMsg()
-	}
-	// Decoded set values alias the pooled request body, which the next
-	// request will overwrite; anything the table retains must own its
-	// bytes. This clone is the binary set path's one allocation per op.
-	for i := range ops {
-		if ops[i].Op == "set" {
-			ops[i].V = strings.Clone(ops[i].V)
+	writes := HasWrites(ops)
+	if writes && key != "" {
+		if frame, ok := s.idem.get(key); ok {
+			// A retransmit of a batch already executed and acknowledged
+			// (the ack was lost in flight). The position now is at or past
+			// the one that covered it.
+			s.opt.Metrics.idempotentReplay()
+			results, err := DecodeBatchResponse(frame, scr.results, 0)
+			if err != nil {
+				return batchReply{status: http.StatusInternalServerError, msg: "replaying response: " + err.Error()}
+			}
+			scr.results = results
+			return batchReply{status: http.StatusOK, results: results, pos: s.walPos(), replay: true}
 		}
 	}
-	results, walErr := s.executeInto(ops, scr)
-	if walErr != nil {
-		return nil, http.StatusServiceUnavailable, refusalMsg(walErr)
+	if writes && !s.opt.Writable.Get() {
+		return batchReply{status: http.StatusServiceUnavailable, msg: s.readOnlyMsg()}
 	}
-	out, err = AppendBatchResponse(scr.out[:0], results)
+	if framed {
+		// Decoded set values alias the pooled request body, which the next
+		// request will overwrite; anything the table retains must own its
+		// bytes. This clone is the binary set path's one allocation per op.
+		for i := range ops {
+			if ops[i].Op == "set" {
+				ops[i].V = strings.Clone(ops[i].V)
+			}
+		}
+	}
+	results, err := s.executeInto(ops, scr)
 	if err != nil {
-		return nil, http.StatusInternalServerError, "encoding response: " + err.Error()
+		// The batch was applied in memory but could not be made durable:
+		// refuse the ack. The client retries and either lands on the
+		// read-only gate or re-executes idempotently.
+		return batchReply{status: http.StatusServiceUnavailable, msg: refusalMsg(err)}
 	}
-	scr.out = out
-	return out, http.StatusOK, ""
+	if !writes {
+		return batchReply{status: http.StatusOK, results: results}
+	}
+	// Read before the ack wait, which only ever lets the log grow.
+	pos := s.walPos()
+	if err := s.replAck(ctx); err != nil {
+		return batchReply{status: http.StatusServiceUnavailable, msg: refusalMsg(err)}
+	}
+	if key != "" {
+		frame, err := AppendBatchResponse(scr.out[:0], results)
+		if err != nil {
+			return batchReply{status: http.StatusInternalServerError, msg: "encoding response: " + err.Error()}
+		}
+		scr.out = frame
+		// Key and frame may alias pooled scratch; the cache keeps copies.
+		s.idem.put(strings.Clone(key), bytes.Clone(frame))
+	}
+	return batchReply{status: http.StatusOK, results: results, pos: pos}
 }
 
 // executeInto runs ops in request order, fusing maximal runs of
@@ -638,47 +654,30 @@ func (s *server) executeInto(ops []Op, scr *wireScratch) (results []OpResult, wa
 	return results, nil
 }
 
-// idemEntry is one recorded response: its body plus the content type it
-// was produced under, so a binary batch replays as binary and a JSON one
-// as JSON.
-type idemEntry struct {
-	ct   string
-	body []byte
-}
-
-// idemCache is a bounded FIFO map of Idempotency-Key → recorded response.
-// Lookup-then-execute is not atomic, so two concurrent requests with
-// the same key can both execute — acceptable, because batch ops are
-// value-idempotent; the cache exists to keep *sequential* retries (the
-// common lost-ack case) from re-executing and double-logging.
+// idemCache is a bounded FIFO map of Idempotency-Key → recorded §4
+// response frame. Lookup-then-execute is not atomic, so two concurrent
+// requests with the same key can both execute — acceptable, because batch
+// ops are value-idempotent; the cache exists to keep *sequential* retries
+// (the common lost-ack case) from re-executing and double-logging.
 type idemCache struct {
 	mu    sync.Mutex
 	max   int
-	m     map[string]idemEntry
+	m     map[string][]byte
 	order []string
 }
 
 func newIdemCache(max int) *idemCache {
-	return &idemCache{max: max, m: make(map[string]idemEntry, max)}
+	return &idemCache{max: max, m: make(map[string][]byte, max)}
 }
 
-func (c *idemCache) get(key string) (ct string, body []byte, ok bool) {
+func (c *idemCache) get(key string) (frame []byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	return e.ct, e.body, ok
+	frame, ok = c.m[key]
+	return frame, ok
 }
 
-// getBytes is get for a key held in a byte slice, without converting it
-// to a string.
-func (c *idemCache) getBytes(key []byte) (ct string, body []byte, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[string(key)]
-	return e.ct, e.body, ok
-}
-
-func (c *idemCache) put(key, ct string, body []byte) {
+func (c *idemCache) put(key string, frame []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[key]; ok {
@@ -688,7 +687,7 @@ func (c *idemCache) put(key, ct string, body []byte) {
 		delete(c.m, c.order[0])
 		c.order = c.order[1:]
 	}
-	c.m[key] = idemEntry{ct: ct, body: body}
+	c.m[key] = frame
 	c.order = append(c.order, key)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -146,20 +147,100 @@ func TestServerIdempotentReplay(t *testing.T) {
 	}
 }
 
+// TestIdempotentReplayEveryWire: a keyed write acknowledged over any
+// wire — JSON, binary HTTP or an exchange — is answered with its recorded
+// 200 to a retry over every wire, even once the server is read-only: the
+// replay is checked before the read-only gate, and the record (a §4
+// frame) answers in the retry's wire, not the first request's.
+func TestIdempotentReplayEveryWire(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg, 8)
+	writable := obs.NewFlag(true)
+	ts, _, p := startConnServer(t, newConnTable(t, m), ServerOptions{Registry: reg, Metrics: m, Writable: writable})
+	jc := &Client{Base: ts.URL, HTTP: ts.Client()}
+	bc := &Client{Base: ts.URL, HTTP: ts.Client(), Wire: WireBinary}
+	wires := []struct {
+		name  string
+		batch func(context.Context, []Op, string) ([]OpResult, error)
+	}{{"json", jc.BatchWithKey}, {"binary", bc.BatchWithKey}, {"exchange", p.BatchWithKey}}
+	ctx := context.Background()
+	ops := make([][]Op, len(wires))
+	acked := make([][]string, len(wires))
+	for i, w := range wires {
+		x := int64(i + 1)
+		ops[i] = []Op{{Op: "set", X: x, Y: x, V: "via " + w.name}, {Op: "get", X: x, Y: x}}
+		res, err := w.batch(ctx, ops[i], "key-"+w.name)
+		if err != nil {
+			t.Fatalf("%s write: %v", w.name, err)
+		}
+		acked[i] = deref(res)
+	}
+	writable.Set(false)
+	for i, first := range wires {
+		for _, retry := range wires {
+			res, err := retry.batch(ctx, ops[i], "key-"+first.name)
+			if err != nil {
+				t.Errorf("%s retry of a %s write: %v", retry.name, first.name, err)
+				continue
+			}
+			if got := deref(res); fmt.Sprint(got) != fmt.Sprint(acked[i]) {
+				t.Errorf("%s retry of a %s write = %v, want the recorded %v", retry.name, first.name, got, acked[i])
+			}
+		}
+	}
+	if n := reg.Counter("tabled_idempotent_replays_total").Value(); n != 9 {
+		t.Errorf("tabled_idempotent_replays_total = %d, want 9", n)
+	}
+}
+
+// TestIdempotencyRecordsOnlyWrites: keyed reads are never recorded, so
+// more of them than the cache holds cannot evict a write's record — a
+// retry of the write still replays instead of executing again.
+func TestIdempotencyRecordsOnlyWrites(t *testing.T) {
+	table := newConnTable(t, nil)
+	ts, _, _ := startConnServer(t, table, ServerOptions{})
+	jc := &Client{Base: ts.URL, HTTP: ts.Client()}
+	bc := &Client{Base: ts.URL, HTTP: ts.Client(), Wire: WireBinary}
+	ctx := context.Background()
+	first := []Op{{Op: "set", X: 1, Y: 1, V: "first"}}
+	if _, err := bc.BatchWithKey(ctx, first, "write-1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := bc.Set(ctx, Cell[string]{X: 1, Y: 1, V: "later"}); err != nil {
+		t.Fatal(err)
+	}
+	// Client.Get mints a fresh key per batch; alternate the HTTP arms.
+	for i := 0; i <= DefaultIdempotencyCache; i++ {
+		c := jc
+		if i%2 == 1 {
+			c = bc
+		}
+		if _, _, err := c.Get(ctx, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := bc.BatchWithKey(ctx, first, "write-1"); err != nil {
+		t.Fatal(err)
+	}
+	if v, _, _ := table.Get(1, 1); v != "later" {
+		t.Fatalf("retried write executed again: cell = %q, want %q", v, "later")
+	}
+}
+
 func TestIdemCacheBounded(t *testing.T) {
 	c := newIdemCache(2)
-	c.put("a", "application/json", []byte("1"))
-	c.put("b", "application/json", []byte("2"))
-	c.put("a", ContentTypeBinary, []byte("ignored-dup")) // dedup, no double entry
-	c.put("c", ContentTypeBinary, []byte("3"))           // evicts a
-	if _, _, ok := c.get("a"); ok {
+	c.put("a", []byte("1"))
+	c.put("b", []byte("2"))
+	c.put("a", []byte("ignored-dup")) // dedup, no double entry
+	c.put("c", []byte("3"))           // evicts a
+	if _, ok := c.get("a"); ok {
 		t.Fatal("oldest key not evicted")
 	}
-	if ct, v, ok := c.get("b"); !ok || string(v) != "2" || ct != "application/json" {
-		t.Fatalf("b: %q %q %v", ct, v, ok)
+	if v, ok := c.get("b"); !ok || string(v) != "2" {
+		t.Fatalf("b: %q %v", v, ok)
 	}
-	if ct, v, ok := c.get("c"); !ok || string(v) != "3" || ct != ContentTypeBinary {
-		t.Fatalf("c: %q %q %v", ct, v, ok)
+	if v, ok := c.get("c"); !ok || string(v) != "3" {
+		t.Fatalf("c: %q %v", v, ok)
 	}
 }
 

@@ -192,9 +192,9 @@ func TestServerWireBinaryIdempotentReplay(t *testing.T) {
 		return resp
 	}
 	r1 := post()
-	b1 := readAll(t, r1)
+	b1 := bodyOf(t, r1)
 	r2 := post()
-	b2 := readAll(t, r2)
+	b2 := bodyOf(t, r2)
 	if r2.Header.Get("Idempotent-Replay") != "true" {
 		t.Fatal("second post not served from the idempotency cache")
 	}
@@ -209,7 +209,7 @@ func TestServerWireBinaryIdempotentReplay(t *testing.T) {
 	}
 }
 
-func readAll(t *testing.T, r *http.Response) []byte {
+func bodyOf(t *testing.T, r *http.Response) []byte {
 	t.Helper()
 	defer r.Body.Close()
 	var buf bytes.Buffer
@@ -220,10 +220,11 @@ func readAll(t *testing.T, r *http.Response) []byte {
 }
 
 // TestServerBatchPathAllocFree is the server-side allocation guardrail:
-// steady-state binary get batches execute end to end — decode, plan
-// (batched PF encode), sharded read, response encode — with ZERO
-// allocations, and set batches with exactly one allocation per op (the
-// clone of the stored value out of the pooled request buffer).
+// steady-state binary get batches run the core every arm shares — decode,
+// serve (plan by batched PF encode, sharded read), response encode — with
+// ZERO allocations, keyed or not, and set batches with exactly one
+// allocation per op (the clone of the stored value out of the pooled
+// request buffer).
 func TestServerBatchPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race: sync.Pool randomly drops puts")
@@ -232,7 +233,7 @@ func TestServerBatchPathAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &server{b: table, opt: ServerOptions{MaxBatch: DefaultMaxBatch}}
+	srv := newExchangeServer(table, ServerOptions{})
 
 	const n = 128
 	getOps := make([]Op, n)
@@ -250,23 +251,28 @@ func TestServerBatchPathAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	scr := new(wireScratch)
-	run := func(frame []byte) {
-		out, status, msg := srv.batchBinary(frame, scr)
+	ctx := context.Background()
+	// Reads are never recorded, so a keyed get batch skips the cache; a
+	// repeated key on a set batch would replay instead of execute.
+	getKey, noKey := []byte("get-key"), []byte(nil)
+	run := func(frame, key []byte) {
+		scr.body = append(scr.body[:0], frame...)
+		out, _, status, msg := srv.answer(ctx, key, 0, scr)
 		if status != http.StatusOK {
-			t.Fatalf("batchBinary: %d %s", status, msg)
+			t.Fatalf("answer: %d %s", status, msg)
 		}
 		if len(out) == 0 {
 			t.Fatal("empty response frame")
 		}
 	}
-	run(getFrame) // warm the scratch and the plan pool
-	run(setFrame)
+	run(getFrame, getKey) // warm the scratch and the plan pool
+	run(setFrame, noKey)
 
-	if a := testing.AllocsPerRun(200, func() { run(getFrame) }); a != 0 {
+	if a := testing.AllocsPerRun(200, func() { run(getFrame, getKey) }); a != 0 {
 		t.Errorf("binary get batch: %.2f allocs per request, want 0", a)
 	}
 	// Sets clone each stored value out of the pooled body: exactly 1/op.
-	if a := testing.AllocsPerRun(200, func() { run(setFrame) }); a > n {
+	if a := testing.AllocsPerRun(200, func() { run(setFrame, noKey) }); a > n {
 		t.Errorf("binary set batch: %.2f allocs per request, want ≤ %d (1 clone per op)", a, n)
 	}
 }

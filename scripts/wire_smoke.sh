@@ -2,7 +2,8 @@
 # Wire smoke for the binary batch protocol (docs/WIRE.md): boot a
 # race-built tabledserver, drive the same load through the JSON wire and
 # the binary wire (tabledload -wire), assert a binary-written cell reads
-# back over JSON (cross-wire consistency on one endpoint), and FAIL if the
+# back over JSON (cross-wire consistency on one endpoint), that a keyed
+# JSON set retried as binary replays as binary, and FAIL if the
 # binary wire is not faster than JSON — the regression gate for the
 # zero-allocation batch path (EXPERIMENTS.md E26). Both JSON report lines
 # are written to BENCH_wire.json for archiving.
@@ -88,6 +89,28 @@ with urllib.request.urlopen(jreq) as resp:
     res = json.load(resp)["results"][0]
 assert res.get("found") and res.get("v") == "cross-wire", res
 print("wire-smoke: cross-wire read-back ok (binary set -> JSON get)")
+
+# Idempotent replays answer in the retry's wire: a keyed JSON set retried
+# as a binary frame under the same key replays the recorded ack as a frame.
+key = "wire-smoke-cross-wire-replay"
+jset = urllib.request.Request(url, data=json.dumps(
+    {"ops": [{"op": "set", "x": 5, "y": 6, "v": "once"}]}).encode(),
+    headers={"Content-Type": "application/json", "Idempotency-Key": key})
+with urllib.request.urlopen(jset) as resp:
+    resp.read()
+# the same set as a frame: x=5 y=6 zigzag to 10 and 12
+val = b"once"
+breq = urllib.request.Request(url, data=frame(bytes([1, 1, 1, 10, 12, len(val)]) + val),
+                              headers={"Content-Type": "application/x-tabled-batch",
+                                       "Idempotency-Key": key})
+with urllib.request.urlopen(breq) as resp:
+    assert resp.status == 200, resp.status
+    assert resp.headers["Idempotent-Replay"] == "true", resp.headers["Idempotent-Replay"]
+    assert resp.headers["Content-Type"] == "application/x-tabled-batch", resp.headers["Content-Type"]
+    body = resp.read()
+# version 1, one result, flags OK
+assert body[8:] == bytes([1, 1, 1]), body
+print("wire-smoke: cross-wire replay ok (keyed JSON set -> binary retry)")
 EOF
 
 JSON_OPS=$(awk -F'"ops_per_sec":' '/"wire":"json"/ {split($2,a,","); print a[1]}' BENCH_wire.json)
