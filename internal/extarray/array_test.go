@@ -270,4 +270,9 @@ func TestPagedStoreExposesSpread(t *testing.T) {
 		t.Errorf("diagonal pages %d should exceed hyperbolic pages %d",
 			diag.Pages(), hyp.Pages())
 	}
+	// Golden counts: DESIGN §6 and EXPERIMENTS quote page counts, so a
+	// store change must not move them.
+	if diag.Pages() != 129 || hyp.Pages() != 4 {
+		t.Errorf("pages: diagonal %d, hyperbolic %d; want 129 and 4", diag.Pages(), hyp.Pages())
+	}
 }

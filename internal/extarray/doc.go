@@ -14,6 +14,13 @@
 // via iterated pairing (internal/tuple), and the naive remap-on-reshape
 // baseline.
 //
+// PagedStore, the store the table service runs on, allocates one object
+// per 2^10-address page: a 128-byte used bitmap followed by the values.
+// Pages 0 to 2^16-1 are found by index in a dense directory; pages past
+// it, which 𝒟 and ℋ reach on wide tables, and negative pages sit in a
+// map made on first use. Pages are never freed, so Pages counts every
+// page ever written: the spread made physical.
+//
 // # Overflow and concurrency
 //
 // Addresses are computed by the underlying storage mapping and inherit its

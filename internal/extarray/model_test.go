@@ -1,6 +1,7 @@
 package extarray
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -111,5 +112,59 @@ func TestModelEquivalence(t *testing.T) {
 				t.Logf("stats: %+v", pfStats) // informational only
 			}
 		})
+	}
+}
+
+// TestPagedStoreModel is a seeded quick-check of PagedStore against
+// MapStore over addresses in page 0, the last dense page, the first far
+// page, near 2^62 and at or below 0: both must agree on Get, Len and
+// MaxAddr after every op, and Pages must count every page ever set
+// (Delete frees none).
+func TestPagedStoreModel(t *testing.T) {
+	bases := []int64{
+		0,                               // page 0
+		(densePages - 1) << pageBits,    // last dense page
+		densePages << pageBits,          // first far page
+		1<<62 - 1<<pageBits,             // near 2^62
+		math.MaxInt64 - 2<<pageBits + 1, // top of the address space
+		-2 << pageBits,                  // negative pages
+		math.MinInt64,                   // most negative page
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ps, ms := NewPagedStore[int64](), NewMapStore[int64]()
+		pages := map[int64]bool{}
+		addr := func() int64 { return bases[rng.Intn(len(bases))] + rng.Int63n(2<<pageBits) }
+		for op := 0; op < 3000; op++ {
+			a := addr()
+			switch rng.Intn(4) {
+			case 0, 1: // Set, often a re-Set
+				v := rng.Int63()
+				ps.Set(a, v)
+				ms.Set(a, v)
+				pages[a>>pageBits] = true
+			case 2:
+				ps.Delete(a)
+				ms.Delete(a)
+			case 3:
+				pv, pok := ps.Get(a)
+				mv, mok := ms.Get(a)
+				if pv != mv || pok != mok {
+					t.Fatalf("seed %d op %d: Get(%d) = (%d, %v), map (%d, %v)", seed, op, a, pv, pok, mv, mok)
+				}
+			}
+			if ps.Len() != ms.Len() || ps.MaxAddr() != ms.MaxAddr() || ps.Pages() != len(pages) {
+				t.Fatalf("seed %d op %d: Len/MaxAddr/Pages %d/%d/%d, want %d/%d/%d", seed, op,
+					ps.Len(), ps.MaxAddr(), ps.Pages(), ms.Len(), ms.MaxAddr(), len(pages))
+			}
+		}
+		for a, mv := range ms.m {
+			if pv, ok := ps.Get(a); !ok || pv != mv {
+				t.Fatalf("seed %d: sweep Get(%d) = (%d, %v), want %d", seed, a, pv, ok, mv)
+			}
+		}
+		if len(ps.dir) > densePages || len(ps.far) == 0 {
+			t.Fatalf("seed %d: directory %d pages, far map %d pages", seed, len(ps.dir), len(ps.far))
+		}
 	}
 }

@@ -55,47 +55,100 @@ func (s *MapStore[T]) MaxAddr() int64 { return s.max }
 // pageBits sizes PagedStore pages at 2^pageBits elements.
 const pageBits = 10
 
+// densePages bounds PagedStore's dense directory: pages 0 through
+// densePages-1 are found by slice index, so a directory never exceeds
+// 512 KiB of pointers. Pages past it, and negative pages, live in a map.
+const densePages = 1 << 16
+
+// A page is one PagedStore allocation: the used bitmap and the values of
+// 2^pageBits consecutive addresses. One object per page keeps a page's
+// presence bits next to its values and costs one allocation header.
+type page[T any] struct {
+	used [1 << pageBits / 64]uint64
+	vals [1 << pageBits]T
+}
+
 // PagedStore is a paged-slice-backed Store: contiguous pages of 2^10
 // elements allocated on demand. Unlike MapStore its memory is proportional
 // to the *address range touched* (rounded up to pages), so it makes the
 // spread of the storage mapping physically visible: a mapping with spread
 // S(n) allocates ≈ S(n)/2^10 pages to hold n elements. This is the memory
 // model under which §3.2's compactness race matters.
+//
+// A page holds its used bitmap and its values in one object. Pages below
+// densePages are reached through a dense directory indexed by page
+// number, grown on demand; the rest (addresses from 2^26 up, as 𝒟 and ℋ
+// reach on wide tables, and negative addresses) through a map made on
+// first use. Pages are never freed, so Delete leaves Pages unchanged.
 type PagedStore[T any] struct {
-	pages map[int64][]T
-	used  map[int64][]bool
+	dir   []*page[T]
+	far   map[int64]*page[T]
+	pages int
 	n     int
 	max   int64
 }
 
 // NewPagedStore returns an empty PagedStore.
-func NewPagedStore[T any]() *PagedStore[T] {
-	return &PagedStore[T]{pages: make(map[int64][]T), used: make(map[int64][]bool)}
+func NewPagedStore[T any]() *PagedStore[T] { return &PagedStore[T]{} }
+
+// split returns the page number of addr, its offset in the page, and the
+// offset's word and bit in the used bitmap.
+func split(addr int64) (p, off, word int64, bit uint64) {
+	off = addr & (1<<pageBits - 1)
+	return addr >> pageBits, off, off >> 6, 1 << (off & 63)
+}
+
+// page returns page p, or nil if it was never allocated.
+func (s *PagedStore[T]) page(p int64) *page[T] {
+	if uint64(p) < uint64(len(s.dir)) {
+		return s.dir[p]
+	}
+	if uint64(p) < densePages {
+		return nil
+	}
+	return s.far[p]
+}
+
+// alloc allocates page p, which must be absent.
+func (s *PagedStore[T]) alloc(p int64) *page[T] {
+	pg := new(page[T])
+	s.pages++
+	if uint64(p) >= densePages {
+		if s.far == nil {
+			s.far = make(map[int64]*page[T])
+		}
+		s.far[p] = pg
+		return pg
+	}
+	if p >= int64(len(s.dir)) {
+		s.dir = append(s.dir, make([]*page[T], p+1-int64(len(s.dir)))...)
+	}
+	s.dir[p] = pg
+	return pg
 }
 
 // Get implements Store.
 func (s *PagedStore[T]) Get(addr int64) (T, bool) {
-	var zero T
-	p, off := addr>>pageBits, addr&(1<<pageBits-1)
-	u, ok := s.used[p]
-	if !ok || !u[off] {
-		return zero, false
+	p, off, w, bit := split(addr)
+	if pg := s.page(p); pg != nil && pg.used[w]&bit != 0 {
+		return pg.vals[off], true
 	}
-	return s.pages[p][off], true
+	var zero T
+	return zero, false
 }
 
 // Set implements Store.
 func (s *PagedStore[T]) Set(addr int64, v T) {
-	p, off := addr>>pageBits, addr&(1<<pageBits-1)
-	if _, ok := s.pages[p]; !ok {
-		s.pages[p] = make([]T, 1<<pageBits)
-		s.used[p] = make([]bool, 1<<pageBits)
+	p, off, w, bit := split(addr)
+	pg := s.page(p)
+	if pg == nil {
+		pg = s.alloc(p)
 	}
-	if !s.used[p][off] {
-		s.used[p][off] = true
+	if pg.used[w]&bit == 0 {
+		pg.used[w] |= bit
 		s.n++
 	}
-	s.pages[p][off] = v
+	pg.vals[off] = v
 	if addr > s.max {
 		s.max = addr
 	}
@@ -103,11 +156,11 @@ func (s *PagedStore[T]) Set(addr int64, v T) {
 
 // Delete implements Store.
 func (s *PagedStore[T]) Delete(addr int64) {
-	p, off := addr>>pageBits, addr&(1<<pageBits-1)
-	if u, ok := s.used[p]; ok && u[off] {
+	p, off, w, bit := split(addr)
+	if pg := s.page(p); pg != nil && pg.used[w]&bit != 0 {
 		var zero T
-		s.pages[p][off] = zero
-		u[off] = false
+		pg.vals[off] = zero
+		pg.used[w] &^= bit
 		s.n--
 	}
 }
@@ -120,4 +173,4 @@ func (s *PagedStore[T]) MaxAddr() int64 { return s.max }
 
 // Pages returns the number of pages currently allocated — the physical
 // memory proxy that exposes spread.
-func (s *PagedStore[T]) Pages() int { return len(s.pages) }
+func (s *PagedStore[T]) Pages() int { return s.pages }

@@ -17,6 +17,14 @@
 // Because PF addressing is pure arithmetic, the shard of a cell is computed
 // *outside* any lock.
 //
+// A shard's store is keyed by shard-local addresses: stripe s becomes
+// local stripe s/N, with the offset inside the stripe kept. Shard i's
+// stripes i, i+N, i+2N, … thus land on local pages 0, 1, 2, …, so a
+// PagedStore's dense page directory has no holes, and each local page is
+// exactly one real page, so page counts equal those of one store keyed by
+// real addresses. Footprints are tracked per shard in real addresses,
+// beside the store, so Stats never reads a store's MaxAddr.
+//
 // The lock hierarchy has one global rule: the logical dimensions (and the
 // reshape counter) are written only while holding ALL shard write locks in
 // index order, and may be read under ANY single shard lock. Point and batch

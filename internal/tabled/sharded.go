@@ -36,7 +36,9 @@ type GetResult[T any] struct {
 }
 
 // shard is one lock-striped slice of the address space with its own
-// backing store and cost counters (all guarded by mu).
+// backing store and cost counters (all guarded by mu). The store is keyed
+// by shard-local addresses (Sharded.local); footprint is the largest real
+// address ever set here.
 type shard[T any] struct {
 	mu        sync.RWMutex
 	store     extarray.Store[T]
@@ -52,6 +54,7 @@ type Sharded[T any] struct {
 	f      core.StorageMapping
 	shards []shard[T]
 	mask   int64
+	bits   uint // log2 of len(shards)
 	m      *Metrics
 	// newStore allocates a fresh backing store — retained so
 	// RestoreSnapshot can swap every shard's contents wholesale.
@@ -71,14 +74,15 @@ func NewSharded[T any](f core.StorageMapping, nshards int, newStore func() extar
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("tabled: dimensions %d×%d invalid", rows, cols)
 	}
-	n := 1
-	for n < nshards && n < MaxShards {
-		n <<= 1
+	var bits uint
+	for 1<<bits < nshards && 1<<bits < MaxShards {
+		bits++
 	}
 	s := &Sharded[T]{
 		f:        f,
-		shards:   make([]shard[T], n),
-		mask:     int64(n - 1),
+		shards:   make([]shard[T], 1<<bits),
+		mask:     1<<bits - 1,
+		bits:     bits,
 		m:        m,
 		newStore: newStore,
 		rows:     rows,
@@ -104,6 +108,15 @@ func (s *Sharded[T]) shardOf(addr int64) *shard[T] {
 
 func (s *Sharded[T]) shardIndex(addr int64) int {
 	return int((addr >> stripeBits) & s.mask)
+}
+
+// local maps addr to its address in the owning shard's store. The shard
+// owns every stripe ≡ its index (mod the shard count), so dropping the
+// stripe number's low shard bits numbers its stripes 0, 1, 2, … with no
+// gaps: a PagedStore's dense page directory stays dense, and each local
+// page is exactly one real page, so page counts do not change.
+func (s *Sharded[T]) local(addr int64) int64 {
+	return addr>>(stripeBits+s.bits)<<stripeBits | addr&(1<<stripeBits-1)
 }
 
 // checkBounds validates (x, y) against dims; the caller must hold at least
@@ -141,7 +154,7 @@ func (s *Sharded[T]) Get(x, y int64) (T, bool, error) {
 	if err := s.checkBounds(x, y); err != nil {
 		return zero, false, err
 	}
-	v, ok := sh.store.Get(addr)
+	v, ok := sh.store.Get(s.local(addr))
 	return v, ok, nil
 }
 
@@ -161,7 +174,7 @@ func (s *Sharded[T]) Set(x, y int64, v T) error {
 	if err := s.checkBounds(x, y); err != nil {
 		return err
 	}
-	sh.store.Set(addr, v)
+	sh.store.Set(s.local(addr), v)
 	if addr > sh.footprint {
 		sh.footprint = addr
 	}
@@ -298,7 +311,7 @@ func (s *Sharded[T]) SetBatchInto(cells []Cell[T], errs []error) {
 				errs[r.idx] = err
 				continue
 			}
-			sh.store.Set(r.addr, c.V)
+			sh.store.Set(s.local(r.addr), c.V)
 			if r.addr > sh.footprint {
 				sh.footprint = r.addr
 			}
@@ -340,7 +353,7 @@ func (s *Sharded[T]) GetBatchInto(keys []Pos, res []GetResult[T]) {
 				res[r.idx].Err = err
 				continue
 			}
-			res[r.idx].V, res[r.idx].OK = sh.store.Get(r.addr)
+			res[r.idx].V, res[r.idx].OK = sh.store.Get(s.local(r.addr))
 		}
 		sh.mu.RUnlock()
 	}
@@ -381,9 +394,9 @@ func (s *Sharded[T]) Resize(rows, cols int64) error {
 				if err != nil {
 					return err
 				}
-				sh := s.shardOf(addr)
-				if _, ok := sh.store.Get(addr); ok {
-					sh.store.Delete(addr)
+				sh, la := s.shardOf(addr), s.local(addr)
+				if _, ok := sh.store.Get(la); ok {
+					sh.store.Delete(la)
 					sh.moves++
 				}
 			}
@@ -394,23 +407,27 @@ func (s *Sharded[T]) Resize(rows, cols int64) error {
 }
 
 // Stats implements extarray.Table, aggregating across shards: Moves is the
-// sum, Footprint the max over shard footprints and store MaxAddrs.
-func (s *Sharded[T]) Stats() extarray.Stats {
+// sum, Footprint the max of the shards' real-address footprints.
+func (s *Sharded[T]) Stats() extarray.Stats { return s.stats(false) }
+
+// stats is the one fold behind Stats and SaveAt. With locked false it
+// takes each shard's read lock in turn; SaveAt passes true while it holds
+// every shard lock.
+func (s *Sharded[T]) stats(locked bool) extarray.Stats {
 	var st extarray.Stats
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.RLock()
+		if !locked {
+			sh.mu.RLock()
+		}
 		st.Moves += sh.moves
-		if sh.footprint > st.Footprint {
-			st.Footprint = sh.footprint
-		}
-		if m := sh.store.MaxAddr(); m > st.Footprint {
-			st.Footprint = m
-		}
+		st.Footprint = max(st.Footprint, sh.footprint)
 		if i == 0 {
 			st.Reshapes = s.reshapes
 		}
-		sh.mu.RUnlock()
+		if !locked {
+			sh.mu.RUnlock()
+		}
 	}
 	return st
 }

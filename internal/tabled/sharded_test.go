@@ -38,73 +38,171 @@ func getBatch[T any](b Backend[T], keys []Pos) []GetResult[T] {
 	return res
 }
 
+// storePages sums the shard stores' PagedStore page counts.
+func storePages[T any](s *Sharded[T]) int {
+	n := 0
+	for i := range s.shards {
+		n += s.shards[i].store.(*extarray.PagedStore[T]).Pages()
+	}
+	return n
+}
+
 // TestShardedMatchesArray drives the same randomized op sequence through a
 // Sharded table and a reference extarray.Array and demands identical
-// observable state throughout — including after grows and shrinks.
+// observable state throughout — including after grows and shrinks. The
+// wide 𝒟 table puts about a third of its addresses past 2^36, beyond
+// every shard's dense page directory. The shards' page total must equal that of one PagedStore
+// fed the same real addresses: shard-local addressing maps pages one to one.
 func TestShardedMatchesArray(t *testing.T) {
-	for _, nshards := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("shards=%d", nshards), func(t *testing.T) {
-			f := core.SquareShell{}
-			s := newSharded(t, f, nshards, 16, 16)
-			ref := extarray.NewMapBacked[int64](f, 16, 16)
-			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 4000; i++ {
-				rows, cols := ref.Dims()
-				switch op := rng.Intn(10); {
-				case op < 5: // set
-					x, y := rng.Int63n(rows+2)+1, rng.Int63n(cols+2)+1
-					gotErr := s.Set(x, y, int64(i))
-					wantErr := ref.Set(x, y, int64(i))
-					if (gotErr == nil) != (wantErr == nil) {
-						t.Fatalf("op %d: Set(%d,%d) err %v vs ref %v", i, x, y, gotErr, wantErr)
-					}
-				case op < 9: // get
-					x, y := rng.Int63n(rows+2)+1, rng.Int63n(cols+2)+1
-					v, ok, gotErr := s.Get(x, y)
-					rv, rok, wantErr := ref.Get(x, y)
-					if v != rv || ok != rok || (gotErr == nil) != (wantErr == nil) {
-						t.Fatalf("op %d: Get(%d,%d) = (%d,%v,%v) vs ref (%d,%v,%v)",
-							i, x, y, v, ok, gotErr, rv, rok, wantErr)
-					}
-				default: // resize: mostly grow, sometimes shrink
-					nr := rows + rng.Int63n(5) - 1
-					nc := cols + rng.Int63n(5) - 1
-					if nr < 1 {
-						nr = 1
-					}
-					if nc < 1 {
-						nc = 1
-					}
-					if err := s.Resize(nr, nc); err != nil {
-						t.Fatal(err)
-					}
-					if err := ref.Resize(nr, nc); err != nil {
-						t.Fatal(err)
-					}
-				}
+	for _, tc := range []struct {
+		prefix     string
+		f          core.StorageMapping
+		rows, cols int64
+	}{
+		{"", core.SquareShell{}, 16, 16},
+		{"diagonal-1x2^20/", core.Diagonal{}, 1, 1 << 20},
+	} {
+		for _, nshards := range []int{1, 2, 4, 16, 256} {
+			t.Run(fmt.Sprintf("%sshards=%d", tc.prefix, nshards), func(t *testing.T) {
+				testShardedMatchesArray(t, tc.f, nshards, tc.rows, tc.cols)
+			})
+		}
+	}
+}
+
+func testShardedMatchesArray(t *testing.T, f core.StorageMapping, nshards int, rows0, cols0 int64) {
+	s := newSharded(t, f, nshards, rows0, cols0)
+	ref := extarray.NewMapBacked[int64](f, rows0, cols0)
+	pages := extarray.NewPagedStore[int64]()
+	touched := map[Pos]bool{}
+	wide := rows0*cols0 > 1<<12
+	rng := rand.New(rand.NewSource(7))
+	// pick draws a coordinate up to two past n; on the wide table half the
+	// draws stay in the first 1024 columns so near pages are hit too.
+	pick := func(n int64) int64 {
+		if wide && rng.Intn(2) == 0 {
+			n = min(n, 1024)
+		}
+		return rng.Int63n(n+2) + 1
+	}
+	for i := 0; i < 4000; i++ {
+		rows, cols := ref.Dims()
+		switch op := rng.Intn(10); {
+		case op < 5: // set
+			x, y := pick(rows), pick(cols)
+			gotErr := s.Set(x, y, int64(i))
+			wantErr := ref.Set(x, y, int64(i))
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("op %d: Set(%d,%d) err %v vs ref %v", i, x, y, gotErr, wantErr)
 			}
-			// Full sweep: every in-bounds cell agrees; aggregate stats agree.
-			rows, cols := ref.Dims()
-			if sr, sc := s.Dims(); sr != rows || sc != cols {
-				t.Fatalf("dims (%d,%d) vs ref (%d,%d)", sr, sc, rows, cols)
+			if gotErr == nil {
+				addr, _ := f.Encode(x, y)
+				pages.Set(addr, int64(i))
+				touched[Pos{X: x, Y: y}] = true
 			}
-			for x := int64(1); x <= rows; x++ {
-				for y := int64(1); y <= cols; y++ {
-					v, ok, err := s.Get(x, y)
-					rv, rok, rerr := ref.Get(x, y)
-					if v != rv || ok != rok || (err == nil) != (rerr == nil) {
-						t.Fatalf("sweep (%d,%d): (%d,%v,%v) vs ref (%d,%v,%v)", x, y, v, ok, err, rv, rok, rerr)
-					}
-				}
+		case op < 9: // get
+			x, y := pick(rows), pick(cols)
+			v, ok, gotErr := s.Get(x, y)
+			rv, rok, wantErr := ref.Get(x, y)
+			if v != rv || ok != rok || (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("op %d: Get(%d,%d) = (%d,%v,%v) vs ref (%d,%v,%v)",
+					i, x, y, v, ok, gotErr, rv, rok, wantErr)
 			}
-			if s.Len() != ref.Len() {
-				t.Fatalf("Len %d vs ref %d", s.Len(), ref.Len())
+		default: // resize: mostly grow, sometimes shrink; the wide table keeps its one row
+			nr := max(rows+rng.Int63n(5)-1, 1)
+			nc := max(cols+rng.Int63n(5)-1, 1)
+			if wide {
+				nr = rows
 			}
-			st, rst := s.Stats(), ref.Stats()
-			if st.Moves != rst.Moves || st.Reshapes != rst.Reshapes {
-				t.Fatalf("stats %+v vs ref %+v", st, rst)
+			if err := s.Resize(nr, nc); err != nil {
+				t.Fatal(err)
 			}
-		})
+			if err := ref.Resize(nr, nc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Sweep: every in-bounds cell of a small table, every position ever
+	// set on the wide one, agrees; aggregate stats agree.
+	rows, cols := ref.Dims()
+	if sr, sc := s.Dims(); sr != rows || sc != cols {
+		t.Fatalf("dims (%d,%d) vs ref (%d,%d)", sr, sc, rows, cols)
+	}
+	check := func(x, y int64) {
+		v, ok, err := s.Get(x, y)
+		rv, rok, rerr := ref.Get(x, y)
+		if v != rv || ok != rok || (err == nil) != (rerr == nil) {
+			t.Fatalf("sweep (%d,%d): (%d,%v,%v) vs ref (%d,%v,%v)", x, y, v, ok, err, rv, rok, rerr)
+		}
+	}
+	if wide {
+		for p := range touched {
+			check(p.X, p.Y)
+		}
+	} else {
+		for x := int64(1); x <= rows; x++ {
+			for y := int64(1); y <= cols; y++ {
+				check(x, y)
+			}
+		}
+	}
+	if s.Len() != ref.Len() {
+		t.Fatalf("Len %d vs ref %d", s.Len(), ref.Len())
+	}
+	if st, rst := s.Stats(), ref.Stats(); st != rst {
+		t.Fatalf("stats %+v vs ref %+v", st, rst)
+	}
+	if got, want := storePages(s), pages.Pages(); got != want {
+		t.Fatalf("shard pages %d, one PagedStore over the same addresses %d", got, want)
+	}
+}
+
+// TestShardedPageGolden pins the page counts and footprints that DESIGN
+// §6 and the benchmark's node-skinny and node-read tables report, measured
+// with every store keyed by real addresses: shard-local addressing must
+// not move them. The zero-size values keep the 8×8192 table's 8265 pages
+// to their 128-byte bitmaps.
+func TestShardedPageGolden(t *testing.T) {
+	for _, tc := range []struct {
+		rows, cols int64
+		pages      int
+		footprint  int64
+		perCell    int64
+	}{
+		{8, 8192, 8265, 1 << 26, 1024},
+		{256, 256, 65, 1 << 16, 1},
+	} {
+		s, err := NewSharded[struct{}](core.SquareShell{}, 16, func() extarray.Store[struct{}] {
+			return extarray.NewPagedStore[struct{}]()
+		}, tc.rows, tc.cols, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := make([]Cell[struct{}], 0, tc.rows*tc.cols)
+		for x := int64(1); x <= tc.rows; x++ {
+			for y := int64(1); y <= tc.cols; y++ {
+				cells = append(cells, Cell[struct{}]{X: x, Y: y})
+			}
+		}
+		keys := make([]Pos, len(cells))
+		for i, c := range cells {
+			keys[i] = Pos{X: c.X, Y: c.Y}
+		}
+		for _, err := range setBatch[struct{}](s, cells) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, r := range getBatch[struct{}](s, keys) {
+			if !r.OK || r.Err != nil {
+				t.Fatalf("%d×%d: cell %+v reads back %+v", tc.rows, tc.cols, keys[i], r)
+			}
+		}
+		fp := s.Stats().Footprint
+		if got := storePages(s); got != tc.pages || fp != tc.footprint || fp/int64(s.Len()) != tc.perCell {
+			t.Errorf("%d×%d: %d pages, footprint %d, %d per cell; want %d, %d, %d", tc.rows, tc.cols,
+				got, fp, fp/int64(s.Len()), tc.pages, tc.footprint, tc.perCell)
+		}
 	}
 }
 
@@ -217,5 +315,59 @@ func TestShardedConcurrent(t *testing.T) {
 	}
 	if total == 0 {
 		t.Error("no shard ops recorded")
+	}
+}
+
+// BenchmarkShardedBatch times 128-cell get and set batches on a 16-shard
+// square-shell table preloaded with 32-byte values, on the benchmark's
+// two shapes: 256×256 (node-read, 65 pages) and 8×8192 (node-skinny, 8265
+// pages). Its ns/cell reproduces tabled.sharded.{get,set}_ns_per_cell
+// without the service around it.
+func BenchmarkShardedBatch(b *testing.B) {
+	const batch, batches = 128, 256
+	for _, shape := range []struct{ rows, cols int64 }{{256, 256}, {8, 8192}} {
+		s, err := NewSharded[string](core.SquareShell{}, 16, func() extarray.Store[string] {
+			return extarray.NewPagedStore[string]()
+		}, shape.rows, shape.cols, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for x := int64(1); x <= shape.rows; x++ {
+			for y := int64(1); y <= shape.cols; y++ {
+				if err := s.Set(x, y, fmt.Sprintf("%015d:%016d", x, y)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(1))
+		cells := make([]Cell[string], batch*batches)
+		keys := make([]Pos, len(cells))
+		for i := range cells {
+			x, y := rng.Int63n(shape.rows)+1, rng.Int63n(shape.cols)+1
+			cells[i] = Cell[string]{X: x, Y: y, V: fmt.Sprintf("%015d-%016d", x, y)}
+			keys[i] = Pos{X: x, Y: y}
+		}
+		errs := make([]error, batch)
+		res := make([]GetResult[string], batch)
+		perCell := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/cell")
+		}
+		name := fmt.Sprintf("%dx%d", shape.rows, shape.cols)
+		b.Run(name+"/get", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := i % batches * batch
+				s.GetBatchInto(keys[k:k+batch], res)
+			}
+			perCell(b)
+		})
+		b.Run(name+"/set", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := i % batches * batch
+				s.SetBatchInto(cells[k:k+batch], errs)
+			}
+			perCell(b)
+		})
 	}
 }

@@ -31,7 +31,7 @@ func (s *Sharded[T]) SaveAt(w io.Writer, seq, epoch uint64) error {
 		Mapping:   s.f.Name(),
 		Rows:      s.rows,
 		Cols:      s.cols,
-		Stats:     s.statsLocked(),
+		Stats:     s.stats(true),
 		ReplSeq:   seq,
 		ReplEpoch: epoch,
 	}
@@ -41,7 +41,7 @@ func (s *Sharded[T]) SaveAt(w io.Writer, seq, epoch uint64) error {
 			if err != nil {
 				return fmt.Errorf("tabled: save: %w", err)
 			}
-			if v, ok := s.shardOf(addr).store.Get(addr); ok {
+			if v, ok := s.shardOf(addr).store.Get(s.local(addr)); ok {
 				snap.Addrs = append(snap.Addrs, addr)
 				snap.Values = append(snap.Values, v)
 			}
@@ -50,20 +50,12 @@ func (s *Sharded[T]) SaveAt(w io.Writer, seq, epoch uint64) error {
 	return extarray.EncodeSnapshot(w, &snap)
 }
 
-// statsLocked aggregates stats while the caller holds every shard lock.
-func (s *Sharded[T]) statsLocked() extarray.Stats {
-	st := extarray.Stats{Reshapes: s.reshapes}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		st.Moves += sh.moves
-		if sh.footprint > st.Footprint {
-			st.Footprint = sh.footprint
-		}
-		if m := sh.store.MaxAddr(); m > st.Footprint {
-			st.Footprint = m
-		}
-	}
-	return st
+// restore stores one snapshot cell at real address addr; the caller
+// holds the owning shard's write lock or owns the table outright.
+func (s *Sharded[T]) restore(addr int64, v T) {
+	sh := s.shardOf(addr)
+	sh.store.Set(s.local(addr), v)
+	sh.footprint = max(sh.footprint, addr)
 }
 
 // SaveFileAt atomically persists the table to path (temp file + fsync +
@@ -99,11 +91,7 @@ func LoadShardedMeta[T any](r io.Reader, f core.StorageMapping, nshards int, new
 		if _, _, err := extarray.CheckSnapshotAddr(snap, f, addr); err != nil {
 			return nil, 0, 0, fmt.Errorf("tabled: load: %w", err)
 		}
-		sh := s.shardOf(addr)
-		sh.store.Set(addr, snap.Values[i])
-		if addr > sh.footprint {
-			sh.footprint = addr
-		}
+		s.restore(addr, snap.Values[i])
 	}
 	s.reshapes = snap.Stats.Reshapes
 	// Moves cannot be attributed to shards after the fact; keep the
@@ -146,11 +134,7 @@ func (s *Sharded[T]) RestoreSnapshot(snap *extarray.SnapshotData[T]) error {
 		s.shards[i].footprint = 0
 	}
 	for i, addr := range snap.Addrs {
-		sh := s.shardOf(addr)
-		sh.store.Set(addr, snap.Values[i])
-		if addr > sh.footprint {
-			sh.footprint = addr
-		}
+		s.restore(addr, snap.Values[i])
 	}
 	s.rows, s.cols = snap.Rows, snap.Cols
 	s.reshapes = snap.Stats.Reshapes
