@@ -374,39 +374,12 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 	readsOnly, readOnlyErr := false, ""
 	st := r.health.State(n)
 	replicaRead := false
-	if fenced := r.health.PrimaryFenced(n); fenced && st != StateDown {
-		priEpoch, _ := r.health.Epoch(n)
-		fencedErr := nodeFencedErr(name, priEpoch, r.health.MaxEpoch(n))
-		repl := r.rpools[n]
-		repSt := StateDown
-		if repl != nil {
-			repSt = r.health.ReplicaState(n)
+	if fenced := r.health.PrimaryFenced(n) && st != StateDown; fenced || st != StateHealthy {
+		var fencedErr string
+		if fenced {
+			priEpoch, _ := r.health.Epoch(n)
+			fencedErr = nodeFencedErr(name, priEpoch, r.health.MaxEpoch(n))
 		}
-		switch {
-		case repSt == StateHealthy && r.health.ReplicaPromoted(n):
-			// The promoted replica owns the range now; the stale primary
-			// gets nothing.
-			client = repl
-			r.m.failover()
-		case repSt != StateDown:
-			// Replica alive but not (yet) promoted: it still has the
-			// pre-fork reads; writes are refused rather than routed to
-			// either a stale primary or an unpromoted follower.
-			client = repl
-			readsOnly, readOnlyErr = true, fencedErr
-			r.m.fencedBatch()
-			r.m.failover()
-		default:
-			// Fenced with no usable replica: even reads are refused — the
-			// stale node's data may predate writes the promoted (now
-			// unreachable) primary acknowledged.
-			r.m.fencedBatch()
-			for i := range res {
-				res[i] = tabled.OpResult{Err: fencedErr}
-			}
-			return res
-		}
-	} else if st != StateHealthy {
 		repl := r.rpools[n]
 		repSt := StateDown
 		if repl != nil {
@@ -415,15 +388,30 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 		switch {
 		case repSt == StateHealthy && r.health.ReplicaPromoted(n):
 			// The follower was explicitly promoted and answers writable:
-			// the whole range fails over.
+			// the whole range fails over, and a stale primary gets nothing.
 			client = repl
 			r.m.failover()
 		case repSt != StateDown:
 			// A live but unpromoted (or read-only) replica serves the
-			// reads; writes wait for an operator promotion.
+			// reads. Writes wait for an operator promotion; a fenced
+			// range refuses them rather than route them to either a
+			// stale primary or an unpromoted follower.
 			client = repl
 			readsOnly, readOnlyErr = true, nodeAwaitingPromotionErr(name)
+			if fenced {
+				readOnlyErr = fencedErr
+				r.m.fencedBatch()
+			}
 			r.m.failover()
+		case fenced:
+			// Fenced with no usable replica: even reads are refused — the
+			// stale node's data may predate writes the promoted (now
+			// unreachable) primary acknowledged.
+			r.m.fencedBatch()
+			for i := range res {
+				res[i] = tabled.OpResult{Err: fencedErr}
+			}
+			return res
 		case st == StateDegraded:
 			// No usable replica: the degraded primary still owns reads.
 			readsOnly, readOnlyErr = true, nodeReadOnlyErr(name)
@@ -495,8 +483,13 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 		if r.logger != nil {
 			r.logger.Warn("cluster: sub-batch failed", "node", name, "ops", len(send), "err", err)
 		}
-		for _, i := range sendIndices(sendPos, len(send)) {
-			res[i] = tabled.OpResult{Err: nodeDownErr(name, err)}
+		msg := nodeDownErr(name, err)
+		for k := range send {
+			i := k
+			if sendPos != nil {
+				i = sendPos[k]
+			}
+			res[i] = tabled.OpResult{Err: msg}
 		}
 		return res
 	}
@@ -519,19 +512,6 @@ func allGets(ops []tabled.Op) bool {
 		}
 	}
 	return len(ops) > 0
-}
-
-// sendIndices yields the res positions of the sent ops: identity when no
-// filter was applied.
-func sendIndices(sendPos []int, n int) []int {
-	if sendPos != nil {
-		return sendPos
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
 }
 
 // ClusterStats aggregates the members' /v1/stats into one StatsReply for

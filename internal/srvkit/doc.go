@@ -27,6 +27,12 @@
 //     background-task stop → final persist steps → exit code. Final
 //     steps always run, even when the drain deadline expired — a slow
 //     drain must not cost the final snapshot.
+//   - Upgrade / UpgradedConn.Serve: the exchange loop of a connection
+//     taken over with an HTTP/1.1 Upgrade — idle deadline, wait for a
+//     request's first byte, mark it busy, run one exchange, flush —
+//     written once for every upgraded wire, and tracked by Upgrades so
+//     a drain closes idle connections and ends busy ones after their
+//     exchange in flight.
 //   - Persist: the periodic snapshot/checkpoint scheduler with failure
 //     accounting (consecutive-failure gauge,
 //     srvkit_persist_last_success_timestamp_seconds) instead of

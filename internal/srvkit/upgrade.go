@@ -112,14 +112,7 @@ func (u *Upgrades) setBusy(c *UpgradedConn, busy bool) bool {
 }
 
 // An UpgradedConn is a connection taken over by Upgrade. Its owner runs
-// one exchange at a time:
-//
-//	for c.Idle() {
-//		wait for the first byte of a request on c.R
-//		if !c.Busy() { break }
-//		read the request, answer it on c.W, flush
-//	}
-//	c.Close()
+// one exchange at a time through Serve, then closes it.
 type UpgradedConn struct {
 	net.Conn
 	R *bufio.Reader
@@ -187,6 +180,26 @@ func Upgrade(w http.ResponseWriter, r *http.Request, proto string) (*UpgradedCon
 // poll out; an exchange that must finish once begun uses the request's
 // context instead.
 func (c *UpgradedConn) Context() context.Context { return c.ctx }
+
+// Serve runs exchanges on the connection one at a time until the peer
+// closes it, the idle deadline reaps it, a drain stops it, a flush fails,
+// or exchange reports false. exchange reads one request from c.R, whose
+// first byte has arrived, and writes its reply to c.W; Serve flushes the
+// reply, also the one written before exchange reports false.
+func (c *UpgradedConn) Serve(exchange func() bool) {
+	for c.Idle() {
+		if _, err := c.R.Peek(1); err != nil {
+			return // closed by the peer, reaped, or drained
+		}
+		if !c.Busy() {
+			return
+		}
+		keep := exchange()
+		if err := c.W.Flush(); err != nil || !keep {
+			return
+		}
+	}
+}
 
 // Idle marks the connection between exchanges and arms its idle read
 // deadline. It reports false once the server is draining: the owner

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"time"
 
@@ -38,7 +37,7 @@ type ConnPool struct {
 	timeout time.Duration
 
 	mu     sync.Mutex
-	idle   []*poolConn // most recently used last
+	idle   []*clientConn // most recently used last
 	closed bool
 }
 
@@ -70,16 +69,6 @@ func upgradeTarget(base, path, proto string) (addr string, req []byte, err error
 	req = []byte("GET " + path + " HTTP/1.1\r\nHost: " + u.Host +
 		"\r\nConnection: Upgrade\r\nUpgrade: " + proto + "\r\n\r\n")
 	return addr, req, nil
-}
-
-// poolConn is one upgraded connection.
-type poolConn struct {
-	c  net.Conn
-	br *bufio.Reader
-	// broken marks a connection whose stream state is unknown (an I/O or
-	// framing error, or an attempt cut by its context): closed, not
-	// pooled.
-	broken bool
 }
 
 // ErrBehind is the refusal of a follower that has not yet applied the
@@ -136,7 +125,7 @@ func (p *ConnPool) Close() {
 	p.idle, p.closed = nil, true
 	p.mu.Unlock()
 	for _, pc := range idle {
-		pc.c.Close()
+		pc.close()
 	}
 }
 
@@ -150,14 +139,13 @@ func (p *ConnPool) attempt(ctx context.Context, env []byte, nops int) ([]OpResul
 	pc, pooled := p.take()
 	if pc == nil {
 		var err error
-		if pc, err = p.dial(ctx); err != nil {
+		if pc, err = dialUpgrade(ctx, p.base, ConnPath, ConnProtocol); err != nil {
 			return nil, 0, err
 		}
 	}
 	res, pos, answered, err := p.roundTrip(ctx, pc, env, nops)
 	if err != nil && pooled && !answered && ctx.Err() == nil {
-		pc.c.Close()
-		if pc, err = p.dial(ctx); err != nil {
+		if pc, err = dialUpgrade(ctx, p.base, ConnPath, ConnProtocol); err != nil {
 			return nil, 0, err
 		}
 		res, pos, _, err = p.roundTrip(ctx, pc, env, nops)
@@ -167,7 +155,7 @@ func (p *ConnPool) attempt(ctx context.Context, env []byte, nops int) ([]OpResul
 }
 
 // take pops the most recently used idle connection, or returns nil.
-func (p *ConnPool) take() (*poolConn, bool) {
+func (p *ConnPool) take() (*clientConn, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := len(p.idle)
@@ -180,45 +168,45 @@ func (p *ConnPool) take() (*poolConn, bool) {
 }
 
 // give returns pc to the pool, or closes it.
-func (p *ConnPool) give(pc *poolConn) {
+func (p *ConnPool) give(pc *clientConn) {
 	p.mu.Lock()
 	if !pc.broken && !p.closed {
 		p.idle = append(p.idle, pc)
 		pc = nil
 	}
 	p.mu.Unlock()
-	if pc != nil {
-		pc.c.Close()
-	}
+	pc.close()
 }
 
 // aLongTimeAgo is a deadline in the past: setting it fails the
 // connection's blocked and future I/O at once.
 var aLongTimeAgo = time.Unix(1, 0)
 
-// dial opens a connection and upgrades it.
-func (p *ConnPool) dial(ctx context.Context) (*poolConn, error) {
-	c, br, err := dialUpgrade(ctx, p.base, ConnPath, ConnProtocol)
-	if err != nil {
-		return nil, err
-	}
-	return &poolConn{c: c, br: br}, nil
+// A clientConn is the client end of an upgraded connection, on either
+// wire (docs/WIRE.md §7, §8): it sends a request and reads the reply
+// envelope both wires share. One goroutine uses it at a time.
+type clientConn struct {
+	c   net.Conn
+	br  *bufio.Reader
+	buf []byte // the body of the last reply read with reuse
+	// broken marks a connection whose stream state is unknown (an I/O or
+	// framing error, or an exchange cut by its context); it is closed.
+	broken bool
 }
 
 // dialUpgrade connects to the server at base and upgrades the connection
-// on path to proto, all bounded by ctx. It returns the connection and its
-// reader positioned after the 101 answer. Any other answer is an error
+// on path to proto, all bounded by ctx. Any answer but 101 is an error
 // carrying the status as a Client would report it; a base that is not an
 // http:// URL is a permanent error.
-func dialUpgrade(ctx context.Context, base, path, proto string) (net.Conn, *bufio.Reader, error) {
+func dialUpgrade(ctx context.Context, base, path, proto string) (*clientConn, error) {
 	addr, req, err := upgradeTarget(base, path, proto)
 	if err != nil {
-		return nil, nil, retry.Permanent(fmt.Errorf("tabled: %q: %w", base, err))
+		return nil, retry.Permanent(fmt.Errorf("tabled: %q: %w", base, err))
 	}
 	var d net.Dialer
 	c, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	stop := context.AfterFunc(ctx, func() { c.SetDeadline(aLongTimeAgo) })
 	br, err := handshake(c, req, base, proto)
@@ -227,9 +215,55 @@ func dialUpgrade(ctx context.Context, base, path, proto string) (net.Conn, *bufi
 	}
 	if err != nil {
 		c.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return c, br, nil
+	return &clientConn{c: c, br: br}, nil
+}
+
+// roundTrip sends req and reads its reply (see readReply): the status,
+// the header fields into fields, and a body of at most limit bytes on a
+// 200. With reuse the body lands in the connection's own buffer and is
+// valid until the next round trip; without, it is freshly allocated.
+// answered reports whether any reply byte arrived. ctx ending fails the
+// exchange at once with ctx's error. Any error, and ctx ending, leaves
+// the connection broken.
+func (cc *clientConn) roundTrip(ctx context.Context, req []byte, fields []uint64, limit int, reuse bool) (status int, body []byte, answered bool, err error) {
+	stop := context.AfterFunc(ctx, func() { cc.c.SetDeadline(aLongTimeAgo) })
+	defer func() {
+		// A poisoned deadline ends the connection either way, and an I/O
+		// error it caused is really the context's.
+		poisoned := !stop()
+		if poisoned && err != nil {
+			err = ctx.Err()
+		}
+		if poisoned || err != nil {
+			cc.close()
+		}
+	}()
+	if _, err := cc.c.Write(req); err != nil {
+		return 0, nil, false, err
+	}
+	if _, err := cc.br.Peek(1); err != nil {
+		return 0, nil, false, err
+	}
+	var buf []byte
+	if reuse {
+		buf = cc.buf
+	}
+	status, body, err = readReply(cc.br, fields, limit, buf)
+	if reuse && err == nil {
+		cc.buf = body
+	}
+	return status, body, true, err
+}
+
+// close closes the connection and marks it broken. It is a no-op on a
+// nil or already broken connection.
+func (cc *clientConn) close() {
+	if cc != nil && !cc.broken {
+		cc.broken = true
+		cc.c.Close()
+	}
 }
 
 func handshake(c net.Conn, req []byte, base, proto string) (*bufio.Reader, error) {
@@ -261,49 +295,21 @@ const maxRefusal = 64 << 10
 // roundTrip sends env on pc and reads its reply. answered reports whether
 // any reply byte arrived. Any error other than a well-formed refusal
 // leaves pc broken.
-func (p *ConnPool) roundTrip(ctx context.Context, pc *poolConn, env []byte, nops int) (res []OpResult, pos uint64, answered bool, err error) {
-	stop := context.AfterFunc(ctx, func() { pc.c.SetDeadline(aLongTimeAgo) })
-	defer func() {
-		if !stop() {
-			// The deadline is poisoned: the connection is done either way,
-			// and an I/O error it caused is really the context's.
-			pc.broken = true
-			if err != nil {
-				err = p.exchangeErr(ctx.Err())
-			}
-		}
-	}()
-	if _, err := pc.c.Write(env); err != nil {
-		pc.broken = true
-		return nil, 0, false, p.exchangeErr(err)
-	}
-	if _, err := pc.br.Peek(1); err != nil {
-		pc.broken = true
-		return nil, 0, false, p.exchangeErr(err)
-	}
-	status, pos, n, err := readReplyHeader(pc.br)
+func (p *ConnPool) roundTrip(ctx context.Context, pc *clientConn, env []byte, nops int) (res []OpResult, pos uint64, answered bool, err error) {
+	var hdr [1]uint64 // position
+	status, body, answered, err := pc.roundTrip(ctx, env, hdr[:], wireHeaderSize+MaxWirePayload, false)
 	if err != nil {
-		pc.broken = true
-		return nil, 0, true, p.exchangeErr(err)
-	}
-	if (status != http.StatusOK && n > maxRefusal) || n > wireHeaderSize+MaxWirePayload {
-		pc.broken = true
-		return nil, 0, true, fmt.Errorf("%w: exchange reply %d with a %d-byte body", ErrRemote, status, n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(pc.br, body); err != nil {
-		pc.broken = true
-		return nil, 0, true, p.exchangeErr(err)
+		return nil, 0, answered, fmt.Errorf("exchange with %s: %w", p.base, err)
 	}
 	switch status {
 	case http.StatusOK:
 	case http.StatusPreconditionFailed:
 		return nil, 0, true, retry.Permanent(fmt.Errorf("%w: %s: %s", ErrBehind, p.base, body))
 	case http.StatusRequestEntityTooLarge:
-		pc.broken = true // the server closes after refusing to read a request
+		pc.close() // the server closes after refusing to read a request
 		fallthrough
 	default:
-		return nil, 0, true, remoteStatusError(int(status), strconv.Itoa(int(status))+" "+http.StatusText(int(status)), body)
+		return nil, 0, true, remoteStatusError(status, statusText(status), body)
 	}
 	// The body is freshly owned by this reply, so results may alias it.
 	results, err := DecodeBatchResponse(body, nil, 0)
@@ -313,12 +319,7 @@ func (p *ConnPool) roundTrip(ctx context.Context, pc *poolConn, env []byte, nops
 	if len(results) != nops {
 		return nil, 0, true, fmt.Errorf("%w: %d results for %d ops", ErrRemote, len(results), nops)
 	}
-	return results, pos, true, nil
-}
-
-// exchangeErr names the server in a connection-level failure.
-func (p *ConnPool) exchangeErr(err error) error {
-	return fmt.Errorf("exchange with %s: %w", p.base, err)
+	return results, hdr[0], true, nil
 }
 
 // appendExchangeRequest appends the request envelope of one exchange:
@@ -329,18 +330,4 @@ func appendExchangeRequest(dst []byte, key string, minPos uint64, ops []Op) ([]b
 	dst = append(dst, key...)
 	dst = binary.AppendUvarint(dst, minPos)
 	return AppendBatchRequest(dst, ops)
-}
-
-// readReplyHeader reads a reply's status, position and body length.
-func readReplyHeader(br *bufio.Reader) (status, pos, n uint64, err error) {
-	if status, err = binary.ReadUvarint(br); err != nil {
-		return 0, 0, 0, err
-	}
-	if pos, err = binary.ReadUvarint(br); err == nil {
-		n, err = binary.ReadUvarint(br)
-	}
-	if errors.Is(err, io.EOF) {
-		err = io.ErrUnexpectedEOF
-	}
-	return status, pos, n, err
 }

@@ -78,7 +78,13 @@
 // back-to-back binary exchanges (docs/WIRE.md §7; exchange.go): each one
 // runs the binary /v1/batch path without per-request HTTP, and a steady
 // get exchange allocates nothing. ConnPool (connpool.go) is its client,
-// the router's member wire.
+// the router's member wire. A follower's pulls (docs/WIRE.md §8; repl.go,
+// follower.go) ride the same machinery: both upgraded wires share one
+// reply envelope (writeReply and readReply in exchange.go), one server
+// loop (srvkit.UpgradedConn.Serve) and one client connection
+// (clientConn in connpool.go: dial and upgrade, context deadline, bounded
+// body read), and differ only in their requests, header fields and
+// status mapping.
 //
 // # Durability model
 //

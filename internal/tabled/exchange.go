@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -54,18 +55,7 @@ func (s *server) handleConn(w http.ResponseWriter, r *http.Request) {
 	scr := wirePool.Get().(*wireScratch)
 	defer wirePool.Put(scr)
 	ctx := r.Context()
-	for uc.Idle() {
-		if _, err := uc.R.Peek(1); err != nil {
-			return // closed by the peer, reaped, or drained
-		}
-		if !uc.Busy() {
-			return
-		}
-		keep := s.exchange(ctx, uc.R, uc.W, scr, s.batchRoute, r.RemoteAddr)
-		if err := uc.W.Flush(); err != nil || !keep {
-			return
-		}
-	}
+	uc.Serve(func() bool { return s.exchange(ctx, uc.R, uc.W, scr, s.batchRoute, r.RemoteAddr) })
 }
 
 // exchange reads one request from br and writes its reply to bw
@@ -81,26 +71,65 @@ func (s *server) exchange(ctx context.Context, br *bufio.Reader, bw *bufio.Write
 	}
 	keep := status == 0
 	var out []byte
-	var pos uint64
+	var pos [1]uint64
 	if keep {
-		out, pos, status, msg = s.answer(ctx, key, minPos, scr)
+		out, pos[0], status, msg = s.answer(ctx, key, minPos, scr)
 	}
-	scr.env = binary.AppendUvarint(scr.env[:0], uint64(status))
-	scr.env = binary.AppendUvarint(scr.env, pos)
-	n := len(out)
-	if out == nil {
-		n = len(msg)
-	}
-	scr.env = binary.AppendUvarint(scr.env, uint64(n))
-	bw.Write(scr.env)
-	if out != nil {
-		bw.Write(out)
-	} else {
-		bw.WriteString(msg)
-	}
+	n := writeReply(bw, status, pos[:], out, msg)
 	rt.Observe(ctx, exchangeMethod, "/v1/batch", remote, status, int64(n), time.Since(start))
 	s.opt.Metrics.connExchange()
 	return keep
+}
+
+// writeReply writes one reply envelope to bw, unflushed, in the shape
+// both upgraded wires share (docs/WIRE.md §7, §8): the status, the wire's
+// header fields, the body's length, then the body — out on a 200, the
+// refusal text msg otherwise (the other one is empty). It returns the
+// body's length.
+func writeReply(bw *bufio.Writer, status int, fields []uint64, out []byte, msg string) int {
+	n := len(out) + len(msg)
+	b := binary.AppendUvarint(bw.AvailableBuffer(), uint64(status))
+	for _, v := range fields {
+		b = binary.AppendUvarint(b, v)
+	}
+	bw.Write(binary.AppendUvarint(b, uint64(n)))
+	bw.Write(out)
+	bw.WriteString(msg)
+	return n
+}
+
+// readReply reads one reply envelope written by writeReply from br: the
+// status, len(fields) header fields into fields, and the body. The body
+// may be at most limit bytes on a 200 and maxRefusal otherwise; a longer
+// one is an ErrRemote error, returned before any of it is read, since
+// the stream is not speaking the protocol. The body is read into buf's
+// capacity, or a fresh slice when buf is nil.
+func readReply(br *bufio.Reader, fields []uint64, limit int, buf []byte) (status int, body []byte, err error) {
+	st, err := binary.ReadUvarint(br)
+	for i := 0; i < len(fields) && err == nil; i++ {
+		fields[i], err = binary.ReadUvarint(br)
+	}
+	var n uint64
+	if err == nil {
+		n, err = binary.ReadUvarint(br)
+	}
+	if err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, nil, err
+	}
+	if st != http.StatusOK {
+		limit = maxRefusal
+	}
+	if n > uint64(limit) {
+		return int(st), nil, fmt.Errorf("%w: reply %d with a %d-byte body", ErrRemote, st, n)
+	}
+	body = grow(buf[:0], int(n))
+	if _, err := io.ReadFull(br, body); err != nil {
+		return int(st), nil, fmt.Errorf("reading body: %w", err)
+	}
+	return int(st), body, nil
 }
 
 // readExchange reads one request envelope into scr: the key, the minimum

@@ -419,6 +419,67 @@ func TestConnPoolTimeoutClosesConn(t *testing.T) {
 	}
 }
 
+// TestClientConnBoundsReplyBody: the client reader both wires share
+// refuses a reply whose declared body exceeds its bound — the caller's
+// limit on a 200, maxRefusal on a refusal — before reading any of the
+// body, and leaves the connection broken; a body exactly at the bound
+// is read.
+func TestClientConnBoundsReplyBody(t *testing.T) {
+	const limit = 64
+	for _, tc := range []struct {
+		name   string
+		status int
+		limit  int
+		n      int
+		ok     bool
+	}{
+		{"200 at limit", http.StatusOK, limit, limit, true},
+		{"200 over limit", http.StatusOK, limit, limit + 1, false},
+		{"refusal at maxRefusal", http.StatusServiceUnavailable, 1 << 30, maxRefusal, true},
+		{"refusal over maxRefusal", http.StatusServiceUnavailable, 1 << 30, maxRefusal + 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cli, srv := net.Pipe()
+			defer srv.Close()
+			cc := &clientConn{c: cli, br: bufio.NewReader(cli)}
+			bodyErr := make(chan error, 1)
+			go func() {
+				var req [1]byte
+				if _, err := io.ReadFull(srv, req[:]); err != nil {
+					bodyErr <- err
+					return
+				}
+				head := binary.AppendUvarint(nil, uint64(tc.status))
+				head = binary.AppendUvarint(head, 7) // position
+				head = binary.AppendUvarint(head, uint64(tc.n))
+				srv.Write(head)
+				// A pipe write completes only once the client reads it.
+				_, err := srv.Write(make([]byte, tc.n))
+				bodyErr <- err
+			}()
+			var pos [1]uint64
+			status, body, answered, err := cc.roundTrip(context.Background(), []byte{'x'}, pos[:], tc.limit, false)
+			if tc.ok {
+				if err != nil || status != tc.status || len(body) != tc.n || pos[0] != 7 || cc.broken {
+					t.Fatalf("reply %d, %d-byte body, pos %d, broken %v, %v; want %d, %d bytes, pos 7, healthy",
+						status, len(body), pos[0], cc.broken, err, tc.status, tc.n)
+				}
+				if err := <-bodyErr; err != nil {
+					t.Fatalf("body write: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrRemote) || !answered || !cc.broken {
+				t.Fatalf("over-bound reply: answered %v, broken %v, err %v; want an answered ErrRemote on a broken connection",
+					answered, cc.broken, err)
+			}
+			if err := <-bodyErr; !errors.Is(err, io.ErrClosedPipe) {
+				t.Fatalf("body write: %v, want io.ErrClosedPipe (the client read none of it)", err)
+			}
+		})
+	}
+}
+
 // TestConnPoolMemberRestart: a member restarted on the same address costs
 // the pool one redial and no failed batch, even without a retry policy.
 func TestConnPoolMemberRestart(t *testing.T) {
@@ -685,7 +746,8 @@ func TestExchangeGetAllocFree(t *testing.T) {
 	var reply bytes.Buffer
 	bw.Reset(&reply)
 	run()
-	status, _, _, err := readReplyHeader(bufio.NewReader(&reply))
+	var pos [1]uint64
+	status, _, err := readReply(bufio.NewReader(&reply), pos[:], wireHeaderSize+MaxWirePayload, nil)
 	if err != nil || status != http.StatusOK {
 		t.Fatalf("reply status %d, %v", status, err)
 	}

@@ -1,14 +1,11 @@
 package tabled
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -55,14 +52,9 @@ import (
 type FollowerOptions struct {
 	// Source is the primary's base URL, e.g. "http://10.0.0.7:8081".
 	Source string
-	// HTTPClient fetches the reseed snapshot (nil → the shared pooled
-	// default). Pulls ride their own upgraded connection.
-	HTTPClient *http.Client
 	// PollWait is the server-side long-poll window requested per pull
 	// (0 → DefaultReplWait).
 	PollWait time.Duration
-	// MaxBytes caps one pull's frame payload (0 → DefaultReplMaxBytes).
-	MaxBytes int
 	// Retry paces re-pulls after transient failures (nil → a default
 	// unbounded-attempt policy; divergence is permanent regardless).
 	Retry *retry.Policy
@@ -86,14 +78,8 @@ type FollowerOptions struct {
 // NewFollower builds a follower resuming from applied — the record count
 // the local WAL replayed at boot.
 func NewFollower(b Backend[string], wal *WAL, applied uint64, opt FollowerOptions) *Follower {
-	if opt.HTTPClient == nil {
-		opt.HTTPClient = defaultHTTPClient
-	}
 	if opt.PollWait <= 0 {
 		opt.PollWait = DefaultReplWait
-	}
-	if opt.MaxBytes <= 0 {
-		opt.MaxBytes = DefaultReplMaxBytes
 	}
 	if opt.Retry == nil {
 		opt.Retry = &retry.Policy{Base: 100 * time.Millisecond, Max: 2 * time.Second, MaxAttempts: -1}
@@ -124,11 +110,8 @@ type Follower struct {
 	// not match the WAL cut. Exposed via GuardInstall.
 	installMu sync.Mutex
 
-	// The pull connection and its buffers, used by the Run goroutine
-	// alone.
-	conn net.Conn
-	br   *bufio.Reader
-	body []byte
+	// The pull connection, used by the Run goroutine alone.
+	conn *clientConn
 
 	mu      sync.Mutex
 	err     error              // sticky divergence/apply failure
@@ -214,7 +197,7 @@ func (f *Follower) Run(ctx context.Context) {
 	f.mu.Unlock()
 	defer close(f.stopped)
 	defer cancel()
-	defer f.closeConn()
+	defer func() { f.conn.close() }()
 	err := f.opt.Retry.Do(ctx, func(ctx context.Context) error {
 		for {
 			if err := f.pullOnce(ctx); err != nil {
@@ -249,8 +232,7 @@ func (f *Follower) pullOnce(ctx context.Context) error {
 	localEpoch := f.wal.Epoch()
 	rep, err := f.exchange(ctx, from, localEpoch)
 	if err != nil {
-		f.closeConn() // the stream state is unknown: the next pull redials
-		return err
+		return err // the connection is broken: the next pull redials
 	}
 	f.opt.Metrics.replPull(rep.status)
 	// An epoch behind ours means the source was never promoted past our
@@ -330,7 +312,7 @@ func (f *Follower) pullOnce(ctx context.Context) error {
 		// is a transport fault: records before the tear are applied and
 		// position-advanced, so a plain retry on a fresh connection
 		// resumes exactly after them.
-		f.closeConn()
+		f.conn.close()
 		return err
 	}
 	return nil
@@ -346,56 +328,34 @@ func statusText(code int) string {
 // follower waits for a reply before it gives the connection up as dead.
 const replReplySlack = 10 * time.Second
 
+// maxPullReply bounds a 200 pull reply's frames. The primary caps them
+// at DefaultReplMaxBytes except when a single record is larger, so it
+// allows one max-size frame of slack.
+const maxPullReply = DefaultReplMaxBytes + extarray.MaxFramePayload + 16
+
 // exchange sends one pull request on the follower's connection, dialing
-// one if it has none, and reads the reply (docs/WIRE.md §8). Its frames
-// alias the follower's buffer until the next exchange. Any error leaves
-// the connection in an unknown state; the caller closes it.
+// one if it has none or it broke, and reads the reply (docs/WIRE.md §8).
+// Its frames alias the connection's buffer until the next exchange. Any
+// error leaves the connection broken.
 func (f *Follower) exchange(ctx context.Context, from, epoch uint64) (rep replReply, err error) {
-	if f.conn == nil {
-		if f.conn, f.br, err = dialUpgrade(ctx, f.opt.Source, ReplConnPath, ReplConnProtocol); err != nil {
+	if f.conn == nil || f.conn.broken {
+		if f.conn, err = dialUpgrade(ctx, f.opt.Source, ReplConnPath, ReplConnProtocol); err != nil {
 			return rep, err
 		}
 	}
-	c := f.conn
-	c.SetDeadline(time.Now().Add(f.opt.PollWait + replReplySlack))
-	stop := context.AfterFunc(ctx, func() { c.SetDeadline(aLongTimeAgo) })
-	defer func() {
-		if !stop() && err != nil {
-			err = ctx.Err()
-		}
-	}()
+	f.conn.c.SetDeadline(time.Now().Add(f.opt.PollWait + replReplySlack))
 	var req [4 * binary.MaxVarintLen64]byte
-	if _, err := c.Write(appendPullRequest(req[:0], from, epoch, f.opt.PollWait, f.opt.MaxBytes)); err != nil {
+	var hdr [3]uint64 // next, committed, epoch
+	pull := appendPullRequest(req[:0], from, epoch, f.opt.PollWait, DefaultReplMaxBytes)
+	status, body, _, err := f.conn.roundTrip(ctx, pull, hdr[:], maxPullReply, true)
+	if err != nil {
 		return rep, fmt.Errorf("tabled: repl pull from %s: %w", f.opt.Source, err)
 	}
-	var hdr [5]uint64 // status, next, committed, epoch, body length
-	for i := range hdr {
-		if hdr[i], err = binary.ReadUvarint(f.br); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return rep, fmt.Errorf("tabled: repl pull from %s: %w", f.opt.Source, err)
-		}
-	}
-	rep = replReply{status: int(hdr[0]), next: hdr[1], committed: hdr[2], epoch: hdr[3]}
-	// The primary caps frames at MaxBytes except when a single record is
-	// larger, so allow one max-size frame of slack.
-	limit := uint64(f.opt.MaxBytes) + extarray.MaxFramePayload + 16
-	if rep.status != http.StatusOK {
-		limit = maxRefusal
-	}
-	if hdr[4] > limit {
-		return rep, fmt.Errorf("%w: repl pull from %s: status %d with a %d-byte body",
-			ErrRemote, f.opt.Source, rep.status, hdr[4])
-	}
-	f.body = grow(f.body, int(hdr[4]))
-	if _, err := io.ReadFull(f.br, f.body); err != nil {
-		return rep, fmt.Errorf("tabled: repl pull from %s: reading body: %w", f.opt.Source, err)
-	}
-	if rep.status == http.StatusOK {
-		rep.frames = f.body
+	rep = replReply{status: status, next: hdr[0], committed: hdr[1], epoch: hdr[2]}
+	if status == http.StatusOK {
+		rep.frames = body
 	} else {
-		rep.msg = string(f.body)
+		rep.msg = string(body)
 	}
 	return rep, nil
 }
@@ -408,14 +368,6 @@ func appendPullRequest(dst []byte, from, epoch uint64, wait time.Duration, maxBy
 	dst = binary.AppendUvarint(dst, epoch)
 	dst = binary.AppendUvarint(dst, uint64(wait/time.Millisecond))
 	return binary.AppendUvarint(dst, uint64(maxBytes))
-}
-
-// closeConn closes the follower's connection, if any.
-func (f *Follower) closeConn() {
-	if f.conn != nil {
-		f.conn.Close()
-		f.conn, f.br = nil, nil
-	}
 }
 
 // Promote executes the follower → primary transition: stop the pull

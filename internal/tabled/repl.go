@@ -202,20 +202,7 @@ func (rp *Repl) handleConn(w http.ResponseWriter, r *http.Request, rt *obs.Route
 		return // Upgrade answered the request
 	}
 	defer uc.Close()
-	for uc.Idle() {
-		if _, err := uc.R.Peek(1); err != nil {
-			return // closed by the follower, reaped, or drained
-		}
-		if !uc.Busy() {
-			return
-		}
-		if !rp.exchange(uc.Context(), uc.R, uc.W, rt, r.RemoteAddr) {
-			return
-		}
-		if err := uc.W.Flush(); err != nil {
-			return
-		}
-	}
+	uc.Serve(func() bool { return rp.exchange(uc.Context(), uc.R, uc.W, rt, r.RemoteAddr) })
 }
 
 // A replReply is the answer to one pull (docs/WIRE.md §8): the status, the
@@ -251,19 +238,9 @@ func (rp *Repl) exchange(ctx context.Context, br *bufio.Reader, bw *bufio.Writer
 		maxBytes = int(min(req[3], maxReplMaxBytes))
 	}
 	rep := rp.pull(ctx, req[0], req[1], wait, maxBytes)
-	body := rep.frames
-	if rep.status != http.StatusOK {
-		body = []byte(rep.msg)
-	}
-	var hdr [5 * binary.MaxVarintLen64]byte
-	b := binary.AppendUvarint(hdr[:0], uint64(rep.status))
-	b = binary.AppendUvarint(b, rep.next)
-	b = binary.AppendUvarint(b, rep.committed)
-	b = binary.AppendUvarint(b, rep.epoch)
-	b = binary.AppendUvarint(b, uint64(len(body)))
-	bw.Write(b)
-	bw.Write(body)
-	rt.Observe(ctx, exchangeMethod, ReplFramesPath, remote, rep.status, int64(len(body)), time.Since(start))
+	fields := [3]uint64{rep.next, rep.committed, rep.epoch}
+	n := writeReply(bw, rep.status, fields[:], rep.frames, rep.msg)
+	rt.Observe(ctx, exchangeMethod, ReplFramesPath, remote, rep.status, int64(n), time.Since(start))
 	return true
 }
 

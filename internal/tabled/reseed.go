@@ -137,7 +137,7 @@ func (f *Follower) fetchSnapshot(ctx context.Context) (body []byte, seq, epoch u
 		if err != nil {
 			return body, 0, 0, retry.Permanent(err)
 		}
-		resp, err := f.opt.HTTPClient.Do(req)
+		resp, err := defaultHTTPClient.Do(req)
 		if err != nil {
 			lastErr = err
 			continue

@@ -313,15 +313,14 @@ type BatchBuf struct {
 }
 
 // wireScratch is the per-request buffer bundle the node's batch path
-// reuses through wirePool: the request's BatchBuf plus the exchange
-// envelope and the backend call buffers. One request (or one upgraded
+// reuses through wirePool: the request's BatchBuf plus the exchange's
+// idempotency key and the backend call buffers. One request (or one upgraded
 // connection, for all its exchanges) borrows exactly one scratch, so
 // steady-state binary batches allocate nothing beyond the values they
 // store.
 type wireScratch struct {
 	BatchBuf
 	key   []byte // exchange idempotency key
-	env   []byte // exchange reply envelope
 	cells []Cell[string]
 	keys  []Pos
 	errs  []error
