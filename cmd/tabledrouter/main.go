@@ -200,10 +200,9 @@ func run() int {
 		srvkit.MountPprof(mux)
 	}
 
-	for _, n := range spec.Nodes {
+	for i, n := range spec.Nodes {
 		logger.Info("member", "node", n.Name, "base", n.Base, "replica", n.Replica,
-			"lo", n.Lo, "hi", n.Hi,
-			"state", rt.Health().State(indexOf(spec, n.Name)).String())
+			"lo", n.Lo, "hi", n.Hi, "state", rt.Health().State(i).String())
 	}
 	logger.Info("routing", "addr", *addr, "mapping", spec.Mapping, "nodes", len(spec.Nodes),
 		"retries", *retries, "rate", *rate,
@@ -217,13 +216,4 @@ func run() int {
 		Background:   bg,
 	}
 	return lc.Run(context.Background())
-}
-
-func indexOf(spec *cluster.Spec, name string) int {
-	for i := range spec.Nodes {
-		if spec.Nodes[i].Name == name {
-			return i
-		}
-	}
-	return 0
 }

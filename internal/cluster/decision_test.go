@@ -40,14 +40,12 @@ func TestCallNodeDecisionTable(t *testing.T) {
 		return rt
 	}
 	observe := func(rt *Router, pri State, fenced bool, rep State, promoted bool) {
-		h := rt.Health()
-		h.states[0].Store(int32(pri))
-		h.repStates[0].Store(int32(rep))
-		h.repPromoted[0].Store(promoted)
-		h.priEpochs[0].Store(1) // epoch 0 observed
-		h.maxEpochs[0].Store(0)
+		p := &rt.Health().pairs[0]
+		p.pri.Store(&observation{state: pri, hasEpoch: true}) // epoch 0 observed
+		p.rep.Store(&observation{state: rep, promoted: promoted})
+		p.max.Store(0)
 		if fenced {
-			h.maxEpochs[0].Store(1)
+			p.max.Store(1)
 		}
 	}
 	// check fails the test unless an op's result matches want: either

@@ -29,6 +29,9 @@
 // caches instead of double-applying. An active health checker (health.go)
 // routes around trouble: degraded (read-only) members keep serving reads
 // while their writes fail fast with a typed error, down members fail fast
-// entirely. A sliding-window per-client Limiter (limiter.go) guards the
-// front door.
+// entirely. It keeps one immutable observation per member endpoint
+// (state, promoted role, epoch, lag), replaced whole by each probe, plus
+// each pair's max-epoch latch, which fences a stale primary and survives
+// a spec reload that keeps the pair. A sliding-window per-client Limiter
+// (limiter.go) guards the front door.
 package cluster

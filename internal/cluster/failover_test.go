@@ -146,8 +146,8 @@ func TestFailoverReadEquivalence(t *testing.T) {
 	}
 	resp.Body.Close()
 	rt.Health().CheckNow(ctx)
-	if !rt.Health().ReplicaPromoted(0) || rt.Health().ReplicaState(0) != StateHealthy {
-		t.Fatalf("checker: promoted=%v state=%v", rt.Health().ReplicaPromoted(0), rt.Health().ReplicaState(0))
+	if _, rep, _ := rt.health.view(0); !rep.promoted || rep.state != StateHealthy {
+		t.Fatalf("checker: promoted=%v state=%v", rep.promoted, rep.state)
 	}
 
 	got := rt.Execute(ctx, reads, "")
@@ -196,8 +196,8 @@ func TestUnpromotedReplicaServesReadsOnly(t *testing.T) {
 	pair.waitCaughtUp(t)
 	pair.primary.Close()
 	rt.Health().CheckNow(ctx)
-	if rt.Health().State(0) != StateDown || rt.Health().ReplicaPromoted(0) {
-		t.Fatalf("states: primary=%v promoted=%v", rt.Health().State(0), rt.Health().ReplicaPromoted(0))
+	if pri, rep, _ := rt.health.view(0); pri.state != StateDown || rep.promoted {
+		t.Fatalf("states: primary=%v promoted=%v", pri.state, rep.promoted)
 	}
 
 	res = rt.Execute(ctx, []tabled.Op{
@@ -331,6 +331,58 @@ func TestReloadKeepsWrittenPositions(t *testing.T) {
 	if r := rl.Router().Execute(ctx, []tabled.Op{{Op: "get", X: 3, Y: 3}}, ""); r[0].V != "acked" {
 		t.Fatalf("read after reload = %+v, want the acknowledged write", r[0])
 	}
+}
+
+// TestReloadKeepsEpochLatch: a reload that keeps a pair keeps its fence.
+// The promoted replica (epoch 3) goes down while the stale primary
+// (epoch 0) stays healthy, so no live member reports epoch 3 any more.
+// After a reload that only moves a range boundary, the new checker still
+// fences the primary on the latched 3. Naming another replica for the
+// node starts a fresh latch: the operator's way to clear a fence.
+func TestReloadKeepsEpochLatch(t *testing.T) {
+	pri, rep, rep2 := newFakeMember(t), newFakeMember(t), newFakeMember(t)
+	pri.status.Store(`{"role":"primary","epoch":0}`)
+	rep.status.Store(`{"role":"primary","epoch":3}`)
+	rep2.status.Store(`{"role":"follower","epoch":0}`)
+	path := filepath.Join(t.TempDir(), "spec.json")
+	writeSpec := func(hi int64, replica string) {
+		t.Helper()
+		spec := fmt.Sprintf(`{"mapping":"diagonal","nodes":[{"name":"n0","base":%q,"replica":%q,"lo":1,"hi":%d}]}`,
+			pri.srv.URL, replica, hi)
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeSpec(1<<40, rep.srv.URL)
+	rl, err := NewReloader(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rl.Router().Close() })
+	ctx := context.Background()
+	check := func(stage string, wantMax uint64, wantFenced bool) {
+		t.Helper()
+		pri, _, maxEpoch := rl.Router().health.view(0)
+		if maxEpoch != wantMax || pri.fencedBy(maxEpoch) != wantFenced {
+			t.Fatalf("%s: max epoch %d fenced %v, want %d %v",
+				stage, maxEpoch, pri.fencedBy(maxEpoch), wantMax, wantFenced)
+		}
+	}
+	rl.Router().Health().CheckNow(ctx)
+	check("before the reload", 3, true)
+
+	rep.mode.Store("down")
+	writeSpec(1<<41, rep.srv.URL)
+	if err := rl.Reload(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("after a boundary-only reload", 3, true)
+
+	writeSpec(1<<41, rep2.srv.URL)
+	if err := rl.Reload(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("after the replica was replaced", 0, false)
 }
 
 // TestJitteredInterval: every draw stays inside [interval/2, 3·interval/2)

@@ -224,26 +224,23 @@ func New(spec *Spec, opt Options) (*Router, error) {
 	return r, nil
 }
 
-// inheritPositions shares old's written positions for every primary both
-// specs name, so writes old acknowledged — including ones still in flight
-// — keep gating replica reads after a reload.
-func (r *Router) inheritPositions(old *Router) {
+// inherit shares old's cells with r before r's checker first runs: the
+// written position of every primary both specs name, so writes old
+// acknowledged — including ones still in flight — keep gating replica
+// reads, and the max-epoch latch of every pair both specs keep (same
+// primary and same replica), so a reload opens no unfenced window. A pair
+// whose spec entry was amended starts a fresh latch: that is how an
+// operator clears a fence.
+func (r *Router) inherit(old *Router) {
 	for i, n := range r.spec.Nodes {
 		for j, o := range old.spec.Nodes {
-			if o.Base == n.Base {
-				r.written[i] = old.written[j]
+			if o.Base != n.Base {
+				continue
 			}
-		}
-	}
-}
-
-// noteWritten raises node n's written position to pos.
-func (r *Router) noteWritten(n int, pos uint64) {
-	w := r.written[n]
-	for {
-		cur := w.Load()
-		if pos <= cur || w.CompareAndSwap(cur, pos) {
-			return
+			r.written[i] = old.written[j]
+			if o.Replica == n.Replica {
+				r.health.pairs[i].max = old.health.pairs[j].max
+			}
 		}
 	}
 }
@@ -372,26 +369,23 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 	res := make([]tabled.OpResult, len(sub))
 	client := r.pools[n]
 	readsOnly, readOnlyErr := false, ""
-	st := r.health.State(n)
+	pri, rep, maxEpoch := r.health.view(n)
+	st := pri.state
 	replicaRead := false
-	if fenced := r.health.PrimaryFenced(n) && st != StateDown; fenced || st != StateHealthy {
+	if fenced := pri.fencedBy(maxEpoch) && st != StateDown; fenced || st != StateHealthy {
 		var fencedErr string
 		if fenced {
-			priEpoch, _ := r.health.Epoch(n)
-			fencedErr = nodeFencedErr(name, priEpoch, r.health.MaxEpoch(n))
+			fencedErr = nodeFencedErr(name, pri.epoch, maxEpoch)
 		}
+		// Without a replica, rep keeps its Down boot observation.
 		repl := r.rpools[n]
-		repSt := StateDown
-		if repl != nil {
-			repSt = r.health.ReplicaState(n)
-		}
 		switch {
-		case repSt == StateHealthy && r.health.ReplicaPromoted(n):
+		case rep.state == StateHealthy && rep.promoted:
 			// The follower was explicitly promoted and answers writable:
 			// the whole range fails over, and a stale primary gets nothing.
 			client = repl
 			r.m.failover()
-		case repSt != StateDown:
+		case rep.state != StateDown:
 			// A live but unpromoted (or read-only) replica serves the
 			// reads. Writes wait for an operator promotion; a fenced
 			// range refuses them rather than route them to either a
@@ -429,8 +423,7 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 		// writes, always take the primary — one node answers, so a batch
 		// reads its own writes.
 		if repl := r.rpools[n]; repl != nil && allGets(sub) &&
-			r.health.ReplicaState(n) != StateDown && !r.health.ReplicaPromoted(n) &&
-			r.health.ReplicaLag(n) <= r.replicaReadMaxLag {
+			rep.state != StateDown && !rep.promoted && rep.lag <= r.replicaReadMaxLag {
 			client = repl
 			replicaRead = true
 		}
@@ -477,7 +470,7 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 	got, pos, err := client.Exchange(ctx, send, nodeKey(key, name, len(send)), 0)
 	r.m.nodeBatch(n, len(send), time.Since(t0), err != nil)
 	if pos > 0 && client == r.pools[n] {
-		r.noteWritten(n, pos)
+		latchMax(r.written[n], pos)
 	}
 	if err != nil {
 		if r.logger != nil {
@@ -603,12 +596,13 @@ func (r *Router) Status() StatusReply {
 	reply := StatusReply{Mapping: r.spec.Mapping, Nodes: make([]NodeStatus, len(r.spec.Nodes))}
 	for n := range r.spec.Nodes {
 		ops, errs, bounds, counts := r.m.nodeSnapshot(n)
+		pri, rep, maxEpoch := r.health.view(n)
 		reply.Nodes[n] = NodeStatus{
 			Name:          r.spec.Nodes[n].Name,
 			Base:          r.spec.Nodes[n].Base,
 			Lo:            r.spec.Nodes[n].Lo,
 			Hi:            r.spec.Nodes[n].Hi,
-			State:         r.health.State(n).String(),
+			State:         pri.state.String(),
 			Replica:       r.spec.Nodes[n].Replica,
 			Ops:           ops,
 			Errors:        errs,
@@ -619,17 +613,14 @@ func (r *Router) Status() StatusReply {
 			LatencyCounts: counts,
 		}
 		if r.spec.Nodes[n].Replica != "" {
-			reply.Nodes[n].ReplicaState = r.health.ReplicaState(n).String()
-			reply.Nodes[n].ReplicaPromoted = r.health.ReplicaPromoted(n)
-			if e, ok := r.health.Epoch(n); ok {
-				reply.Nodes[n].Epoch = e
-			}
-			if e, ok := r.health.ReplicaEpoch(n); ok {
-				reply.Nodes[n].ReplicaEpoch = e
-			}
-			reply.Nodes[n].MaxEpoch = r.health.MaxEpoch(n)
-			reply.Nodes[n].Fenced = r.health.PrimaryFenced(n)
-			reply.Nodes[n].ReplicaLag = r.health.ReplicaLag(n)
+			// An epoch never observed reads 0 and is omitted.
+			reply.Nodes[n].ReplicaState = rep.state.String()
+			reply.Nodes[n].ReplicaPromoted = rep.promoted
+			reply.Nodes[n].Epoch = pri.epoch
+			reply.Nodes[n].ReplicaEpoch = rep.epoch
+			reply.Nodes[n].MaxEpoch = maxEpoch
+			reply.Nodes[n].Fenced = pri.fencedBy(maxEpoch)
+			reply.Nodes[n].ReplicaLag = rep.lag
 		}
 	}
 	return reply

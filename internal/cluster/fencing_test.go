@@ -51,17 +51,16 @@ func TestFencedPrimaryFailsOver(t *testing.T) {
 		}
 	}
 	pair.waitCaughtUp(t)
-	if e, ok := rt.Health().Epoch(0); !ok || e != 0 || rt.Health().MaxEpoch(0) != 0 {
-		t.Fatalf("pre-fork epochs = %d (ok=%v) / %d", e, ok, rt.Health().MaxEpoch(0))
+	if pri, _, maxEpoch := rt.health.view(0); !pri.hasEpoch || pri.epoch != 0 || maxEpoch != 0 {
+		t.Fatalf("pre-fork epochs = %d (ok=%v) / %d", pri.epoch, pri.hasEpoch, maxEpoch)
 	}
 
 	// The operator promotes the follower; the old primary is not dead,
 	// just cut off from the operator's view — the classic fencing hazard.
 	promote(t, pair.follower.URL)
 	rt.Health().CheckNow(ctx)
-	if !rt.Health().PrimaryFenced(0) {
-		e, _ := rt.Health().Epoch(0)
-		t.Fatalf("primary not fenced: epoch %d, max %d", e, rt.Health().MaxEpoch(0))
+	if pri, _, maxEpoch := rt.health.view(0); !pri.fencedBy(maxEpoch) {
+		t.Fatalf("primary not fenced: epoch %d, max %d", pri.epoch, maxEpoch)
 	}
 
 	// Writes flow — to the promoted replica, never the stale primary.
@@ -106,7 +105,7 @@ func TestFencedPrimaryNoReplicaIs409(t *testing.T) {
 	pair.follower.Close()
 	rt.Health().CheckNow(ctx) // replica now down; fencing must persist
 
-	if !rt.Health().PrimaryFenced(0) {
+	if pri, _, maxEpoch := rt.health.view(0); !pri.fencedBy(maxEpoch) {
 		t.Fatal("fencing lost when the promoted node went down")
 	}
 	res := rt.Execute(ctx, []tabled.Op{
@@ -165,8 +164,8 @@ func TestReplicaReads(t *testing.T) {
 	pair.waitCaughtUp(t)
 	rt.Health().CheckNow(ctx) // observe zero lag
 
-	if lag := rt.Health().ReplicaLag(0); lag != 0 {
-		t.Fatalf("caught-up replica lag = %d", lag)
+	if _, rep, _ := rt.health.view(0); rep.lag != 0 {
+		t.Fatalf("caught-up replica lag = %d", rep.lag)
 	}
 	before := rt.m.repReads.Value()
 	got := rt.Execute(ctx, reads, "")
@@ -222,8 +221,8 @@ func TestReplicaReadsSeeOwnWrites(t *testing.T) {
 	rt.Health().CheckNow(ctx)
 	pair.stopPull()
 	rt.Health().CheckNow(ctx)
-	if lag := rt.Health().ReplicaLag(0); lag != 0 {
-		t.Fatalf("stopped replica reported lag %d, want the stale 0", lag)
+	if _, rep, _ := rt.health.view(0); rep.lag != 0 {
+		t.Fatalf("stopped replica reported lag %d, want the stale 0", rep.lag)
 	}
 
 	var writes, reads []tabled.Op
@@ -293,11 +292,16 @@ func TestReplicaReadsLagGate(t *testing.T) {
 	if n := offloads(); n != 1 {
 		t.Fatalf("caught-up replica offloaded %d reads, want 1", n)
 	}
-	rt.health.repLags[0].Store(6) // one past the threshold
+	setLag := func(lag uint64) {
+		o := *rt.health.pairs[0].rep.Load()
+		o.lag = lag
+		rt.health.pairs[0].rep.Store(&o)
+	}
+	setLag(6) // one past the threshold
 	if n := offloads(); n != 0 {
 		t.Fatalf("lagging replica offloaded %d reads, want 0", n)
 	}
-	rt.health.repLags[0].Store(5) // exactly at the threshold
+	setLag(5) // exactly at the threshold
 	if n := offloads(); n != 1 {
 		t.Fatalf("at-threshold replica offloaded %d reads, want 1", n)
 	}

@@ -46,18 +46,25 @@ const DefaultHealthInterval = 500 * time.Millisecond
 // DefaultHealthTimeout bounds one probe request.
 const DefaultHealthTimeout = 2 * time.Second
 
-// A Checker actively polls every member's /readyz and publishes a State
-// per node for the router's routing decisions. States start Healthy
-// (optimistic, so a router booted before its checker's first sweep does
-// not refuse traffic); call CheckNow once at boot for an immediate
-// baseline.
+// A Checker actively polls every member and publishes, per node, one
+// observation of its primary and one of its replica for the router's
+// routing decisions. An observation is immutable once published: each
+// probe builds a new one and stores it with one pointer store, so a
+// reader never sees fields from two different sweeps.
 //
-// Nodes with a replica get two extra probes per sweep: the replica's
-// /readyz (a live follower is read-only, so it normally reads degraded)
-// and its /v1/repl/status, whose role field is the promotion signal — a
-// follower that answered role "primary" takes writes. Replica states
-// start Down, not Healthy: a replica is a fallback, and falling back to
-// an unverified one is worse than failing fast.
+// Primaries start Healthy (optimistic, so a router booted before its
+// checker's first sweep does not refuse traffic); call CheckNow once at
+// boot for an immediate baseline. Replicas start Down: a replica is a
+// fallback, and falling back to an unverified one is worse than failing
+// fast.
+//
+// Each node also keeps its pair's max-epoch latch: the highest epoch
+// either member ever reported. It never decreases, and that monotonicity
+// is the fencing invariant: once a promotion at epoch E is observed, a
+// primary reporting < E is a stale restarted ex-primary, and the router
+// keeps writes away from it even though its /readyz answers healthy. A
+// Reloader hands the latch on to the next router's checker for every pair
+// the new spec keeps.
 type Checker struct {
 	spec     *Spec
 	interval time.Duration
@@ -65,23 +72,36 @@ type Checker struct {
 	httpc    *http.Client
 	logger   *slog.Logger
 	m        *Metrics
-	states   []atomic.Int32
-	// Replica observations, indexed like states; unused (Down/false)
-	// where the node has no replica.
-	repStates   []atomic.Int32
-	repPromoted []atomic.Bool
-	// Epoch observations (replicated nodes only). priEpochs/repEpochs
-	// store epoch+1 so zero means "never observed"; maxEpochs latches the
-	// highest raw epoch ever seen from EITHER member of the pair and never
-	// decreases — that monotonicity is the fencing invariant: once a
-	// promotion at epoch E is observed, a member reporting < E is a stale
-	// restarted primary and PrimaryFenced keeps writes away from it even
-	// though its /readyz answers healthy.
-	priEpochs []atomic.Uint64
-	repEpochs []atomic.Uint64
-	maxEpochs []atomic.Uint64
-	repLags   []atomic.Uint64
+	pairs    []pair // indexed like spec.Nodes
 }
+
+// A pair is one node's last observed primary and replica (the replica
+// stays at its Down boot value when the node has none) and the pair's
+// max-epoch latch, a cell shared with the checker this one replaced when
+// the spec kept the pair.
+type pair struct {
+	pri, rep atomic.Pointer[observation]
+	max      *atomic.Uint64
+}
+
+// An observation is what one probe saw of one endpoint. Fields the probe
+// did not refresh carry over from the previous observation: a down
+// primary keeps its last epoch, and a down replica reads not promoted but
+// keeps its epoch and lag.
+type observation struct {
+	state    State
+	promoted bool // /v1/repl/status answered role "primary"
+	hasEpoch bool // epoch was observed at least once
+	epoch    uint64
+	lag      uint64 // records behind the source's committed horizon
+}
+
+// fencedBy reports whether the endpoint is fenced under its pair's max
+// epoch: its own epoch has been observed, and so has a promotion it
+// predates. A fenced primary never receives writes from the router,
+// however healthy its /readyz looks; the promoted replica owns the range
+// until the spec (or the stale node) is fixed.
+func (o *observation) fencedBy(maxEpoch uint64) bool { return o.hasEpoch && o.epoch < maxEpoch }
 
 // CheckerOptions configures NewChecker; zero values select defaults.
 type CheckerOptions struct {
@@ -109,68 +129,30 @@ func NewChecker(spec *Spec, opt CheckerOptions) *Checker {
 		opt.HTTPClient = http.DefaultClient
 	}
 	c := &Checker{
-		spec:        spec,
-		interval:    opt.Interval,
-		timeout:     opt.Timeout,
-		httpc:       opt.HTTPClient,
-		logger:      opt.Logger,
-		m:           opt.Metrics,
-		states:      make([]atomic.Int32, len(spec.Nodes)),
-		repStates:   make([]atomic.Int32, len(spec.Nodes)),
-		repPromoted: make([]atomic.Bool, len(spec.Nodes)),
-		priEpochs:   make([]atomic.Uint64, len(spec.Nodes)),
-		repEpochs:   make([]atomic.Uint64, len(spec.Nodes)),
-		maxEpochs:   make([]atomic.Uint64, len(spec.Nodes)),
-		repLags:     make([]atomic.Uint64, len(spec.Nodes)),
+		spec:     spec,
+		interval: opt.Interval,
+		timeout:  opt.Timeout,
+		httpc:    opt.HTTPClient,
+		logger:   opt.Logger,
+		m:        opt.Metrics,
+		pairs:    make([]pair, len(spec.Nodes)),
 	}
-	for i := range c.repStates {
-		c.repStates[i].Store(int32(StateDown))
+	for i := range c.pairs {
+		c.pairs[i].pri.Store(&observation{state: StateHealthy})
+		c.pairs[i].rep.Store(&observation{state: StateDown})
+		c.pairs[i].max = new(atomic.Uint64)
 	}
 	return c
 }
 
-// State returns node n's last observed state.
-func (c *Checker) State(n int) State { return State(c.states[n].Load()) }
+// State returns node n's primary's last observed state.
+func (c *Checker) State(n int) State { return c.pairs[n].pri.Load().state }
 
-// ReplicaState returns node n's replica's last observed state (Down when
-// the node has no replica).
-func (c *Checker) ReplicaState(n int) State { return State(c.repStates[n].Load()) }
-
-// ReplicaPromoted reports whether node n's replica last identified itself
-// as a primary on /v1/repl/status — the signal that writes may fail over
-// to it.
-func (c *Checker) ReplicaPromoted(n int) bool { return c.repPromoted[n].Load() }
-
-// Epoch returns node n's primary's last observed replication epoch (ok
-// false when its /v1/repl/status has never answered).
-func (c *Checker) Epoch(n int) (epoch uint64, ok bool) {
-	e := c.priEpochs[n].Load()
-	return e - 1, e > 0
-}
-
-// ReplicaEpoch returns node n's replica's last observed epoch (ok false
-// when never observed).
-func (c *Checker) ReplicaEpoch(n int) (epoch uint64, ok bool) {
-	e := c.repEpochs[n].Load()
-	return e - 1, e > 0
-}
-
-// MaxEpoch returns the highest epoch ever observed from node n's pair.
-func (c *Checker) MaxEpoch(n int) uint64 { return c.maxEpochs[n].Load() }
-
-// ReplicaLag returns node n's replica's last reported record lag behind
-// its source's committed horizon.
-func (c *Checker) ReplicaLag(n int) uint64 { return c.repLags[n].Load() }
-
-// PrimaryFenced reports whether node n's primary is fenced: its epoch has
-// been observed, and a higher epoch exists somewhere in the pair — i.e. a
-// promotion happened that this primary predates. A fenced primary never
-// receives writes from the router, however healthy its /readyz looks; the
-// promoted replica owns the range until the spec (or the stale node) is
-// fixed.
-func (c *Checker) PrimaryFenced(n int) bool {
-	e := c.priEpochs[n].Load()
-	return e > 0 && e-1 < c.maxEpochs[n].Load()
+// view loads node n's last primary and replica observations and its
+// pair's max epoch.
+func (c *Checker) view(n int) (pri, rep *observation, maxEpoch uint64) {
+	p := &c.pairs[n]
+	return p.pri.Load(), p.rep.Load(), p.max.Load()
 }
 
 // latchMax raises a to at least v, monotonically.
@@ -183,23 +165,23 @@ func latchMax(a *atomic.Uint64, v uint64) {
 	}
 }
 
-// FirstHealthy returns the lowest-index healthy node, falling back to the
-// lowest degraded one (it can still answer reads/dims), then to 0 — the
+// FirstHealthy returns the lowest-index node whose primary is healthy and
+// not fenced, falling back to the lowest live one (degraded, or fenced
+// with its replica as callNode's only way to serve), then to 0 — the
 // anycast target must always exist even when everything is down.
 func (c *Checker) FirstHealthy() int {
-	deg := -1
-	for i := range c.states {
-		switch c.State(i) {
-		case StateHealthy:
+	live := -1
+	for i := range c.pairs {
+		pri, _, maxEpoch := c.view(i)
+		switch {
+		case pri.state == StateHealthy && !pri.fencedBy(maxEpoch):
 			return i
-		case StateDegraded:
-			if deg < 0 {
-				deg = i
-			}
+		case pri.state != StateDown && live < 0:
+			live = i
 		}
 	}
-	if deg >= 0 {
-		return deg
+	if live >= 0 {
+		return live
 	}
 	return 0
 }
@@ -210,23 +192,23 @@ func (c *Checker) FirstHealthy() int {
 // (replica promoted)" reads very differently from a dead range.
 func (c *Checker) Summary() (allHealthy bool, detail string) {
 	var bad []string
-	for i := range c.states {
-		st := c.State(i)
-		if st == StateHealthy {
-			if c.PrimaryFenced(i) {
+	for i := range c.pairs {
+		pri, rep, maxEpoch := c.view(i)
+		if pri.state == StateHealthy {
+			if pri.fencedBy(maxEpoch) {
 				// Healthy by probe, but a newer epoch exists: the node is
 				// a stale ex-primary the router refuses writes to.
 				bad = append(bad, fmt.Sprintf("%s fenced (epoch %d < %d)",
-					c.spec.Nodes[i].Name, c.priEpochs[i].Load()-1, c.MaxEpoch(i)))
+					c.spec.Nodes[i].Name, pri.epoch, maxEpoch))
 			}
 			continue
 		}
-		entry := c.spec.Nodes[i].Name + " " + st.String()
+		entry := c.spec.Nodes[i].Name + " " + pri.state.String()
 		if c.spec.Nodes[i].Replica != "" {
-			switch rst := c.ReplicaState(i); {
-			case c.ReplicaPromoted(i) && rst != StateDown:
+			switch {
+			case rep.promoted && rep.state != StateDown:
 				entry += " (replica promoted)"
-			case rst != StateDown:
+			case rep.state != StateDown:
 				entry += " (replica serving reads)"
 			default:
 				entry += " (replica down)"
@@ -240,99 +222,67 @@ func (c *Checker) Summary() (allHealthy bool, detail string) {
 	return false, fmt.Sprintf("%d/%d nodes unhealthy: %s", len(bad), len(c.spec.Nodes), strings.Join(bad, ", "))
 }
 
-// CheckNow probes every member (and every configured replica) once,
-// concurrently, and publishes the observed states before returning.
+// CheckNow probes every member and every configured replica once,
+// concurrently, each through the same routine (check), and publishes one
+// new observation per endpoint before returning.
 func (c *Checker) CheckNow(ctx context.Context) {
 	var wg sync.WaitGroup
-	for i := range c.spec.Nodes {
+	check := func(i int, replica bool) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			st := c.probe(ctx, c.spec.Nodes[i].Base)
-			old := State(c.states[i].Swap(int32(st)))
-			if old != st && c.logger != nil {
-				c.logger.Info("cluster: node state change",
-					"node", c.spec.Nodes[i].Name, "from", old.String(), "to", st.String())
-			}
-			c.m.nodeState(i, st)
-			// Epoch observation (replicated ranges only): the primary's
-			// epoch vs. the pair's latched maximum is the fencing input.
-			if c.spec.Nodes[i].Replica == "" || st == StateDown {
-				return
-			}
-			if rs, ok := c.probeStatus(ctx, c.spec.Nodes[i].Base); ok {
-				wasFenced := c.PrimaryFenced(i)
-				c.priEpochs[i].Store(rs.Epoch + 1)
-				latchMax(&c.maxEpochs[i], rs.Epoch)
-				fenced := c.PrimaryFenced(i)
-				if fenced != wasFenced && c.logger != nil {
-					c.logger.Warn("cluster: primary fencing change",
-						"node", c.spec.Nodes[i].Name, "fenced", fenced,
-						"epoch", rs.Epoch, "max_epoch", c.MaxEpoch(i))
-				}
-				c.m.nodeEpoch(i, rs.Epoch, fenced)
-			}
-		}(i)
-		if c.spec.Nodes[i].Replica == "" {
-			continue
+			c.check(ctx, i, replica)
+		}()
+	}
+	for i, n := range c.spec.Nodes {
+		check(i, false)
+		if n.Replica != "" {
+			check(i, true)
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rep := c.spec.Nodes[i].Replica
-			st := c.probe(ctx, rep)
-			promoted := false
-			if st != StateDown {
-				if rs, ok := c.probeStatus(ctx, rep); ok {
-					promoted = rs.Role == "primary"
-					c.repEpochs[i].Store(rs.Epoch + 1)
-					c.repLags[i].Store(rs.Lag)
-					latchMax(&c.maxEpochs[i], rs.Epoch)
-					c.m.replicaEpoch(i, rs.Epoch, rs.Lag)
-				}
-			}
-			old := State(c.repStates[i].Swap(int32(st)))
-			oldProm := c.repPromoted[i].Swap(promoted)
-			if (old != st || oldProm != promoted) && c.logger != nil {
-				c.logger.Info("cluster: replica state change",
-					"node", c.spec.Nodes[i].Name, "from", old.String(), "to", st.String(),
-					"promoted", promoted)
-			}
-			c.m.replicaState(i, st, promoted)
-		}(i)
 	}
 	wg.Wait()
 	c.m.healthSweep()
 }
 
-// probe classifies one server from its /readyz:
-//
-//	200                         → healthy
-//	503 with a "degraded:" body → degraded (read-only: a tripped WAL
-//	                              volume, or a live follower)
-//	anything else               → down (unreachable, draining, …)
-func (c *Checker) probe(ctx context.Context, base string) State {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/readyz", nil)
-	if err != nil {
-		return StateDown
+// check observes node i's primary, or its replica, publishes the
+// observation, latches the epoch it reported into the pair maximum (the
+// fencing input), and reports what changed to the log and the metrics.
+func (c *Checker) check(ctx context.Context, i int, replica bool) {
+	node, p := &c.spec.Nodes[i], &c.pairs[i]
+	slot, base := &p.pri, node.Base
+	if replica {
+		slot, base = &p.rep, node.Replica
 	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return StateDown
+	old := slot.Load()
+	o, fresh := c.observe(ctx, base, node.Replica != "", old)
+	wasFenced := old.fencedBy(p.max.Load())
+	if fresh {
+		latchMax(p.max, o.epoch)
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		return StateHealthy
-	case resp.StatusCode == http.StatusServiceUnavailable &&
-		strings.HasPrefix(strings.TrimSpace(string(body)), "degraded"):
-		return StateDegraded
-	default:
-		return StateDown
+	slot.Store(o)
+	if replica {
+		if (old.state != o.state || old.promoted != o.promoted) && c.logger != nil {
+			c.logger.Info("cluster: replica state change",
+				"node", node.Name, "from", old.state.String(), "to", o.state.String(),
+				"promoted", o.promoted)
+		}
+		c.m.replica(i, o, fresh)
+		return
 	}
+	if old.state != o.state && c.logger != nil {
+		c.logger.Info("cluster: node state change",
+			"node", node.Name, "from", old.state.String(), "to", o.state.String())
+	}
+	fenced := false
+	if fresh {
+		maxEpoch := p.max.Load()
+		fenced = o.fencedBy(maxEpoch)
+		if fenced != wasFenced && c.logger != nil {
+			c.logger.Warn("cluster: primary fencing change",
+				"node", node.Name, "fenced", fenced, "epoch", o.epoch, "max_epoch", maxEpoch)
+		}
+	}
+	c.m.primary(i, o, fresh, fenced)
 }
 
 // replProbe is the slice of /v1/repl/status the checker consumes.
@@ -342,28 +292,60 @@ type replProbe struct {
 	Lag   uint64 `json:"lag"`
 }
 
-// probeStatus reads a member's /v1/repl/status (ok false on any failure —
-// never guess a promotion or an epoch).
-func (c *Checker) probeStatus(ctx context.Context, base string) (replProbe, bool) {
+// observe probes one endpoint and returns its next observation after
+// prev. Its /readyz classifies the state:
+//
+//	200                         → healthy
+//	503 with a "degraded:" body → degraded (read-only: a tripped WAL
+//	                              volume, or a live follower)
+//	anything else               → down (unreachable, draining, …)
+//
+// A live endpoint of a replicated node is then asked its role, epoch and
+// lag on /v1/repl/status; fresh reports that it answered. Without an
+// answer nothing is guessed: promoted reads false, and the epoch and lag
+// carry over from prev.
+func (c *Checker) observe(ctx context.Context, base string, replicated bool, prev *observation) (o *observation, fresh bool) {
+	o = &observation{hasEpoch: prev.hasEpoch, epoch: prev.epoch, lag: prev.lag}
+	code, body, err := c.fetch(ctx, base+"/readyz", 256)
+	switch {
+	case err == nil && code == http.StatusOK:
+		o.state = StateHealthy
+	case err == nil && code == http.StatusServiceUnavailable &&
+		strings.HasPrefix(strings.TrimSpace(string(body)), "degraded"):
+		o.state = StateDegraded
+	default:
+		o.state = StateDown
+	}
+	if !replicated || o.state == StateDown {
+		return o, false
+	}
+	var rs replProbe
+	code, body, err = c.fetch(ctx, base+"/v1/repl/status", 4096)
+	if err != nil || code != http.StatusOK || json.Unmarshal(body, &rs) != nil {
+		return o, false
+	}
+	o.promoted, o.hasEpoch, o.epoch, o.lag = rs.Role == "primary", true, rs.Epoch, rs.Lag
+	return o, true
+}
+
+// fetch GETs url under the probe timeout and returns the status and at
+// most limit bytes of the body. A failed body read is dropped: observe
+// classifies /readyz by status first, and a cut-short status body fails
+// to decode.
+func (c *Checker) fetch(ctx context.Context, url string, limit int64) (code int, body []byte, err error) {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
-	var st replProbe
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/repl/status", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return st, false
+		return 0, nil, err
 	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		return st, false
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, false
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&st); err != nil {
-		return st, false
-	}
-	return st, true
+	body, _ = io.ReadAll(io.LimitReader(resp.Body, limit))
+	return resp.StatusCode, body, nil
 }
 
 // Run sweeps the members until ctx ends — wire it as a srvkit.Lifecycle

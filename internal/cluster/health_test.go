@@ -6,12 +6,16 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+
+	"pairfn/internal/tabled"
 )
 
 // fakeMember is an httptest server whose /readyz answer is switchable.
+// It answers /v1/repl/status with status once that is set.
 type fakeMember struct {
-	srv  *httptest.Server
-	mode atomic.Value // "healthy" | "degraded" | "down"
+	srv    *httptest.Server
+	mode   atomic.Value // "healthy" | "degraded" | "down"
+	status atomic.Value // a /v1/repl/status JSON body
 }
 
 func newFakeMember(t *testing.T) *fakeMember {
@@ -19,6 +23,10 @@ func newFakeMember(t *testing.T) *fakeMember {
 	m := &fakeMember{}
 	m.mode.Store("healthy")
 	m.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if st, ok := m.status.Load().(string); ok && r.URL.Path == "/v1/repl/status" {
+			w.Write([]byte(st))
+			return
+		}
 		if r.URL.Path != "/readyz" {
 			http.NotFound(w, r)
 			return
@@ -110,5 +118,35 @@ func TestCheckerAllDownFirstHealthyIsZero(t *testing.T) {
 	ok, detail := ck.Summary()
 	if ok || detail == "" {
 		t.Fatalf("Summary = %v %q", ok, detail)
+	}
+}
+
+// TestFirstHealthySkipsFencedPrimary: the anycast target is a healthy,
+// unfenced primary. A healthy node fenced by a promotion it predates,
+// whose replica is down, refuses everything — a dims sent there would
+// fail although another member could answer it.
+func TestFirstHealthySkipsFencedPrimary(t *testing.T) {
+	n0 := startServer(t, 40, 40, tabled.ServerOptions{})
+	n1 := startServer(t, 40, 40, tabled.ServerOptions{})
+	dead := startServer(t, 40, 40, tabled.ServerOptions{})
+	dead.Close()
+	rt, err := New(&Spec{Mapping: "diagonal", Nodes: []NodeSpec{
+		{Name: "n0", Base: n0.URL, Replica: dead.URL, Lo: 1, Hi: 100},
+		{Name: "n1", Base: n1.URL, Lo: 100, Hi: 1 << 40},
+	}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	p := &rt.health.pairs[0]
+	p.pri.Store(&observation{state: StateHealthy, hasEpoch: true}) // epoch 0
+	p.max.Store(1)                                                 // a promotion at epoch 1 was seen
+
+	if got := rt.health.FirstHealthy(); got != 1 {
+		t.Fatalf("FirstHealthy = %d, want the unfenced node 1", got)
+	}
+	res := rt.Execute(context.Background(), []tabled.Op{{Op: "dims"}}, "")
+	if res[0].Err != "" || res[0].Rows != 40 {
+		t.Fatalf("dims = %+v, want node 1's answer", res[0])
 	}
 }

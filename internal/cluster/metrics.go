@@ -94,59 +94,40 @@ func (m *Metrics) nodeBatch(n, ops int, d time.Duration, failed bool) {
 	m.nodeDur[n].Observe(d.Seconds())
 }
 
-// nodeState publishes node n's probed state.
-func (m *Metrics) nodeState(n int, st State) {
+// primary publishes node n's primary observation, with its epoch and
+// fencing only when the probe refreshed them.
+func (m *Metrics) primary(n int, o *observation, fresh, fenced bool) {
 	if m == nil {
 		return
 	}
-	up, deg := int64(0), int64(0)
-	switch st {
-	case StateHealthy:
-		up = 1
-	case StateDegraded:
-		deg = 1
+	m.nodeUpG[n].Set(gaugeBit(o.state == StateHealthy))
+	m.nodeDegG[n].Set(gaugeBit(o.state == StateDegraded))
+	if fresh {
+		m.nodeEpochG[n].Set(int64(o.epoch))
+		m.nodeFenceG[n].Set(gaugeBit(fenced))
 	}
-	m.nodeUpG[n].Set(up)
-	m.nodeDegG[n].Set(deg)
 }
 
-// replicaState publishes node n's replica's probed state.
-func (m *Metrics) replicaState(n int, st State, promoted bool) {
+// replica publishes node n's replica observation, with its epoch and lag
+// only when the probe refreshed them.
+func (m *Metrics) replica(n int, o *observation, fresh bool) {
 	if m == nil {
 		return
 	}
-	up := int64(0)
-	if st != StateDown {
-		up = 1
+	m.repUpG[n].Set(gaugeBit(o.state != StateDown))
+	m.repPromG[n].Set(gaugeBit(o.promoted))
+	if fresh {
+		m.repEpochG[n].Set(int64(o.epoch))
+		m.repLagG[n].Set(int64(o.lag))
 	}
-	m.repUpG[n].Set(up)
-	prom := int64(0)
-	if promoted {
-		prom = 1
-	}
-	m.repPromG[n].Set(prom)
 }
 
-// nodeEpoch publishes node n's primary's observed epoch and fencing.
-func (m *Metrics) nodeEpoch(n int, epoch uint64, fenced bool) {
-	if m == nil {
-		return
+// gaugeBit is a 0/1 gauge value.
+func gaugeBit(b bool) int64 {
+	if b {
+		return 1
 	}
-	m.nodeEpochG[n].Set(int64(epoch))
-	f := int64(0)
-	if fenced {
-		f = 1
-	}
-	m.nodeFenceG[n].Set(f)
-}
-
-// replicaEpoch publishes node n's replica's observed epoch and lag.
-func (m *Metrics) replicaEpoch(n int, epoch, lag uint64) {
-	if m == nil {
-		return
-	}
-	m.repEpochG[n].Set(int64(epoch))
-	m.repLagG[n].Set(int64(lag))
+	return 0
 }
 
 // failover records one sub-batch routed to a replica.

@@ -89,11 +89,12 @@ func (rl *Reloader) startLocked(rt *Router) {
 }
 
 // Reload re-reads the spec file and, if it changed, swaps in a freshly
-// built router. The new router's checker probes every member once before
-// the swap so the first routed batch sees real states, not the optimistic
-// boot defaults. An invalid or unreadable file is an error and the old
-// router keeps serving — a botched edit can never take the front door
-// down.
+// built router. The new router takes over the old one's written positions
+// and kept pairs' max-epoch latches (Router.inherit); then its checker
+// probes every member once before the swap, so the first routed batch
+// sees real states, not the optimistic boot defaults, and no fence lapses.
+// An invalid or unreadable file is an error and the old router keeps
+// serving — a botched edit can never take the front door down.
 func (rl *Reloader) Reload(ctx context.Context) error {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
@@ -109,8 +110,8 @@ func (rl *Reloader) Reload(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	rt.inherit(old)
 	rt.Health().CheckNow(ctx)
-	rt.inheritPositions(old)
 	rl.cur.Store(rt)
 	old.Close()
 	if rl.cancel != nil {

@@ -281,14 +281,21 @@ func (s *server) replAck(ctx context.Context) error {
 	// little past it — over-waiting by a few records, never under.
 	_, next := s.opt.WAL.SeqState()
 	err := s.opt.Repl.Gate.Wait(ctx, next)
-	s.opt.Metrics.replAckWait(err != nil)
+	s.opt.Metrics.replAckWait(errors.Is(err, ErrReplAckTimeout))
 	return err
 }
 
-// refusalMsg phrases a durability refusal for the 503 body.
+// refusalMsg phrases a durability refusal for the 503 body: a replication
+// ack that timed out, a request that ended while waiting for one, or a
+// failed WAL (which alone makes the node read-only).
 func refusalMsg(err error) string {
-	if errors.Is(err, ErrReplAckTimeout) {
+	switch {
+	case errors.Is(err, ErrReplAckTimeout):
 		return "replication unconfirmed, write not acknowledged (durable locally; retry): " + err.Error()
+	case errors.Is(err, context.DeadlineExceeded):
+		return "batch timed out awaiting the replication ack, write not acknowledged (durable locally; retry): " + err.Error()
+	case errors.Is(err, context.Canceled):
+		return "batch canceled awaiting the replication ack, write not acknowledged (durable locally; retry): " + err.Error()
 	}
 	return "write-ahead log failed, server is now read-only: " + err.Error()
 }

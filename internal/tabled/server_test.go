@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pairfn/internal/core"
 	"pairfn/internal/obs"
@@ -265,4 +266,47 @@ func TestServerConcurrentClients(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestServeEndedAckWait: a write whose request ends while it waits for
+// the replication ack is refused with the context's error, not as a WAL
+// failure. The node stays writable, and only a gate timeout counts as an
+// ack timeout.
+func TestServeEndedAckWait(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want string
+	}{
+		{"canceled", canceled, "batch canceled awaiting the replication ack"},
+		{"deadline", expired, "batch timed out awaiting the replication ack"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			m := NewMetrics(reg, 8)
+			wal := openTestWAL(t, nil)
+			// No follower advances the gate, and its timeout is never reached.
+			s := &server{b: newConnTable(t, m), idem: newIdemCache(8), opt: ServerOptions{
+				WAL: wal, Writable: obs.NewFlag(true), Metrics: m,
+				Repl: &Repl{WAL: wal, Gate: &ReplGate{Timeout: time.Hour}},
+			}}
+			rep := s.serve(tc.ctx, "", 0, []Op{{Op: "set", X: 1, Y: 1, V: "v"}}, false, new(wireScratch))
+			if rep.status != http.StatusServiceUnavailable || !strings.HasPrefix(rep.msg, tc.want) {
+				t.Fatalf("serve = %d %q, want 503 %q", rep.status, rep.msg, tc.want)
+			}
+			if !s.opt.Writable.Get() {
+				t.Fatal("an ended ack wait made the node read-only")
+			}
+			if n := reg.Counter("tabled_repl_ack_waits_total").Value(); n != 1 {
+				t.Fatalf("ack waits = %d, want 1", n)
+			}
+			if n := reg.Counter("tabled_repl_ack_timeouts_total").Value(); n != 0 {
+				t.Fatalf("ack timeouts = %d, want 0", n)
+			}
+		})
+	}
 }
