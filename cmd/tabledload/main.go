@@ -406,10 +406,10 @@ func newDirectDriver(backend, mapping string, shards int, rows, cols int64) (*di
 	if err != nil {
 		return nil, err
 	}
-	newStore := func() extarray.Store[string] { return extarray.NewPagedStore[string]() }
 	switch backend {
 	case "sharded":
-		s, err := tabled.NewSharded[string](f, shards, newStore, rows, cols, nil)
+		s, err := tabled.NewSharded[string](f, shards,
+			func() extarray.Store[string] { return extarray.NewSlabStore() }, rows, cols, nil)
 		if err != nil {
 			return nil, err
 		}

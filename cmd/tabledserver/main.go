@@ -182,7 +182,7 @@ func run() int {
 	reg := obs.NewRegistry()
 	ready := obs.NewFlag(true)
 	m := tabled.NewMetrics(reg, *shards)
-	newStore := func() extarray.Store[string] { return extarray.NewPagedStore[string]() }
+	newStore := func() extarray.Store[string] { return extarray.NewSlabStore() }
 
 	var (
 		saveSnap  func() error

@@ -51,7 +51,7 @@ func startServer(t *testing.T, rows, cols int64, opt tabled.ServerOptions) *memb
 	if err != nil {
 		t.Fatal(err)
 	}
-	newStore := func() extarray.Store[string] { return extarray.NewPagedStore[string]() }
+	newStore := func() extarray.Store[string] { return extarray.NewSlabStore() }
 	b, err := tabled.NewSharded[string](f, 4, newStore, rows, cols, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestExecuteDegradedMemberReadOnly(t *testing.T) {
 	// its writes 503. After a sweep the router reads from it but fails its
 	// writes fast with the typed read-only error.
 	f, _ := core.ByName("diagonal")
-	newStore := func() extarray.Store[string] { return extarray.NewPagedStore[string]() }
+	newStore := func() extarray.Store[string] { return extarray.NewSlabStore() }
 	b, err := tabled.NewSharded[string](f, 4, newStore, 40, 40, nil)
 	if err != nil {
 		t.Fatal(err)

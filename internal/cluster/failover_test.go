@@ -40,7 +40,7 @@ func startReplPair(t *testing.T, rows, cols int64) *replPair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newStore := func() extarray.Store[string] { return extarray.NewPagedStore[string]() }
+	newStore := func() extarray.Store[string] { return extarray.NewSlabStore() }
 	dir := t.TempDir()
 	open := func(name string) (*tabled.Sharded[string], *tabled.WAL) {
 		b, err := tabled.NewSharded[string](f, 4, newStore, rows, cols, nil)

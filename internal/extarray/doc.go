@@ -14,12 +14,23 @@
 // via iterated pairing (internal/tuple), and the naive remap-on-reshape
 // baseline.
 //
-// PagedStore, the store the table service runs on, allocates one object
-// per 2^10-address page: a 128-byte used bitmap followed by the values.
-// Pages 0 to 2^16-1 are found by index in a dense directory; pages past
-// it, which 𝒟 and ℋ reach on wide tables, and negative pages sit in a
-// map made on first use. Pages are never freed, so Pages counts every
-// page ever written: the spread made physical.
+// PagedStore allocates one object per 2^10-address page: a 128-byte used
+// bitmap followed by the values. Pages 0 to 2^16-1 are found by index in
+// a dense directory; pages past it, which 𝒟 and ℋ reach on wide tables,
+// and negative pages sit in a map made on first use. Pages are never
+// freed, so Pages counts every page ever written: the spread made
+// physical.
+//
+// SlabStore, the store the table service runs on, pages addresses the
+// same way and counts the same pages, but holds string values in one
+// append-only byte arena per store. A page keeps its bitmap, per-word
+// rank prefixes and one 12-byte ref per present slot, switching to a
+// direct 2^10-ref table past 128 present slots, so a page costs what it
+// holds and no page holds a pointer into a value. Set copies the value
+// into the arena; Get returns a string over the arena's bytes, which are
+// never written again: overwrites and deletes count bytes as dead, and
+// the arena compacts into fresh chunks once dead bytes outweigh live
+// ones.
 //
 // # Overflow and concurrency
 //

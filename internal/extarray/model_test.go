@@ -3,6 +3,8 @@ package extarray
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pairfn/internal/core"
@@ -115,12 +117,88 @@ func TestModelEquivalence(t *testing.T) {
 	}
 }
 
-// TestPagedStoreModel is a seeded quick-check of PagedStore against
+// TestPagedStoreModel is a seeded quick-check of the paged stores against
 // MapStore over addresses in page 0, the last dense page, the first far
-// page, near 2^62 and at or below 0: both must agree on Get, Len and
-// MaxAddr after every op, and Pages must count every page ever set
-// (Delete frees none).
+// page, near 2^62 and at or below 0, with a hot range in page 0 that
+// fills past slabSparseMax and sees many overwrites: both must agree on
+// Get, Len and MaxAddr after every op, and Pages must count every page
+// ever set (Delete frees none). SlabStore's values mix empty ones, short
+// ones of many lengths and ones longer than an arena chunk, and each seed
+// must switch a page to its direct table and compact the arena.
 func TestPagedStoreModel(t *testing.T) {
+	t.Run("PagedStore", func(t *testing.T) {
+		storeModel(t, func() pagedTestStore[int64] { return NewPagedStore[int64]() },
+			func(rng *rand.Rand) int64 { return rng.Int63() }, nil,
+			func(t *testing.T, s pagedTestStore[int64]) {
+				ps := s.(*PagedStore[int64])
+				if len(ps.dir) > densePages || len(ps.far) == 0 {
+					t.Fatalf("directory %d pages, far map %d pages", len(ps.dir), len(ps.far))
+				}
+			})
+	})
+	t.Run("SlabStore", func(t *testing.T) {
+		var lastDead int64
+		compactions := 0
+		storeModel(t, func() pagedTestStore[string] { lastDead = 0; return NewSlabStore() }, slabValue,
+			func(s pagedTestStore[string]) {
+				// Dead bytes fall only when the arena compacts.
+				if d := s.(*SlabStore).dead; d < lastDead {
+					compactions++
+				} else {
+					lastDead = d
+				}
+			},
+			func(t *testing.T, s pagedTestStore[string]) {
+				ss := s.(*SlabStore)
+				if len(ss.dir) > densePages || len(ss.far) == 0 {
+					t.Fatalf("directory %d pages, far map %d pages", len(ss.dir), len(ss.far))
+				}
+				direct, sparse := 0, 0
+				for _, pg := range ss.dir {
+					switch {
+					case pg == nil:
+					case pg.direct():
+						direct++
+					default:
+						sparse++
+					}
+				}
+				if direct == 0 || sparse == 0 || compactions == 0 {
+					t.Fatalf("%d direct and %d sparse pages, %d compactions; want some of each",
+						direct, sparse, compactions)
+				}
+				compactions = 0
+			})
+	})
+}
+
+// slabValue draws a SlabStore test value: empty, short with a random
+// length, or longer than an arena chunk.
+func slabValue(rng *rand.Rand) string {
+	body := strconv.FormatInt(rng.Int63(), 36)
+	switch k := rng.Intn(64); {
+	case k == 0:
+		n := slabChunk + 1 + rng.Intn(slabChunk)
+		return strings.Repeat(body, n/len(body)+1)[:n]
+	case k < 8:
+		return ""
+	default:
+		n := rng.Intn(80)
+		return strings.Repeat(body, n/len(body)+1)[:n]
+	}
+}
+
+// pagedTestStore is a Store that counts its pages.
+type pagedTestStore[T any] interface {
+	Store[T]
+	Pages() int
+}
+
+// storeModel runs the quick-check behind TestPagedStoreModel on stores
+// from newStore with values from value. It hands the store to observe,
+// when not nil, after every op, and to check after each seed's run.
+func storeModel[T comparable](t *testing.T, newStore func() pagedTestStore[T], value func(*rand.Rand) T,
+	observe func(pagedTestStore[T]), check func(*testing.T, pagedTestStore[T])) {
 	bases := []int64{
 		0,                               // page 0
 		(densePages - 1) << pageBits,    // last dense page
@@ -132,14 +210,19 @@ func TestPagedStoreModel(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		ps, ms := NewPagedStore[int64](), NewMapStore[int64]()
+		ps, ms := newStore(), NewMapStore[T]()
 		pages := map[int64]bool{}
-		addr := func() int64 { return bases[rng.Intn(len(bases))] + rng.Int63n(2<<pageBits) }
-		for op := 0; op < 3000; op++ {
+		addr := func() int64 {
+			if rng.Intn(4) != 0 {
+				return rng.Int63n(256) // the hot range
+			}
+			return bases[rng.Intn(len(bases))] + rng.Int63n(2<<pageBits)
+		}
+		for op := 0; op < 6000; op++ {
 			a := addr()
 			switch rng.Intn(4) {
 			case 0, 1: // Set, often a re-Set
-				v := rng.Int63()
+				v := value(rng)
 				ps.Set(a, v)
 				ms.Set(a, v)
 				pages[a>>pageBits] = true
@@ -150,21 +233,22 @@ func TestPagedStoreModel(t *testing.T) {
 				pv, pok := ps.Get(a)
 				mv, mok := ms.Get(a)
 				if pv != mv || pok != mok {
-					t.Fatalf("seed %d op %d: Get(%d) = (%d, %v), map (%d, %v)", seed, op, a, pv, pok, mv, mok)
+					t.Fatalf("seed %d op %d: Get(%d) = (%v, %v), map (%v, %v)", seed, op, a, pv, pok, mv, mok)
 				}
 			}
 			if ps.Len() != ms.Len() || ps.MaxAddr() != ms.MaxAddr() || ps.Pages() != len(pages) {
 				t.Fatalf("seed %d op %d: Len/MaxAddr/Pages %d/%d/%d, want %d/%d/%d", seed, op,
 					ps.Len(), ps.MaxAddr(), ps.Pages(), ms.Len(), ms.MaxAddr(), len(pages))
 			}
+			if observe != nil {
+				observe(ps)
+			}
 		}
 		for a, mv := range ms.m {
 			if pv, ok := ps.Get(a); !ok || pv != mv {
-				t.Fatalf("seed %d: sweep Get(%d) = (%d, %v), want %d", seed, a, pv, ok, mv)
+				t.Fatalf("seed %d: sweep Get(%d) = (%v, %v), want %v", seed, a, pv, ok, mv)
 			}
 		}
-		if len(ps.dir) > densePages || len(ps.far) == 0 {
-			t.Fatalf("seed %d: directory %d pages, far map %d pages", seed, len(ps.dir), len(ps.far))
-		}
+		check(t, ps)
 	}
 }

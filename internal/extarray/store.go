@@ -81,11 +81,9 @@ type page[T any] struct {
 // reach on wide tables, and negative addresses) through a map made on
 // first use. Pages are never freed, so Delete leaves Pages unchanged.
 type PagedStore[T any] struct {
-	dir   []*page[T]
-	far   map[int64]*page[T]
-	pages int
-	n     int
-	max   int64
+	pageDir[page[T]]
+	n   int
+	max int64
 }
 
 // NewPagedStore returns an empty PagedStore.
@@ -98,32 +96,42 @@ func split(addr int64) (p, off, word int64, bit uint64) {
 	return addr >> pageBits, off, off >> 6, 1 << (off & 63)
 }
 
+// A pageDir finds the pages of a paged store by page number: pages 0
+// through densePages-1 by index in a dense directory grown on demand, the
+// rest, and negative pages, in a map made on first use. Pages are never
+// freed. PagedStore and SlabStore share it, so they count the same pages.
+type pageDir[P any] struct {
+	dir   []*P
+	far   map[int64]*P
+	pages int
+}
+
 // page returns page p, or nil if it was never allocated.
-func (s *PagedStore[T]) page(p int64) *page[T] {
-	if uint64(p) < uint64(len(s.dir)) {
-		return s.dir[p]
+func (d *pageDir[P]) page(p int64) *P {
+	if uint64(p) < uint64(len(d.dir)) {
+		return d.dir[p]
 	}
 	if uint64(p) < densePages {
 		return nil
 	}
-	return s.far[p]
+	return d.far[p]
 }
 
 // alloc allocates page p, which must be absent.
-func (s *PagedStore[T]) alloc(p int64) *page[T] {
-	pg := new(page[T])
-	s.pages++
+func (d *pageDir[P]) alloc(p int64) *P {
+	pg := new(P)
+	d.pages++
 	if uint64(p) >= densePages {
-		if s.far == nil {
-			s.far = make(map[int64]*page[T])
+		if d.far == nil {
+			d.far = make(map[int64]*P)
 		}
-		s.far[p] = pg
+		d.far[p] = pg
 		return pg
 	}
-	if p >= int64(len(s.dir)) {
-		s.dir = append(s.dir, make([]*page[T], p+1-int64(len(s.dir)))...)
+	if p >= int64(len(d.dir)) {
+		d.dir = append(d.dir, make([]*P, p+1-int64(len(d.dir)))...)
 	}
-	s.dir[p] = pg
+	d.dir[p] = pg
 	return pg
 }
 

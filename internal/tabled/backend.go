@@ -20,6 +20,13 @@ type Info struct {
 // The batch operations write their outcomes into caller-owned slices,
 // whose lengths must equal the input's, so the server reuses pooled
 // buffers across requests and the batch path allocates nothing.
+//
+// Set values may alias caller buffers: the server hands SetBatchInto
+// strings over its pooled request body, and WAL replay strings over the
+// frame being read, both overwritten once the call returns. A backend
+// copies what it keeps. A Sharded[string] over extarray.SlabStore does;
+// one over extarray.PagedStore[string] keeps the strings themselves and
+// must not be served.
 type Backend[T any] interface {
 	extarray.Table[T]
 	SetBatchInto(cells []Cell[T], errs []error)

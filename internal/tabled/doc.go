@@ -9,7 +9,7 @@
 // # Sharding and locking model
 //
 // A Sharded table splits the address space of its storage mapping into
-// stripes of 2^10 consecutive addresses (one PagedStore page) and assigns
+// stripes of 2^10 consecutive addresses (one store page) and assigns
 // stripe s to shard s mod N, N a power of two. Each shard owns its own
 // lock and its own backing store, so operations on cells whose addresses
 // fall in different stripes proceed in parallel, and a batch touching k
@@ -20,7 +20,7 @@
 // A shard's store is keyed by shard-local addresses: stripe s becomes
 // local stripe s/N, with the offset inside the stripe kept. Shard i's
 // stripes i, i+N, i+2N, … thus land on local pages 0, 1, 2, …, so a
-// PagedStore's dense page directory has no holes, and each local page is
+// paged store's dense page directory has no holes, and each local page is
 // exactly one real page, so page counts equal those of one store keyed by
 // real addresses. Footprints are tracked per shard in real addresses,
 // beside the store, so Stats never reads a store's MaxAddr.
@@ -61,9 +61,12 @@
 // encodes results in pooled scratch (server.go), plans shard routing with
 // the batched core.EncodeBatch surface (sharded.go), and executes through
 // Backend's one batch surface, SetBatchInto/GetBatchInto, into
-// caller-owned slices — in steady state a get batch is served end to end
-// with zero heap allocations, and a set batch with exactly one per op (the
-// clone of the stored value out of the pooled request buffer). Every
+// caller-owned slices — in steady state a get or set batch is served end
+// to end with zero heap allocations. Set values alias the pooled request
+// buffer (and, on WAL replay, the frame being read); the backend copies
+// what it keeps, which is the ownership rule of Backend: the served table
+// runs on extarray.SlabStore, which copies each value into a per-shard
+// byte arena and hands gets back as strings over it. Every
 // /v1/batch arm shares one pipeline: ReadBatch (negotiate, capped read,
 // decode, validate), the server's serve (replay, gates, execute, ack,
 // record), and WriteBatch (encode in the request's wire); the router's

@@ -181,7 +181,7 @@ func (s *server) answer(ctx context.Context, key []byte, minPos uint64, scr *wir
 	if err != nil {
 		return nil, 0, http.StatusBadRequest, "bad request: " + err.Error()
 	}
-	rep := s.serve(ctx, aliasString(key), minPos, ops, true, scr)
+	rep := s.serve(ctx, aliasString(key), minPos, ops, scr)
 	if rep.status != http.StatusOK {
 		return nil, 0, rep.status, rep.msg
 	}

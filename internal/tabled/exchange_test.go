@@ -45,7 +45,7 @@ func startConnServer(t *testing.T, table Backend[string], opt ServerOptions) (*h
 
 func newConnTable(t *testing.T, m *Metrics) *Sharded[string] {
 	t.Helper()
-	table, err := NewSharded[string](core.SquareShell{}, 8, pagedStore, 64, 64, m)
+	table, err := NewSharded[string](core.SquareShell{}, 8, slabStore, 64, 64, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,7 +708,7 @@ func TestExchangeGetAllocFree(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg, 8)
-	table, err := NewSharded[string](core.SquareShell{}, 8, pagedStore, 256, 256, m)
+	table, err := NewSharded[string](core.SquareShell{}, 8, slabStore, 256, 256, m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestParseFaults(t *testing.T) {
 // failure reproducible.
 func TestFaultBackendDeterministic(t *testing.T) {
 	schedule := func() []bool {
-		b, err := NewSharded[string](core.SquareShell{}, 2, pagedStore, 8, 8, nil)
+		b, err := NewSharded[string](core.SquareShell{}, 2, slabStore, 8, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestFaultBackendDeterministic(t *testing.T) {
 // TestFaultBackendBatchOps: injected batch failures must fill every slot of
 // the result, matching the Backend batch contracts.
 func TestFaultBackendBatchOps(t *testing.T) {
-	b, err := NewSharded[string](core.SquareShell{}, 2, pagedStore, 8, 8, nil)
+	b, err := NewSharded[string](core.SquareShell{}, 2, slabStore, 8, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFaultBackendBatchOps(t *testing.T) {
 // TestFaultWrapDisabledIsIdentity: nil faults must return the wrapped value
 // itself — no decorator, no indirection, no allocation.
 func TestFaultWrapDisabledIsIdentity(t *testing.T) {
-	b, err := NewSharded[string](core.SquareShell{}, 2, pagedStore, 8, 8, nil)
+	b, err := NewSharded[string](core.SquareShell{}, 2, slabStore, 8, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFaultWrapDisabledIsIdentity(t *testing.T) {
 // identity-wrapped backend must match the bare backend (the wrapper IS the
 // bare backend when faults are off).
 func BenchmarkFaultWrapDisabled(bch *testing.B) {
-	b, err := NewSharded[string](core.SquareShell{}, 4, pagedStore, 256, 256, nil)
+	b, err := NewSharded[string](core.SquareShell{}, 4, slabStore, 256, 256, nil)
 	if err != nil {
 		bch.Fatal(err)
 	}

@@ -327,7 +327,7 @@ func TestReseedInstallCrash(t *testing.T) {
 	// Boot exactly as tabledserver does: snapshot meta first, then the
 	// WAL with the snapshot's stamp. The snapshot is newer than the log's
 	// base, so the log must be discarded, not replayed.
-	sh, seq, epoch, err := LoadShardedFileMeta[string](snapPath, donor.Mapping(), 4, pagedStore, nil)
+	sh, seq, epoch, err := LoadShardedFileMeta[string](snapPath, donor.Mapping(), 4, slabStore, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,8 +323,8 @@ type BatchBuf struct {
 // reuses through wirePool: the request's BatchBuf plus the exchange's
 // idempotency key and the backend call buffers. One request (or one upgraded
 // connection, for all its exchanges) borrows exactly one scratch, so
-// steady-state binary batches allocate nothing beyond the values they
-// store.
+// steady-state binary batches allocate nothing of their own: set values
+// alias the body and the backend copies them.
 type wireScratch struct {
 	BatchBuf
 	key   []byte // exchange idempotency key
@@ -332,6 +332,7 @@ type wireScratch struct {
 	keys  []Pos
 	errs  []error
 	gets  []GetResult[string]
+	rec   []byte // WAL set records, encoded here and written before appendSet returns
 }
 
 var wirePool = sync.Pool{New: func() any { return new(wireScratch) }}
@@ -475,7 +476,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rep := s.serve(r.Context(), r.Header.Get(IdempotencyKeyHeader), 0, ops, binary, scr)
+	rep := s.serve(r.Context(), r.Header.Get(IdempotencyKeyHeader), 0, ops, scr)
 	if rep.status != http.StatusOK {
 		http.Error(w, rep.msg, rep.status)
 		return
@@ -507,9 +508,10 @@ type batchReply struct {
 // whichever wire it comes: the replay is decoded and re-encoded, and the
 // encoder is deterministic, so a binary retry gets the recorded bytes.
 // Reads are never recorded: a retried read re-executes, which is as good
-// as a replay. framed says ops were decoded from a frame in scr.body, so
-// their set values alias it.
-func (s *server) serve(ctx context.Context, key string, minPos uint64, ops []Op, framed bool, scr *wireScratch) batchReply {
+// as a replay. Set values decoded from a frame alias the pooled body in
+// scr, which the next request overwrites; the backend copies what it
+// keeps (see Backend).
+func (s *server) serve(ctx context.Context, key string, minPos uint64, ops []Op, scr *wireScratch) batchReply {
 	if applied, ok := s.behind(minPos); ok {
 		return batchReply{status: http.StatusPreconditionFailed,
 			msg: fmt.Sprintf("replica behind: applied %d records, the batch needs %d", applied, minPos)}
@@ -531,16 +533,6 @@ func (s *server) serve(ctx context.Context, key string, minPos uint64, ops []Op,
 	}
 	if writes && !s.opt.Writable.Get() {
 		return batchReply{status: http.StatusServiceUnavailable, msg: s.readOnlyMsg()}
-	}
-	if framed {
-		// Decoded set values alias the pooled request body, which the next
-		// request will overwrite; anything the table retains must own its
-		// bytes. This clone is the binary set path's one allocation per op.
-		for i := range ops {
-			if ops[i].Op == "set" {
-				ops[i].V = strings.Clone(ops[i].V)
-			}
-		}
 	}
 	results, err := s.executeInto(ops, scr)
 	if err != nil {
@@ -606,7 +598,8 @@ func (s *server) executeInto(ops []Op, scr *wireScratch) (results []OpResult, wa
 				}
 			}
 			if s.opt.WAL != nil && len(acked) > 0 {
-				if err := s.opt.WAL.AppendSet(acked); err != nil {
+				var err error
+				if scr.rec, err = s.opt.WAL.appendSet(scr.rec, acked); err != nil {
 					s.degrade(err)
 					s.opt.Metrics.op(ops[i].Op, j-i, time.Since(start), true)
 					return results, err

@@ -26,7 +26,7 @@ func newWALServer(t *testing.T, fi *FaultInjector, extra func(*ServerOptions)) (
 	t.Helper()
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg, 4)
-	table, err := NewSharded[string](core.SquareShell{}, 4, pagedStore, 64, 64, m)
+	table, err := NewSharded[string](core.SquareShell{}, 4, slabStore, 64, 64, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestServerBodyLimit(t *testing.T) {
 // with a 503 — injected backend latency stands in for a stuck disk.
 func TestServerBatchTimeout(t *testing.T) {
 	reg := obs.NewRegistry()
-	table, err := NewSharded[string](core.SquareShell{}, 4, pagedStore, 16, 16, nil)
+	table, err := NewSharded[string](core.SquareShell{}, 4, slabStore, 16, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestServerBatchTimeout(t *testing.T) {
 // transport-level flakiness, reusing one idempotency key across attempts;
 // 4xx is permanent and never retried.
 func TestClientRetries(t *testing.T) {
-	table, err := NewSharded[string](core.SquareShell{}, 4, pagedStore, 16, 16, nil)
+	table, err := NewSharded[string](core.SquareShell{}, 4, slabStore, 16, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestServerWALDurability(t *testing.T) {
 	walPath := filepath.Join(dir, "table.wal")
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg, 4)
-	table, err := NewSharded[string](core.SquareShell{}, 4, pagedStore, 64, 64, m)
+	table, err := NewSharded[string](core.SquareShell{}, 4, slabStore, 64, 64, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestServerWALDurability(t *testing.T) {
 	ts.Close()
 	wal.Close()
 
-	recovered, err := NewSharded[string](core.SquareShell{}, 4, pagedStore, 64, 64, nil)
+	recovered, err := NewSharded[string](core.SquareShell{}, 4, slabStore, 64, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 func TestServerLongTimeoutGets503NotReset(t *testing.T) {
 	const batchTimeout = 250 * time.Millisecond
 
-	table, err := NewSharded[string](core.SquareShell{}, 4, pagedStore, 16, 16, nil)
+	table, err := NewSharded[string](core.SquareShell{}, 4, slabStore, 16, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

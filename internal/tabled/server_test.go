@@ -18,7 +18,7 @@ func newTestServer(t *testing.T, snapshotPath string) (*Client, *Sharded[string]
 	t.Helper()
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg, 8)
-	table, err := NewSharded[string](core.SquareShell{}, 8, pagedStore, 64, 64, m)
+	table, err := NewSharded[string](core.SquareShell{}, 8, slabStore, 64, 64, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 	if err := c.Snapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
-	l, _, _, err := LoadShardedFileMeta[string](path, table.Mapping(), 8, pagedStore, nil)
+	l, _, _, err := LoadShardedFileMeta[string](path, table.Mapping(), 8, slabStore, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 func TestServerObservability(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg, 4)
-	table, err := NewSharded[string](core.SquareShell{}, 4, pagedStore, 16, 16, m)
+	table, err := NewSharded[string](core.SquareShell{}, 4, slabStore, 16, 16, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestServeEndedAckWait(t *testing.T) {
 				WAL: wal, Writable: obs.NewFlag(true), Metrics: m,
 				Repl: &Repl{WAL: wal, Gate: &ReplGate{Timeout: time.Hour}},
 			}}
-			rep := s.serve(tc.ctx, "", 0, []Op{{Op: "set", X: 1, Y: 1, V: "v"}}, false, new(wireScratch))
+			rep := s.serve(tc.ctx, "", 0, []Op{{Op: "set", X: 1, Y: 1, V: "v"}}, new(wireScratch))
 			if rep.status != http.StatusServiceUnavailable || !strings.HasPrefix(rep.msg, tc.want) {
 				t.Fatalf("serve = %d %q, want 503 %q", rep.status, rep.msg, tc.want)
 			}

@@ -9,8 +9,8 @@ import (
 )
 
 // stripeBits sizes address stripes at 2^10 consecutive addresses — one
-// PagedStore page — so a backing page never spans shards and stripe
-// arithmetic is a shift.
+// PagedStore or SlabStore page — so a backing page never spans shards and
+// stripe arithmetic is a shift.
 const stripeBits = 10
 
 // MaxShards bounds the shard count (and with it per-shard metric
@@ -69,7 +69,8 @@ type Sharded[T any] struct {
 
 // NewSharded returns an empty rows×cols sharded table over f. nshards is
 // rounded up to a power of two in [1, MaxShards]; newStore allocates one
-// backing store per shard (e.g. extarray.NewPagedStore). m may be nil.
+// backing store per shard (extarray.NewSlabStore for a served table,
+// see Backend). m may be nil.
 func NewSharded[T any](f core.StorageMapping, nshards int, newStore func() extarray.Store[T], rows, cols int64, m *Metrics) (*Sharded[T], error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("tabled: dimensions %d×%d invalid", rows, cols)
@@ -113,7 +114,7 @@ func (s *Sharded[T]) shardIndex(addr int64) int {
 // local maps addr to its address in the owning shard's store. The shard
 // owns every stripe ≡ its index (mod the shard count), so dropping the
 // stripe number's low shard bits numbers its stripes 0, 1, 2, … with no
-// gaps: a PagedStore's dense page directory stays dense, and each local
+// gaps: a paged store's dense page directory stays dense, and each local
 // page is exactly one real page, so page counts do not change.
 func (s *Sharded[T]) local(addr int64) int64 {
 	return addr>>(stripeBits+s.bits)<<stripeBits | addr&(1<<stripeBits-1)

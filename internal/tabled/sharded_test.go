@@ -38,11 +38,11 @@ func getBatch[T any](b Backend[T], keys []Pos) []GetResult[T] {
 	return res
 }
 
-// storePages sums the shard stores' PagedStore page counts.
+// storePages sums the shard stores' page counts.
 func storePages[T any](s *Sharded[T]) int {
 	n := 0
 	for i := range s.shards {
-		n += s.shards[i].store.(*extarray.PagedStore[T]).Pages()
+		n += s.shards[i].store.(interface{ Pages() int }).Pages()
 	}
 	return n
 }
@@ -160,8 +160,8 @@ func testShardedMatchesArray(t *testing.T, f core.StorageMapping, nshards int, r
 // TestShardedPageGolden pins the page counts and footprints that DESIGN
 // §6 and the benchmark's node-skinny and node-read tables report, measured
 // with every store keyed by real addresses: shard-local addressing must
-// not move them. The zero-size values keep the 8×8192 table's 8265 pages
-// to their 128-byte bitmaps.
+// not move them, and neither may the served store. The zero-size values
+// keep the 8×8192 table's 8265 PagedStore pages to their 128-byte bitmaps.
 func TestShardedPageGolden(t *testing.T) {
 	for _, tc := range []struct {
 		rows, cols int64
@@ -172,37 +172,56 @@ func TestShardedPageGolden(t *testing.T) {
 		{8, 8192, 8265, 1 << 26, 1024},
 		{256, 256, 65, 1 << 16, 1},
 	} {
-		s, err := NewSharded[struct{}](core.SquareShell{}, 16, func() extarray.Store[struct{}] {
-			return extarray.NewPagedStore[struct{}]()
-		}, tc.rows, tc.cols, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells := make([]Cell[struct{}], 0, tc.rows*tc.cols)
-		for x := int64(1); x <= tc.rows; x++ {
-			for y := int64(1); y <= tc.cols; y++ {
-				cells = append(cells, Cell[struct{}]{X: x, Y: y})
-			}
-		}
-		keys := make([]Pos, len(cells))
-		for i, c := range cells {
-			keys[i] = Pos{X: c.X, Y: c.Y}
-		}
-		for _, err := range setBatch[struct{}](s, cells) {
+		t.Run(fmt.Sprintf("%dx%d/PagedStore", tc.rows, tc.cols), func(t *testing.T) {
+			s, err := NewSharded[struct{}](core.SquareShell{}, 16, func() extarray.Store[struct{}] {
+				return extarray.NewPagedStore[struct{}]()
+			}, tc.rows, tc.cols, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for i, r := range getBatch[struct{}](s, keys) {
-			if !r.OK || r.Err != nil {
-				t.Fatalf("%d×%d: cell %+v reads back %+v", tc.rows, tc.cols, keys[i], r)
+			checkPageGolden(t, s, func(x, y int64) struct{} { return struct{}{} },
+				tc.pages, tc.footprint, tc.perCell)
+		})
+		t.Run(fmt.Sprintf("%dx%d/SlabStore", tc.rows, tc.cols), func(t *testing.T) {
+			s, err := NewSharded[string](core.SquareShell{}, 16, slabStore, tc.rows, tc.cols, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkPageGolden(t, s, func(x, y int64) string { return fmt.Sprint(x, ":", y) },
+				tc.pages, tc.footprint, tc.perCell)
+		})
+	}
+}
+
+// checkPageGolden fills every cell of s with value(x, y), reads each back,
+// and checks the page count, footprint and footprint per cell.
+func checkPageGolden[T comparable](t *testing.T, s *Sharded[T], value func(x, y int64) T, pages int, footprint, perCell int64) {
+	t.Helper()
+	rows, cols := s.Dims()
+	cells := make([]Cell[T], 0, rows*cols)
+	for x := int64(1); x <= rows; x++ {
+		for y := int64(1); y <= cols; y++ {
+			cells = append(cells, Cell[T]{X: x, Y: y, V: value(x, y)})
 		}
-		fp := s.Stats().Footprint
-		if got := storePages(s); got != tc.pages || fp != tc.footprint || fp/int64(s.Len()) != tc.perCell {
-			t.Errorf("%d×%d: %d pages, footprint %d, %d per cell; want %d, %d, %d", tc.rows, tc.cols,
-				got, fp, fp/int64(s.Len()), tc.pages, tc.footprint, tc.perCell)
+	}
+	keys := make([]Pos, len(cells))
+	for i, c := range cells {
+		keys[i] = Pos{X: c.X, Y: c.Y}
+	}
+	for _, err := range setBatch[T](s, cells) {
+		if err != nil {
+			t.Fatal(err)
 		}
+	}
+	for i, r := range getBatch[T](s, keys) {
+		if !r.OK || r.Err != nil || r.V != cells[i].V {
+			t.Fatalf("cell %+v reads back %+v", keys[i], r)
+		}
+	}
+	fp := s.Stats().Footprint
+	if got := storePages(s); got != pages || fp != footprint || fp/int64(s.Len()) != perCell {
+		t.Errorf("%d pages, footprint %d, %d per cell; want %d, %d, %d",
+			got, fp, fp/int64(s.Len()), pages, footprint, perCell)
 	}
 }
 
@@ -321,53 +340,60 @@ func TestShardedConcurrent(t *testing.T) {
 // BenchmarkShardedBatch times 128-cell get and set batches on a 16-shard
 // square-shell table preloaded with 32-byte values, on the benchmark's
 // two shapes: 256×256 (node-read, 65 pages) and 8×8192 (node-skinny, 8265
-// pages). Its ns/cell reproduces tabled.sharded.{get,set}_ns_per_cell
-// without the service around it.
+// pages), over each store: SlabStore, which the service runs on, and
+// PagedStore[string]. Its ns/cell reproduces
+// tabled.sharded.{get,set}_ns_per_cell without the service around it.
 func BenchmarkShardedBatch(b *testing.B) {
 	const batch, batches = 128, 256
-	for _, shape := range []struct{ rows, cols int64 }{{256, 256}, {8, 8192}} {
-		s, err := NewSharded[string](core.SquareShell{}, 16, func() extarray.Store[string] {
-			return extarray.NewPagedStore[string]()
-		}, shape.rows, shape.cols, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for x := int64(1); x <= shape.rows; x++ {
-			for y := int64(1); y <= shape.cols; y++ {
-				if err := s.Set(x, y, fmt.Sprintf("%015d:%016d", x, y)); err != nil {
-					b.Fatal(err)
+	for _, st := range []struct {
+		name     string
+		newStore func() extarray.Store[string]
+	}{
+		{"slab", slabStore},
+		{"paged", func() extarray.Store[string] { return extarray.NewPagedStore[string]() }},
+	} {
+		for _, shape := range []struct{ rows, cols int64 }{{256, 256}, {8, 8192}} {
+			s, err := NewSharded[string](core.SquareShell{}, 16, st.newStore, shape.rows, shape.cols, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for x := int64(1); x <= shape.rows; x++ {
+				for y := int64(1); y <= shape.cols; y++ {
+					if err := s.Set(x, y, fmt.Sprintf("%015d:%016d", x, y)); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
-		}
-		rng := rand.New(rand.NewSource(1))
-		cells := make([]Cell[string], batch*batches)
-		keys := make([]Pos, len(cells))
-		for i := range cells {
-			x, y := rng.Int63n(shape.rows)+1, rng.Int63n(shape.cols)+1
-			cells[i] = Cell[string]{X: x, Y: y, V: fmt.Sprintf("%015d-%016d", x, y)}
-			keys[i] = Pos{X: x, Y: y}
-		}
-		errs := make([]error, batch)
-		res := make([]GetResult[string], batch)
-		perCell := func(b *testing.B) {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/cell")
-		}
-		name := fmt.Sprintf("%dx%d", shape.rows, shape.cols)
-		b.Run(name+"/get", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				k := i % batches * batch
-				s.GetBatchInto(keys[k:k+batch], res)
+			rng := rand.New(rand.NewSource(1))
+			cells := make([]Cell[string], batch*batches)
+			keys := make([]Pos, len(cells))
+			for i := range cells {
+				x, y := rng.Int63n(shape.rows)+1, rng.Int63n(shape.cols)+1
+				cells[i] = Cell[string]{X: x, Y: y, V: fmt.Sprintf("%015d-%016d", x, y)}
+				keys[i] = Pos{X: x, Y: y}
 			}
-			perCell(b)
-		})
-		b.Run(name+"/set", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				k := i % batches * batch
-				s.SetBatchInto(cells[k:k+batch], errs)
+			errs := make([]error, batch)
+			res := make([]GetResult[string], batch)
+			perCell := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/cell")
 			}
-			perCell(b)
-		})
+			name := fmt.Sprintf("%s/%dx%d", st.name, shape.rows, shape.cols)
+			b.Run(name+"/get", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k := i % batches * batch
+					s.GetBatchInto(keys[k:k+batch], res)
+				}
+				perCell(b)
+			})
+			b.Run(name+"/set", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k := i % batches * batch
+					s.SetBatchInto(cells[k:k+batch], errs)
+				}
+				perCell(b)
+			})
+		}
 	}
 }

@@ -9,14 +9,17 @@ import (
 	"pairfn/internal/extarray"
 )
 
-func pagedStore() extarray.Store[string] { return extarray.NewPagedStore[string]() }
+// slabStore is the store every served table in these tests runs on, as
+// in tabledserver: the server hands the backend values that alias its
+// pooled buffers, and SlabStore copies them.
+func slabStore() extarray.Store[string] { return extarray.NewSlabStore() }
 
 // TestShardedSnapshotRoundTrip saves a sharded table and reloads it — with
 // a different shard count, which must not matter: the wire format is
 // geometry-free.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	f := core.SquareShell{}
-	s, err := NewSharded[string](f, 8, pagedStore, 32, 32, nil)
+	s, err := NewSharded[string](f, 8, slabStore, 32, 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +37,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if err := s.SaveAt(&buf, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	l, _, _, err := LoadShardedMeta[string](bytes.NewReader(buf.Bytes()), f, 2, pagedStore, nil)
+	l, _, _, err := LoadShardedMeta[string](bytes.NewReader(buf.Bytes()), f, 2, slabStore, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +58,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("reshapes after load = %d", st.Reshapes)
 	}
 	// Wrong mapping is rejected by name.
-	if _, _, _, err := LoadShardedMeta[string](bytes.NewReader(buf.Bytes()), core.Diagonal{}, 2, pagedStore, nil); err == nil {
+	if _, _, _, err := LoadShardedMeta[string](bytes.NewReader(buf.Bytes()), core.Diagonal{}, 2, slabStore, nil); err == nil {
 		t.Fatal("load under wrong mapping should fail")
 	}
 }
@@ -66,7 +69,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotCrossCompatible(t *testing.T) {
 	f := core.Diagonal{}
 
-	s, err := NewSharded[string](f, 4, pagedStore, 10, 10, nil)
+	s, err := NewSharded[string](f, 4, slabStore, 10, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestSnapshotCrossCompatible(t *testing.T) {
 	if err := arr.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s2, _, _, err := LoadShardedMeta[string](&buf, f, 16, pagedStore, nil)
+	s2, _, _, err := LoadShardedMeta[string](&buf, f, 16, slabStore, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +109,7 @@ func TestSnapshotCrossCompatible(t *testing.T) {
 func TestShardedSaveFileAtomic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tabled.gob")
 	f := core.SquareShell{}
-	s, err := NewSharded[string](f, 4, pagedStore, 8, 8, nil)
+	s, err := NewSharded[string](f, 4, slabStore, 8, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +125,7 @@ func TestShardedSaveFileAtomic(t *testing.T) {
 	if err := s.SaveFileAt(path, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	l, _, _, err := LoadShardedFileMeta[string](path, f, 4, pagedStore, nil)
+	l, _, _, err := LoadShardedFileMeta[string](path, f, 4, slabStore, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

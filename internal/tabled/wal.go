@@ -134,17 +134,23 @@ func OpenWAL(path string, apply func(WALRecord) error, opt WALOptions) (*WAL, in
 // after the record is durable (fsynced, possibly by one fsync shared with
 // concurrent appends). Large batches are split across frames.
 func (w *WAL) AppendSet(cells []Cell[string]) error {
+	_, err := w.appendSet(nil, cells)
+	return err
+}
+
+// appendSet is AppendSet encoding each record into buf, which it returns
+// grown for the caller to pass again: the log writes a payload before
+// Enqueue returns, so buf is free once appendSet does.
+func (w *WAL) appendSet(buf []byte, cells []Cell[string]) ([]byte, error) {
 	for len(cells) > 0 {
-		n := len(cells)
-		if n > maxWALChunkCells {
-			n = maxWALChunkCells
-		}
-		if err := w.Append(encodeSetRecord(cells[:n])); err != nil {
-			return err
+		n := min(len(cells), maxWALChunkCells)
+		buf = appendSetRecord(buf[:0], cells[:n])
+		if err := w.Append(buf); err != nil {
+			return buf, err
 		}
 		cells = cells[n:]
 	}
-	return nil
+	return buf, nil
 }
 
 // AppendResize logs an acknowledged dimension change.
@@ -154,28 +160,26 @@ func (w *WAL) AppendResize(rows, cols int64) error {
 
 // DecodeRecord parses one frame payload into a typed record — exposed for
 // the follower, which receives primary payloads over the wire and must
-// both apply and re-log them.
+// both apply and re-log them. A set record's values alias payload, which
+// ReadFrames and walog.ReadStream reuse for the next frame: the backend
+// a record is applied to copies what it keeps (see Backend), and anything
+// else that keeps a value past the callback must clone it.
 func DecodeRecord(payload []byte) (WALRecord, error) { return decodeWALRecord(payload) }
 
-// encodeSetRecord serializes a set batch:
+// appendSetRecord appends the serialized set batch to dst:
 //
 //	kind=1, uvarint count, then per cell: varint x, varint y,
 //	uvarint len(v), v bytes
-func encodeSetRecord(cells []Cell[string]) []byte {
-	size := 1 + binary.MaxVarintLen64
+func appendSetRecord(dst []byte, cells []Cell[string]) []byte {
+	dst = append(dst, walKindSet)
+	dst = binary.AppendUvarint(dst, uint64(len(cells)))
 	for _, c := range cells {
-		size += 2*binary.MaxVarintLen64 + binary.MaxVarintLen64 + len(c.V)
+		dst = binary.AppendVarint(dst, c.X)
+		dst = binary.AppendVarint(dst, c.Y)
+		dst = binary.AppendUvarint(dst, uint64(len(c.V)))
+		dst = append(dst, c.V...)
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, walKindSet)
-	buf = binary.AppendUvarint(buf, uint64(len(cells)))
-	for _, c := range cells {
-		buf = binary.AppendVarint(buf, c.X)
-		buf = binary.AppendVarint(buf, c.Y)
-		buf = binary.AppendUvarint(buf, uint64(len(c.V)))
-		buf = append(buf, c.V...)
-	}
-	return buf
+	return dst
 }
 
 // encodeResizeRecord serializes a resize: kind=2, varint rows, varint cols.
@@ -189,7 +193,8 @@ func encodeResizeRecord(rows, cols int64) []byte {
 
 // decodeWALRecord parses one frame payload. Frames are CRC-protected, so a
 // decode failure here means a version mismatch or an encoder bug, not bit
-// rot — it aborts replay rather than being skipped.
+// rot — it aborts replay rather than being skipped. Set values alias
+// payload (see DecodeRecord).
 func decodeWALRecord(payload []byte) (WALRecord, error) {
 	if len(payload) == 0 {
 		return WALRecord{}, errors.New("empty wal record")
@@ -219,7 +224,7 @@ func decodeWALRecord(payload []byte) (WALRecord, error) {
 				return WALRecord{}, fmt.Errorf("wal set record: bad value at cell %d", i)
 			}
 			rest = rest[n:]
-			cells = append(cells, Cell[string]{X: x, Y: y, V: string(rest[:vlen])})
+			cells = append(cells, Cell[string]{X: x, Y: y, V: aliasString(rest[:vlen])})
 			rest = rest[vlen:]
 		}
 		if len(rest) != 0 {

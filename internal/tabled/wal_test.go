@@ -16,7 +16,7 @@ import (
 // newWALBackend returns an empty sharded table for WAL tests.
 func newWALBackend(t *testing.T, rows, cols int64) *Sharded[string] {
 	t.Helper()
-	s, err := NewSharded[string](core.SquareShell{}, 4, pagedStore, rows, cols, nil)
+	s, err := NewSharded[string](core.SquareShell{}, 4, slabStore, rows, cols, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestWALCheckpoint(t *testing.T) {
 	}
 
 	// Recovery = snapshot + tail: both cells, each exactly from its layer.
-	recovered, seq, _, err := LoadShardedFileMeta[string](snap, core.SquareShell{}, 4, pagedStore, nil)
+	recovered, seq, _, err := LoadShardedFileMeta[string](snap, core.SquareShell{}, 4, slabStore, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestWALTornWriteFault(t *testing.T) {
 
 func TestWALRecordCodecFuzzish(t *testing.T) {
 	// Hand-rolled decode must reject truncations of valid records.
-	rec := encodeSetRecord([]Cell[string]{{X: -5, Y: 1 << 40, V: "signed and big"}})
+	rec := appendSetRecord(nil, []Cell[string]{{X: -5, Y: 1 << 40, V: "signed and big"}})
 	if _, err := decodeWALRecord(rec); err != nil {
 		t.Fatalf("valid record rejected: %v", err)
 	}
@@ -452,5 +452,59 @@ func TestWALRecordCodecFuzzish(t *testing.T) {
 	}
 	if _, err := decodeWALRecord(nil); err == nil {
 		t.Fatal("empty record accepted")
+	}
+}
+
+// BenchmarkWALReplay times boot replay of a preloaded table: every cell of
+// the benchmark's two shapes, 256×256 (node-read) and 8×8192 (node-skinny),
+// set in 128-cell records, each copied into one reused frame buffer as
+// extarray.ReadFrames hands it over, then decoded and applied to a fresh
+// 16-shard SlabStore table. Decoded values alias that buffer, so the
+// allocations it reports are per record and per arena chunk, not per cell.
+func BenchmarkWALReplay(b *testing.B) {
+	const batch = 128
+	for _, shape := range []struct{ rows, cols int64 }{{256, 256}, {8, 8192}} {
+		var records [][]byte
+		cells := make([]Cell[string], 0, batch)
+		flush := func() {
+			records = append(records, appendSetRecord(nil, cells))
+			cells = cells[:0]
+		}
+		for x := int64(1); x <= shape.rows; x++ {
+			for y := int64(1); y <= shape.cols; y++ {
+				cells = append(cells, Cell[string]{X: x, Y: y, V: fmt.Sprintf("%015d:%016d", x, y)})
+				if len(cells) == batch {
+					flush()
+				}
+			}
+		}
+		if len(cells) > 0 {
+			flush()
+		}
+		b.Run(fmt.Sprintf("%dx%d", shape.rows, shape.cols), func(b *testing.B) {
+			b.ReportAllocs()
+			var frame []byte
+			var s *Sharded[string]
+			for i := 0; i < b.N; i++ {
+				var err error
+				if s, err = NewSharded[string](core.SquareShell{}, 16, slabStore, shape.rows, shape.cols, nil); err != nil {
+					b.Fatal(err)
+				}
+				for _, rec := range records {
+					frame = append(frame[:0], rec...)
+					r, err := decodeWALRecord(frame)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := ApplyWALRecord(s, r); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/replay")
+			if v, ok, _ := s.Get(1, 1); !ok || v != fmt.Sprintf("%015d:%016d", 1, 1) {
+				b.Fatalf("cell (1, 1) replayed as %q", v)
+			}
+		})
 	}
 }

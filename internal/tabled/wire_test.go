@@ -71,8 +71,8 @@ func TestServerWireBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServerWireBinaryValueOwnership pins the clone-on-set contract: the
-// decoded set value aliases a pooled request buffer, so the server MUST
+// TestServerWireBinaryValueOwnership pins the copy-on-set contract: the
+// decoded set value aliases a pooled request buffer, so the backend MUST
 // copy it before storing. Many later requests (which reuse and overwrite
 // the same pooled scratch) must not corrupt earlier stored values.
 func TestServerWireBinaryValueOwnership(t *testing.T) {
@@ -101,7 +101,7 @@ func TestServerWireBinaryValueOwnership(t *testing.T) {
 func TestServerWireBinaryErrors(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg, 8)
-	table, err := NewSharded[string](core.SquareShell{}, 8, pagedStore, 64, 64, m)
+	table, err := NewSharded[string](core.SquareShell{}, 8, slabStore, 64, 64, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,19 +222,15 @@ func bodyOf(t *testing.T, r *http.Response) []byte {
 // TestServerBatchPathAllocFree is the server-side allocation guardrail:
 // steady-state binary get batches run the core every arm shares — decode,
 // serve (plan by batched PF encode, sharded read), response encode — with
-// ZERO allocations, keyed or not, and set batches with exactly one
-// allocation per op (the clone of the stored value out of the pooled
-// request buffer).
+// ZERO allocations, keyed or not. Set batches store values that alias the
+// pooled request body, which the SlabStore copies into its arena, so they
+// allocate nothing per op, with a WAL as without one: the WAL record is
+// encoded into the scratch too. Without a WAL a set batch allocates
+// nothing; with one, a fixed two per batch.
 func TestServerBatchPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race: sync.Pool randomly drops puts")
 	}
-	table, err := NewSharded[string](core.SquareShell{}, 8, pagedStore, 256, 256, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newExchangeServer(table, ServerOptions{})
-
 	const n = 128
 	getOps := make([]Op, n)
 	setOps := make([]Op, n)
@@ -250,30 +246,88 @@ func TestServerBatchPathAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scr := new(wireScratch)
-	ctx := context.Background()
-	// Reads are never recorded, so a keyed get batch skips the cache; a
-	// repeated key on a set batch would replay instead of execute.
-	getKey, noKey := []byte("get-key"), []byte(nil)
-	run := func(frame, key []byte) {
+	for _, tc := range []struct {
+		name   string
+		wal    bool
+		setMax float64 // allocations per set batch, whatever its size
+	}{
+		{"no-wal", false, 0},
+		// walog's commit wake-up channel, made per durable append, and the
+		// frame header extarray.AppendFrame writes through an io.Writer.
+		{"wal", true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			table, err := NewSharded[string](core.SquareShell{}, 8, slabStore, 256, 256, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var opt ServerOptions
+			if tc.wal {
+				opt.WAL = openTestWAL(t, nil)
+			}
+			srv := newExchangeServer(table, opt)
+			scr := new(wireScratch)
+			ctx := context.Background()
+			// Reads are never recorded, so a keyed get batch skips the cache; a
+			// repeated key on a set batch would replay instead of execute.
+			getKey, noKey := []byte("get-key"), []byte(nil)
+			run := func(frame, key []byte) {
+				scr.body = append(scr.body[:0], frame...)
+				out, _, status, msg := srv.answer(ctx, key, 0, scr)
+				if status != http.StatusOK {
+					t.Fatalf("answer: %d %s", status, msg)
+				}
+				if len(out) == 0 {
+					t.Fatal("empty response frame")
+				}
+			}
+			run(getFrame, getKey) // warm the scratch and the plan pool
+			run(setFrame, noKey)
+
+			if a := testing.AllocsPerRun(200, func() { run(getFrame, getKey) }); a != 0 {
+				t.Errorf("binary get batch: %.2f allocs per request, want 0", a)
+			}
+			if a := testing.AllocsPerRun(200, func() { run(setFrame, noKey) }); a > tc.setMax {
+				t.Errorf("binary set batch: %.2f allocs per request, want ≤ %v", a, tc.setMax)
+			}
+		})
+	}
+}
+
+// TestServerSetDoesNotRetainBody: a binary set batch's values alias the
+// pooled request body. A second request through the same scratch, laid
+// out the same, overwrites that body in place; the cell must still read
+// the first value.
+func TestServerSetDoesNotRetainBody(t *testing.T) {
+	table, err := NewSharded[string](core.SquareShell{}, 4, slabStore, 16, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newExchangeServer(table, ServerOptions{})
+	scr := &wireScratch{BatchBuf: BatchBuf{body: make([]byte, 0, 1024)}}
+	run := func(ops []Op) []OpResult {
+		frame, err := AppendBatchRequest(nil, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
 		scr.body = append(scr.body[:0], frame...)
-		out, _, status, msg := srv.answer(ctx, key, 0, scr)
+		out, _, status, msg := srv.answer(context.Background(), nil, 0, scr)
 		if status != http.StatusOK {
 			t.Fatalf("answer: %d %s", status, msg)
 		}
-		if len(out) == 0 {
-			t.Fatal("empty response frame")
+		res, err := DecodeBatchResponse(out, nil, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res
 	}
-	run(getFrame, getKey) // warm the scratch and the plan pool
-	run(setFrame, noKey)
-
-	if a := testing.AllocsPerRun(200, func() { run(getFrame, getKey) }); a != 0 {
-		t.Errorf("binary get batch: %.2f allocs per request, want 0", a)
+	run([]Op{{Op: "set", X: 3, Y: 4, V: "first-value"}})
+	run([]Op{{Op: "set", X: 5, Y: 6, V: "XXXXXXXXXXX"}})
+	if res := run([]Op{{Op: "get", X: 3, Y: 4}}); !res[0].Found || res[0].V != "first-value" {
+		t.Fatalf("cell (3, 4) reads %+v, want %q", res[0], "first-value")
 	}
-	// Sets clone each stored value out of the pooled body: exactly 1/op.
-	if a := testing.AllocsPerRun(200, func() { run(setFrame, noKey) }); a > n {
-		t.Errorf("binary set batch: %.2f allocs per request, want ≤ %d (1 clone per op)", a, n)
+	if v, ok, err := table.Get(3, 4); err != nil || !ok || v != "first-value" {
+		t.Fatalf("table cell (3, 4) = %q, %v, %v; want %q", v, ok, err, "first-value")
 	}
 }
 
@@ -285,7 +339,7 @@ func TestShardedBatchIntoAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race: sync.Pool randomly drops puts")
 	}
-	table, err := NewSharded[string](core.Diagonal{}, 8, pagedStore, 256, 256, nil)
+	table, err := NewSharded[string](core.Diagonal{}, 8, slabStore, 256, 256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +390,7 @@ func TestShardedBatchIntoAllocFree(t *testing.T) {
 // rounds dial hundreds of times; the pinned pool stays at ≲ one dial per
 // worker.
 func TestClientConnectionReuse(t *testing.T) {
-	table, err := NewSharded[string](core.SquareShell{}, 8, pagedStore, 64, 64, nil)
+	table, err := NewSharded[string](core.SquareShell{}, 8, slabStore, 64, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestWireSpecExamples(t *testing.T) {
 			examples["exchange-request"], exchangeRequest)
 	}
 	for name, opt := range exchangeReplies {
-		table, err := NewSharded[string](core.SquareShell{}, 4, pagedStore, 64, 64, nil)
+		table, err := NewSharded[string](core.SquareShell{}, 4, slabStore, 64, 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

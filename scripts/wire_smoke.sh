@@ -50,7 +50,7 @@ done
 
 # Cross-wire consistency: a cell written over the binary wire must read
 # back over JSON, proving negotiation shares one table (and that the
-# server cloned the value out of its pooled request buffer).
+# server's store copied the value out of its pooled request buffer).
 python3 - "$PORT" <<'EOF' || exit 1
 import json, sys, urllib.request
 
