@@ -29,7 +29,7 @@ type member struct {
 	upgrades *srvkit.Upgrades
 }
 
-func startMember(t *testing.T, h http.Handler) *member {
+func startMember(t testing.TB, h http.Handler) *member {
 	t.Helper()
 	m := &member{Server: httptest.NewUnstartedServer(h)}
 	m.upgrades = srvkit.TrackUpgrades(m.Config)
@@ -45,7 +45,7 @@ func (m *member) Close() {
 
 // startServer spins a real tabled server (sharded backend over the
 // diagonal mapping) and returns its harness.
-func startServer(t *testing.T, rows, cols int64, opt tabled.ServerOptions) *member {
+func startServer(t testing.TB, rows, cols int64, opt tabled.ServerOptions) *member {
 	t.Helper()
 	f, err := core.ByName("diagonal")
 	if err != nil {
@@ -61,7 +61,7 @@ func startServer(t *testing.T, rows, cols int64, opt tabled.ServerOptions) *memb
 
 // startCluster builds N member servers tiling [1, 1<<40) evenly plus a
 // Router over them.
-func startCluster(t *testing.T, n int, rows, cols int64, opt Options) (*Router, []*member) {
+func startCluster(t testing.TB, n int, rows, cols int64, opt Options) (*Router, []*member) {
 	t.Helper()
 	members := make([]*member, n)
 	bases := make([]string, n)
@@ -175,7 +175,7 @@ func TestExecuteOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := rt.Execute(context.Background(), []tabled.Op{
+	res := rt.Execute(context.Background(), new(Scratch), []tabled.Op{
 		{Op: "get", X: 2, Y: 2},           // addr 5: in range
 		{Op: "set", X: 30, Y: 30, V: "v"}, // addr ≫ 10: out of range
 	}, "")
@@ -199,7 +199,7 @@ func TestExecuteDownMemberFailsFast(t *testing.T) {
 	if a := diagAddr(900, 900); a < 1<<19 {
 		t.Fatalf("test op addr %d not in node 1's range", a)
 	}
-	res := rt.Execute(context.Background(), []tabled.Op{live, dead}, "")
+	res := rt.Execute(context.Background(), new(Scratch), []tabled.Op{live, dead}, "")
 	if res[0].Err != "" || !res[0].OK {
 		t.Fatalf("surviving-range op = %+v", res[0])
 	}
@@ -232,7 +232,7 @@ func TestExecuteDegradedMemberReadOnly(t *testing.T) {
 	}
 	ctx := context.Background()
 	// Seed a cell on the soon-degraded member while it is writable.
-	res := rt.Execute(ctx, []tabled.Op{{Op: "set", X: 1, Y: 1, V: "kept"}}, "")
+	res := rt.Execute(ctx, new(Scratch), []tabled.Op{{Op: "set", X: 1, Y: 1, V: "kept"}}, "")
 	if res[0].Err != "" {
 		t.Fatalf("seed set: %+v", res[0])
 	}
@@ -243,7 +243,7 @@ func TestExecuteDegradedMemberReadOnly(t *testing.T) {
 		t.Fatalf("state = %v, want degraded", rt.Health().State(0))
 	}
 
-	res = rt.Execute(ctx, []tabled.Op{
+	res = rt.Execute(ctx, new(Scratch), []tabled.Op{
 		{Op: "get", X: 1, Y: 1},            // read from the degraded range: served
 		{Op: "set", X: 1, Y: 2, V: "no"},   // write to it: typed fail-fast
 		{Op: "set", X: 20, Y: 5, V: "yes"}, // addr 281 → healthy range write
@@ -430,7 +430,7 @@ func TestHandlerClusterStatus(t *testing.T) {
 	t.Cleanup(front.Close)
 
 	// Route something so the counters move, then kill a member.
-	rt.Execute(context.Background(), []tabled.Op{{Op: "set", X: 1, Y: 1, V: "v"}}, "")
+	rt.Execute(context.Background(), new(Scratch), []tabled.Op{{Op: "set", X: 1, Y: 1, V: "v"}}, "")
 	members[2].Close()
 	rt.Health().CheckNow(context.Background())
 

@@ -96,7 +96,7 @@ func TestCallNodeDecisionTable(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			observe(rt, row.pri, row.fenced, row.rep, row.promoted)
 			v := fmt.Sprintf("row-%d", i)
-			res := rt.Execute(ctx, []tabled.Op{
+			res := rt.Execute(ctx, new(Scratch), []tabled.Op{
 				{Op: "set", X: 2, Y: 2, V: v},
 				{Op: "get", X: 1, Y: 1},
 			}, "")
@@ -117,7 +117,7 @@ func TestCallNodeDecisionTable(t *testing.T) {
 		dead.Close()
 		rt := newRouter(dead.URL)
 		observe(rt, StateDegraded, false, StateDegraded, false)
-		res := rt.Execute(ctx, []tabled.Op{
+		res := rt.Execute(ctx, new(Scratch), []tabled.Op{
 			{Op: "set", X: 2, Y: 2, V: "lost"},
 			{Op: "get", X: 1, Y: 1},
 			{Op: "get", X: 1, Y: 1},

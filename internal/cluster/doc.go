@@ -23,6 +23,16 @@
 // under exact rules; rejected positions are forwarded so even error
 // strings match; the equivalence test quick-checks this).
 //
+// A routed batch works in one Scratch, which the front door takes from a
+// pool per request and puts back only after the reply (or the 503/409
+// refusal) is written. Each member's reply body is read into that
+// Scratch, and tabled.ConnPool.Exchange's results alias the caller's
+// ExchangeBuf, so the merged results' values and error strings alias the
+// request's Scratch too — never a pooled connection, which serves another
+// request once its exchange ends. Callers that keep results past the
+// Scratch's next use copy them. In steady state the hop allocates a fixed
+// count per member exchange, whatever the batch size (DESIGN §5c).
+//
 // The router holds no durable state. Idempotency lives on the members:
 // each sub-batch carries a key derived from the client's Idempotency-Key,
 // so retries — the client's or the router's — replay from the members'

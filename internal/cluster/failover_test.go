@@ -124,12 +124,12 @@ func TestFailoverReadEquivalence(t *testing.T) {
 		reads = append(reads, tabled.Op{Op: "get", X: x, Y: y})
 	}
 	reads = append(reads, tabled.Op{Op: "dims"}, tabled.Op{Op: "get", X: 7, Y: 9})
-	for _, r := range rt.Execute(ctx, writes, "") {
+	for _, r := range rt.Execute(ctx, new(Scratch), writes, "") {
 		if r.Err != "" {
 			t.Fatalf("write: %+v", r)
 		}
 	}
-	want := rt.Execute(ctx, reads, "")
+	want := rt.Execute(ctx, new(Scratch), reads, "")
 	for _, r := range want {
 		if r.Err != "" {
 			t.Fatalf("pre-failover read: %+v", r)
@@ -150,7 +150,7 @@ func TestFailoverReadEquivalence(t *testing.T) {
 		t.Fatalf("checker: promoted=%v state=%v", rep.promoted, rep.state)
 	}
 
-	got := rt.Execute(ctx, reads, "")
+	got := rt.Execute(ctx, new(Scratch), reads, "")
 	if !reflect.DeepEqual(got, want) {
 		for i := range got {
 			if !reflect.DeepEqual(got[i], want[i]) {
@@ -161,7 +161,7 @@ func TestFailoverReadEquivalence(t *testing.T) {
 		t.Fatal("post-failover reads diverge from pre-failover reads")
 	}
 	// Writes fail over too, and land on the promoted replica.
-	res := rt.Execute(ctx, []tabled.Op{
+	res := rt.Execute(ctx, new(Scratch), []tabled.Op{
 		{Op: "set", X: 1, Y: 1, V: "after"},
 		{Op: "get", X: 1, Y: 1},
 	}, "")
@@ -189,7 +189,7 @@ func TestUnpromotedReplicaServesReadsOnly(t *testing.T) {
 	ctx := context.Background()
 	rt.Health().CheckNow(ctx)
 
-	res := rt.Execute(ctx, []tabled.Op{{Op: "set", X: 2, Y: 3, V: "kept"}}, "")
+	res := rt.Execute(ctx, new(Scratch), []tabled.Op{{Op: "set", X: 2, Y: 3, V: "kept"}}, "")
 	if res[0].Err != "" {
 		t.Fatalf("seed write: %+v", res[0])
 	}
@@ -200,7 +200,7 @@ func TestUnpromotedReplicaServesReadsOnly(t *testing.T) {
 		t.Fatalf("states: primary=%v promoted=%v", pri.state, rep.promoted)
 	}
 
-	res = rt.Execute(ctx, []tabled.Op{
+	res = rt.Execute(ctx, new(Scratch), []tabled.Op{
 		{Op: "get", X: 2, Y: 3},
 		{Op: "set", X: 4, Y: 4, V: "no"},
 	}, "")
@@ -319,7 +319,7 @@ func TestReloadKeepsWrittenPositions(t *testing.T) {
 	}
 	ctx := context.Background()
 	rl.Router().Health().CheckNow(ctx)
-	if r := rl.Router().Execute(ctx, []tabled.Op{{Op: "set", X: 3, Y: 3, V: "acked"}}, ""); r[0].Err != "" {
+	if r := rl.Router().Execute(ctx, new(Scratch), []tabled.Op{{Op: "set", X: 3, Y: 3, V: "acked"}}, ""); r[0].Err != "" {
 		t.Fatalf("write: %+v", r[0])
 	}
 	if err := os.WriteFile(path, []byte(specJSON(1<<41)), 0o644); err != nil {
@@ -328,7 +328,7 @@ func TestReloadKeepsWrittenPositions(t *testing.T) {
 	if err := rl.Reload(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if r := rl.Router().Execute(ctx, []tabled.Op{{Op: "get", X: 3, Y: 3}}, ""); r[0].V != "acked" {
+	if r := rl.Router().Execute(ctx, new(Scratch), []tabled.Op{{Op: "get", X: 3, Y: 3}}, ""); r[0].V != "acked" {
 		t.Fatalf("read after reload = %+v, want the acknowledged write", r[0])
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -270,14 +271,21 @@ func (r *Router) Health() *Checker { return r.health }
 // Spec returns the cluster spec the router serves.
 func (r *Router) Spec() *Spec { return r.spec }
 
-// nodeKey derives the per-node idempotency key from the client's: stable
-// across both the client's retries of the whole batch and the router's
-// retries of the sub-batch, so a node never applies a replayed sub-batch
-// twice. The op count is folded in so a degraded-member read-only filter
-// (which shrinks the sub-batch) never replays a response recorded for a
+// appendNodeKey appends the per-node idempotency key derived from the
+// client's, key/node/nops, where node is the member's name followed by
+// suffix ("/replica" for a read offloaded to its replica): stable across
+// both the client's retries of the whole batch and the router's retries
+// of the sub-batch, so a node never applies a replayed sub-batch twice.
+// The op count is folded in so a degraded-member read-only filter (which
+// shrinks the sub-batch) never replays a response recorded for a
 // different op set.
-func nodeKey(key, node string, nops int) string {
-	return fmt.Sprintf("%s/%s/%d", key, node, nops)
+func appendNodeKey(dst []byte, key, node, suffix string, nops int) []byte {
+	dst = append(dst, key...)
+	dst = append(dst, '/')
+	dst = append(dst, node...)
+	dst = append(dst, suffix...)
+	dst = append(dst, '/')
+	return strconv.AppendInt(dst, int64(nops), 10)
 }
 
 // maxClientKey is the longest client Idempotency-Key the router passes on
@@ -292,15 +300,69 @@ func digestKey(key string) string {
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
-// Execute runs one batch through the cluster: partition by owning node,
-// fan out concurrently, merge in request order. Per-op errors — the
+// A Scratch is the memory one routed batch works in: the merged results,
+// and for each member its reply slot, its sub-batch's results, the
+// envelope and key sent to it, and the reply body it answered into.
+// Execute's results alias the Scratch, their values and error strings the
+// member reply bodies, so the caller keeps it until done with them — the
+// front door until the reply is written — and may then reuse it. The zero
+// value is ready for use.
+type Scratch struct {
+	out   []tabled.OpResult
+	nodes []*nodeScratch
+	wg    sync.WaitGroup
+	// The batch being fanned out, read by the nodes' run functions; set
+	// only while Execute runs.
+	r   *Router
+	ctx context.Context
+	key string
+}
+
+// A nodeScratch is one member's share of a Scratch.
+type nodeScratch struct {
+	sub     []tabled.Op       // the member's sub-batch
+	reply   []tabled.OpResult // callNode's answer; nil without a sub-batch
+	res     []tabled.OpResult // reply's memory
+	send    []tabled.Op       // the reads kept by a read-only filter
+	sendPos []int             // res position of each op in send
+	key     []byte
+	xb      tabled.ExchangeBuf
+	// run calls the member on a goroutine of its own; made once, so
+	// starting that goroutine allocates no closure.
+	run func()
+}
+
+// reset sizes the scratch for a batch of nops ops over nnodes members and
+// returns its result slice.
+func (sc *Scratch) reset(nops, nnodes int) []tabled.OpResult {
+	if cap(sc.out) < nops {
+		sc.out = make([]tabled.OpResult, nops)
+	}
+	for n := len(sc.nodes); n < nnodes; n++ {
+		ns := new(nodeScratch)
+		ns.run = func() {
+			defer sc.wg.Done()
+			ns.reply = sc.r.callNode(sc.ctx, n, ns.sub, sc.key, ns)
+		}
+		sc.nodes = append(sc.nodes, ns)
+	}
+	for _, ns := range sc.nodes {
+		ns.reply = nil
+	}
+	sc.out = sc.out[:nops]
+	return sc.out
+}
+
+// Execute runs one batch through the cluster in sc: partition by owning
+// node, fan out concurrently, merge in request order. Per-op errors — the
 // members' own and the router's (range misses, unavailable members) —
-// come back inline, exactly like a single tabledserver's /v1/batch.
+// come back inline, exactly like a single tabledserver's /v1/batch. The
+// results alias sc (see Scratch).
 //
 // key is the client's Idempotency-Key ("" generates one), propagated to
-// every sub-batch via nodeKey so end-to-end retries stay idempotent
+// every sub-batch via appendNodeKey so end-to-end retries stay idempotent
 // without any router-side replay cache.
-func (r *Router) Execute(ctx context.Context, ops []tabled.Op, key string) []tabled.OpResult {
+func (r *Router) Execute(ctx context.Context, sc *Scratch, ops []tabled.Op, key string) []tabled.OpResult {
 	if key == "" {
 		key = tabled.NewIdemKey()
 	} else if len(key) > maxClientKey {
@@ -308,29 +370,36 @@ func (r *Router) Execute(ctx context.Context, ops []tabled.Op, key string) []tab
 	}
 	plan := r.part.Partition(ops, r.health.FirstHealthy())
 	defer plan.Release()
-	out := make([]tabled.OpResult, len(ops))
+	out := sc.reset(len(ops), len(r.pools))
 	if n := plan.MergeLocal(out); n > 0 {
 		r.m.unroutableOps(n)
 	}
-	replies := make([][]tabled.OpResult, len(r.pools))
-	var wg sync.WaitGroup
+	// The last non-empty sub-batch runs on this goroutine, the others on
+	// one each: a batch owned by one member spawns none.
+	last := -1
 	for n := range r.pools {
-		sub, _ := plan.Sub(n)
-		if len(sub) == 0 {
-			continue
+		if sc.nodes[n].sub, _ = plan.Sub(n); len(sc.nodes[n].sub) > 0 {
+			last = n
 		}
-		wg.Add(1)
-		go func(n int, sub []tabled.Op) {
-			defer wg.Done()
-			replies[n] = r.callNode(ctx, n, sub, key)
-		}(n, sub)
 	}
-	wg.Wait()
+	sc.r, sc.ctx, sc.key = r, ctx, key
+	for n := 0; n < last; n++ {
+		if ns := sc.nodes[n]; len(ns.sub) > 0 {
+			sc.wg.Add(1)
+			go ns.run()
+		}
+	}
+	if last >= 0 {
+		ns := sc.nodes[last]
+		ns.reply = r.callNode(ctx, last, ns.sub, key, ns)
+	}
+	sc.wg.Wait()
+	sc.r, sc.ctx = nil, nil
 	// Merge in ascending node order — the broadcast combine rules in
 	// MergeInto depend on it for determinism.
-	for n := range replies {
-		if replies[n] != nil {
-			plan.MergeInto(out, n, replies[n])
+	for n := range r.pools {
+		if reply := sc.nodes[n].reply; reply != nil {
+			plan.MergeInto(out, n, reply)
 		}
 	}
 	plan.FillUnmerged(out, errUnrouted)
@@ -363,10 +432,14 @@ func (r *Router) Execute(ctx context.Context, ops []tabled.Op, key string) []tab
 // promotion the checker has witnessed. The epoch latch is monotonic, so
 // the stale node stays fenced until the spec is amended or it reseeds
 // under the new primary (and then reports the new epoch itself). The
-// returned slice always has one result per sub-batch op.
-func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key string) []tabled.OpResult {
+// returned slice always has one result per sub-batch op; it and the
+// member's reply live in ns.
+func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key string, ns *nodeScratch) []tabled.OpResult {
 	name := r.spec.Nodes[n].Name
-	res := make([]tabled.OpResult, len(sub))
+	if cap(ns.res) < len(sub) {
+		ns.res = make([]tabled.OpResult, len(sub))
+	}
+	res := ns.res[:len(sub)]
 	client := r.pools[n]
 	readsOnly, readOnlyErr := false, ""
 	pri, rep, maxEpoch := r.health.view(n)
@@ -429,18 +502,18 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 		}
 	}
 	send := sub
-	var sendPos []int // res position of each sent op when filtering
-	if readsOnly && tabled.HasWrites(sub) {
-		send = make([]tabled.Op, 0, len(sub))
-		sendPos = make([]int, 0, len(sub))
+	filtered := readsOnly && tabled.HasWrites(sub)
+	if filtered {
+		send, ns.sendPos = ns.send[:0], ns.sendPos[:0]
 		for i := range sub {
 			if sub[i].Op == "set" || sub[i].Op == "resize" {
 				res[i] = tabled.OpResult{Err: readOnlyErr}
 			} else {
 				send = append(send, sub[i])
-				sendPos = append(sendPos, i)
+				ns.sendPos = append(ns.sendPos, i)
 			}
 		}
+		ns.send = send
 		if len(send) == 0 {
 			return res
 		}
@@ -451,7 +524,8 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 		// replica refuses them outright while it lacks a write this router
 		// acknowledged.
 		t0 := time.Now()
-		got, _, err := client.Exchange(ctx, send, nodeKey(key, name+"/replica", len(send)), r.written[n].Load())
+		ns.key = appendNodeKey(ns.key[:0], key, name, "/replica", len(send))
+		got, _, err := client.Exchange(ctx, &ns.xb, send, ns.key, r.written[n].Load())
 		if err == nil {
 			r.m.nodeBatch(n, len(send), time.Since(t0), false)
 			r.m.replicaRead(len(send))
@@ -467,7 +541,8 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 		client = r.pools[n]
 	}
 	t0 := time.Now()
-	got, pos, err := client.Exchange(ctx, send, nodeKey(key, name, len(send)), 0)
+	ns.key = appendNodeKey(ns.key[:0], key, name, "", len(send))
+	got, pos, err := client.Exchange(ctx, &ns.xb, send, ns.key, 0)
 	r.m.nodeBatch(n, len(send), time.Since(t0), err != nil)
 	if pos > 0 && client == r.pools[n] {
 		latchMax(r.written[n], pos)
@@ -479,17 +554,17 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 		msg := nodeDownErr(name, err)
 		for k := range send {
 			i := k
-			if sendPos != nil {
-				i = sendPos[k]
+			if filtered {
+				i = ns.sendPos[k]
 			}
 			res[i] = tabled.OpResult{Err: msg}
 		}
 		return res
 	}
-	if sendPos == nil {
+	if !filtered {
 		copy(res, got)
 	} else {
-		for k, i := range sendPos {
+		for k, i := range ns.sendPos {
 			res[i] = got[k]
 		}
 	}

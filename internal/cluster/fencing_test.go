@@ -45,7 +45,7 @@ func TestFencedPrimaryFailsOver(t *testing.T) {
 	ctx := context.Background()
 	rt.Health().CheckNow(ctx)
 
-	for _, r := range rt.Execute(ctx, []tabled.Op{{Op: "set", X: 1, Y: 1, V: "before"}}, "") {
+	for _, r := range rt.Execute(ctx, new(Scratch), []tabled.Op{{Op: "set", X: 1, Y: 1, V: "before"}}, "") {
 		if r.Err != "" {
 			t.Fatalf("pre-fork write: %+v", r)
 		}
@@ -64,7 +64,7 @@ func TestFencedPrimaryFailsOver(t *testing.T) {
 	}
 
 	// Writes flow — to the promoted replica, never the stale primary.
-	res := rt.Execute(ctx, []tabled.Op{
+	res := rt.Execute(ctx, new(Scratch), []tabled.Op{
 		{Op: "set", X: 2, Y: 2, V: "after"},
 		{Op: "get", X: 2, Y: 2},
 		{Op: "get", X: 1, Y: 1},
@@ -108,7 +108,7 @@ func TestFencedPrimaryNoReplicaIs409(t *testing.T) {
 	if pri, _, maxEpoch := rt.health.view(0); !pri.fencedBy(maxEpoch) {
 		t.Fatal("fencing lost when the promoted node went down")
 	}
-	res := rt.Execute(ctx, []tabled.Op{
+	res := rt.Execute(ctx, new(Scratch), []tabled.Op{
 		{Op: "set", X: 1, Y: 1, V: "x"},
 		{Op: "get", X: 1, Y: 1},
 	}, "")
@@ -150,12 +150,12 @@ func TestReplicaReads(t *testing.T) {
 		writes = append(writes, tabled.Op{Op: "set", X: x, Y: y, V: fmt.Sprintf("v%d", i)})
 		reads = append(reads, tabled.Op{Op: "get", X: x, Y: y})
 	}
-	for _, r := range rt.Execute(ctx, writes, "") {
+	for _, r := range rt.Execute(ctx, new(Scratch), writes, "") {
 		if r.Err != "" {
 			t.Fatalf("write: %+v", r)
 		}
 	}
-	want := rt.Execute(ctx, reads, "") // replica may or may not be caught up yet
+	want := rt.Execute(ctx, new(Scratch), reads, "") // replica may or may not be caught up yet
 	for _, r := range want {
 		if r.Err != "" {
 			t.Fatalf("read: %+v", r)
@@ -168,7 +168,7 @@ func TestReplicaReads(t *testing.T) {
 		t.Fatalf("caught-up replica lag = %d", rep.lag)
 	}
 	before := rt.m.repReads.Value()
-	got := rt.Execute(ctx, reads, "")
+	got := rt.Execute(ctx, new(Scratch), reads, "")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("replica reads diverge from primary reads")
 	}
@@ -180,7 +180,7 @@ func TestReplicaReads(t *testing.T) {
 	// A batch with one write in it must stay on the primary wholesale.
 	before = rt.m.repReads.Value()
 	mixed := append([]tabled.Op{{Op: "set", X: 1, Y: 1, V: "w"}}, reads[:5]...)
-	for _, r := range rt.Execute(ctx, mixed, "") {
+	for _, r := range rt.Execute(ctx, new(Scratch), mixed, "") {
 		if r.Err != "" {
 			t.Fatalf("mixed batch: %+v", r)
 		}
@@ -194,7 +194,7 @@ func TestReplicaReads(t *testing.T) {
 	promote(t, pair.follower.URL)
 	rt.Health().CheckNow(ctx)
 	before = rt.m.repReads.Value()
-	_ = rt.Execute(ctx, reads[:5], "")
+	_ = rt.Execute(ctx, new(Scratch), reads[:5], "")
 	if n := rt.m.repReads.Value() - before; n != 0 {
 		t.Fatalf("offloaded %d reads to a promoted replica", n)
 	}
@@ -235,13 +235,13 @@ func TestReplicaReadsSeeOwnWrites(t *testing.T) {
 		for i := range writes {
 			writes[i].V = fmt.Sprintf("r%d-v%d", round, i)
 		}
-		for _, r := range rt.Execute(ctx, writes, "") {
+		for _, r := range rt.Execute(ctx, new(Scratch), writes, "") {
 			if r.Err != "" {
 				t.Fatalf("write: %+v", r)
 			}
 		}
 		offloaded, behind := rt.m.repReads.Value(), rt.m.repBehind.Value()
-		for i, r := range rt.Execute(ctx, reads, "") {
+		for i, r := range rt.Execute(ctx, new(Scratch), reads, "") {
 			if r.Err != "" || !r.Found || r.V != writes[i].V {
 				t.Fatalf("round %d: read %d = %+v, want the acknowledged %q", round, i, r, writes[i].V)
 			}
@@ -271,7 +271,7 @@ func TestReplicaReadsLagGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, r := range rt.Execute(ctx, []tabled.Op{{Op: "set", X: 1, Y: 1, V: "v"}}, "") {
+	for _, r := range rt.Execute(ctx, new(Scratch), []tabled.Op{{Op: "set", X: 1, Y: 1, V: "v"}}, "") {
 		if r.Err != "" {
 			t.Fatalf("write: %+v", r)
 		}
@@ -282,7 +282,7 @@ func TestReplicaReadsLagGate(t *testing.T) {
 	read := []tabled.Op{{Op: "get", X: 1, Y: 1}}
 	offloads := func() int64 {
 		before := rt.m.repReads.Value()
-		for _, r := range rt.Execute(ctx, read, "") {
+		for _, r := range rt.Execute(ctx, new(Scratch), read, "") {
 			if r.Err != "" || r.V != "v" {
 				t.Fatalf("read = %+v", r)
 			}

@@ -105,7 +105,16 @@ type frontDoor struct {
 	opt HandlerOptions
 }
 
-var batchBufs = sync.Pool{New: func() any { return new(tabled.BatchBuf) }}
+// A batchScratch is the memory one front-door batch works in: the
+// request's decode buffers and the routed batch's Scratch. The results
+// alias the Scratch, so it goes back to the pool only once the reply (or
+// the refusal) is written.
+type batchScratch struct {
+	buf tabled.BatchBuf
+	sc  Scratch
+}
+
+var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // handleBatch reads one batch through tabled's wire layer (the same
 // negotiation, body cap and validation as a member's), routes it through
@@ -115,13 +124,13 @@ var batchBufs = sync.Pool{New: func() any { return new(tabled.BatchBuf) }}
 // so a blanket outage looks like one retryable error instead of a
 // success full of failures.
 func (h *frontDoor) handleBatch(w http.ResponseWriter, r *http.Request) {
-	buf := batchBufs.Get().(*tabled.BatchBuf)
-	defer batchBufs.Put(buf)
-	ops, binary, ok := tabled.ReadBatch(w, r, buf, h.opt.MaxBatch)
+	bs := batchScratches.Get().(*batchScratch)
+	defer batchScratches.Put(bs)
+	ops, binary, ok := tabled.ReadBatch(w, r, &bs.buf, h.opt.MaxBatch)
 	if !ok {
 		return
 	}
-	results := h.src.Router().Execute(r.Context(), ops, r.Header.Get(tabled.IdempotencyKeyHeader))
+	results := h.src.Router().Execute(r.Context(), &bs.sc, ops, r.Header.Get(tabled.IdempotencyKeyHeader))
 	if AllUnavailable(results) {
 		// The whole batch failed on unavailable members (e.g. a write to a
 		// degraded range, or every owner down): a typed, retryable refusal.
@@ -135,7 +144,7 @@ func (h *frontDoor) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, firstError(results), status)
 		return
 	}
-	_ = tabled.WriteBatch(w, binary, results, buf)
+	_ = tabled.WriteBatch(w, binary, results, &bs.buf)
 }
 
 func firstError(results []tabled.OpResult) string {

@@ -145,7 +145,7 @@ func TestFirstHealthySkipsFencedPrimary(t *testing.T) {
 	if got := rt.health.FirstHealthy(); got != 1 {
 		t.Fatalf("FirstHealthy = %d, want the unfenced node 1", got)
 	}
-	res := rt.Execute(context.Background(), []tabled.Op{{Op: "dims"}}, "")
+	res := rt.Execute(context.Background(), new(Scratch), []tabled.Op{{Op: "dims"}}, "")
 	if res[0].Err != "" || res[0].Rows != 40 {
 		t.Fatalf("dims = %+v, want node 1's answer", res[0])
 	}

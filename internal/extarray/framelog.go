@@ -32,10 +32,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // frameHeaderSize is the fixed per-frame overhead: length + checksum.
 const frameHeaderSize = 8
 
-// ErrFrameTooLarge is returned by AppendFrame for payloads over
-// MaxFramePayload, and reported as a torn tail by ReadFrames when a length
-// prefix exceeds it (a corrupt length is indistinguishable from a torn
-// write).
+// ErrFrameTooLarge is returned by AppendFrame and EncodeFrame for payloads
+// over MaxFramePayload, and reported as a torn tail by ReadFrames when a
+// length prefix exceeds it (a corrupt length is indistinguishable from a
+// torn write).
 var ErrFrameTooLarge = fmt.Errorf("extarray: frame exceeds %d bytes", int64(MaxFramePayload))
 
 // AppendFrame writes one framed record to w and returns the number of
@@ -48,14 +48,27 @@ func AppendFrame(w io.Writer, payload []byte) (int, error) {
 		return 0, ErrFrameTooLarge
 	}
 	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	n, err := w.Write(hdr[:])
+	n, err := w.Write(appendFrameHeader(hdr[:0], payload))
 	if err != nil {
 		return n, err
 	}
 	m, err := w.Write(payload)
 	return n + m, err
+}
+
+// EncodeFrame appends one framed record carrying payload to dst — the
+// bytes AppendFrame writes — so a caller can write it in one call.
+func EncodeFrame(dst, payload []byte) ([]byte, error) {
+	if len(payload) > MaxFramePayload {
+		return dst, ErrFrameTooLarge
+	}
+	return append(appendFrameHeader(dst, payload), payload...), nil
+}
+
+// appendFrameHeader appends the header of the frame carrying payload.
+func appendFrameHeader(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
 }
 
 // FrameLen returns the on-disk size of a frame carrying len(payload) bytes.

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"os"
 	"sync"
 	"time"
 
@@ -81,32 +82,40 @@ var ErrBehind = errors.New("tabled: replica behind the requested position")
 // returns one result per op, like Client.BatchWithKey over the binary
 // wire. The results own their memory.
 func (p *ConnPool) BatchWithKey(ctx context.Context, ops []Op, key string) ([]OpResult, error) {
-	res, _, err := p.Exchange(ctx, ops, key, 0)
+	res, _, err := p.Exchange(ctx, new(ExchangeBuf), ops, []byte(key), 0)
 	return res, err
 }
 
+// An ExchangeBuf is the memory one Exchange works in: the request
+// envelope, the reply body, and the results decoded from it. The caller
+// owns it, and the results' values and error strings alias its body: they
+// stay valid until the ExchangeBuf is used again. The zero value is ready
+// for use.
+type ExchangeBuf struct {
+	env  []byte
+	body []byte
+	res  []OpResult
+}
+
 // Exchange is BatchWithKey with the exchange's positions (docs/WIRE.md
-// §7). A nonzero minPos makes a follower that has applied fewer WAL
-// records refuse the batch with an error wrapping ErrBehind. pos is the
-// server's WAL position covering a batch that writes, 0 for one that
-// only reads: a caller that keeps the highest pos it was answered can
-// pass it as a later read's minPos to read its own writes.
-func (p *ConnPool) Exchange(ctx context.Context, ops []Op, key string, minPos uint64) (res []OpResult, pos uint64, err error) {
+// §7), working in xb: the returned results alias xb until its next use. A
+// nonzero minPos makes a follower that has applied fewer WAL records
+// refuse the batch with an error wrapping ErrBehind. pos is the server's
+// WAL position covering a batch that writes, 0 for one that only reads: a
+// caller that keeps the highest pos it was answered can pass it as a later
+// read's minPos to read its own writes.
+func (p *ConnPool) Exchange(ctx context.Context, xb *ExchangeBuf, ops []Op, key []byte, minPos uint64) (res []OpResult, pos uint64, err error) {
 	if len(key) > maxExchangeKey {
 		return nil, 0, fmt.Errorf("tabled: idempotency key of %d bytes exceeds %d", len(key), maxExchangeKey)
 	}
-	buf := frameBufPool.Get().(*[]byte)
-	defer frameBufPool.Put(buf)
-	env, err := appendExchangeRequest((*buf)[:0], key, minPos, ops)
-	if err != nil {
+	if xb.env, err = appendExchangeRequest(xb.env[:0], key, minPos, ops); err != nil {
 		return nil, 0, err
 	}
-	*buf = env
 	if p.retry == nil {
-		return p.attempt(ctx, env, len(ops))
+		return p.attempt(ctx, xb, len(ops))
 	}
 	err = p.retry.Do(ctx, func(ctx context.Context) error {
-		r, rpos, err := p.attempt(ctx, env, len(ops))
+		r, rpos, err := p.attempt(ctx, xb, len(ops))
 		if err != nil {
 			return err
 		}
@@ -129,29 +138,40 @@ func (p *ConnPool) Close() {
 	}
 }
 
-// attempt runs one exchange of the request envelope env.
-func (p *ConnPool) attempt(ctx context.Context, env []byte, nops int) ([]OpResult, uint64, error) {
+// attempt runs one exchange of the request envelope in xb. The timeout is
+// a deadline on the connection rather than a derived context, so a steady
+// exchange makes no timer and no context; only a dial takes one.
+func (p *ConnPool) attempt(ctx context.Context, xb *ExchangeBuf, nops int) ([]OpResult, uint64, error) {
+	var deadline time.Time
 	if p.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.timeout)
-		defer cancel()
+		deadline = time.Now().Add(p.timeout)
 	}
 	pc, pooled := p.take()
 	if pc == nil {
 		var err error
-		if pc, err = dialUpgrade(ctx, p.base, ConnPath, ConnProtocol); err != nil {
+		if pc, err = p.dial(ctx, deadline); err != nil {
 			return nil, 0, err
 		}
 	}
-	res, pos, answered, err := p.roundTrip(ctx, pc, env, nops)
-	if err != nil && pooled && !answered && ctx.Err() == nil {
-		if pc, err = dialUpgrade(ctx, p.base, ConnPath, ConnProtocol); err != nil {
+	res, pos, answered, err := p.roundTrip(ctx, pc, xb, nops, deadline)
+	if err != nil && pooled && !answered && ctx.Err() == nil && !errors.Is(err, context.DeadlineExceeded) {
+		if pc, err = p.dial(ctx, deadline); err != nil {
 			return nil, 0, err
 		}
-		res, pos, _, err = p.roundTrip(ctx, pc, env, nops)
+		res, pos, _, err = p.roundTrip(ctx, pc, xb, nops, deadline)
 	}
 	p.give(pc)
 	return res, pos, err
+}
+
+// dial connects a new connection, by deadline when it is not zero.
+func (p *ConnPool) dial(ctx context.Context, deadline time.Time) (*clientConn, error) {
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
+	return dialUpgrade(ctx, p.base, ConnPath, ConnProtocol)
 }
 
 // take pops the most recently used idle connection, or returns nil.
@@ -186,9 +206,12 @@ var aLongTimeAgo = time.Unix(1, 0)
 // wire (docs/WIRE.md §7, §8): it sends a request and reads the reply
 // envelope both wires share. One goroutine uses it at a time.
 type clientConn struct {
-	c   net.Conn
-	br  *bufio.Reader
-	buf []byte // the body of the last reply read with reuse
+	c  net.Conn
+	br *bufio.Reader
+	// poison fails the connection's I/O at once; made once per connection
+	// for context.AfterFunc, which would otherwise take a fresh closure
+	// per round trip.
+	poison func()
 	// broken marks a connection whose stream state is unknown (an I/O or
 	// framing error, or an exchange cut by its context); it is closed.
 	broken bool
@@ -217,18 +240,20 @@ func dialUpgrade(ctx context.Context, base, path, proto string) (*clientConn, er
 		c.Close()
 		return nil, err
 	}
-	return &clientConn{c: c, br: br}, nil
+	cc := &clientConn{c: c, br: br}
+	cc.poison = func() { cc.c.SetDeadline(aLongTimeAgo) }
+	return cc, nil
 }
 
 // roundTrip sends req and reads its reply (see readReply): the status,
 // the header fields into fields, and a body of at most limit bytes on a
-// 200. With reuse the body lands in the connection's own buffer and is
-// valid until the next round trip; without, it is freshly allocated.
-// answered reports whether any reply byte arrived. ctx ending fails the
-// exchange at once with ctx's error. Any error, and ctx ending, leaves
-// the connection broken.
-func (cc *clientConn) roundTrip(ctx context.Context, req []byte, fields []uint64, limit int, reuse bool) (status int, body []byte, answered bool, err error) {
-	stop := context.AfterFunc(ctx, func() { cc.c.SetDeadline(aLongTimeAgo) })
+// 200. The body lands in buf's memory, grown when short; the caller owns
+// buf, never the connection, so a body stays the caller's once the
+// connection goes back to a pool. answered reports whether any reply byte
+// arrived. ctx ending fails the exchange at once with ctx's error. Any
+// error, and ctx ending, leaves the connection broken.
+func (cc *clientConn) roundTrip(ctx context.Context, req []byte, fields []uint64, limit int, buf []byte) (status int, body []byte, answered bool, err error) {
+	stop := context.AfterFunc(ctx, cc.poison)
 	defer func() {
 		// A poisoned deadline ends the connection either way, and an I/O
 		// error it caused is really the context's.
@@ -246,14 +271,7 @@ func (cc *clientConn) roundTrip(ctx context.Context, req []byte, fields []uint64
 	if _, err := cc.br.Peek(1); err != nil {
 		return 0, nil, false, err
 	}
-	var buf []byte
-	if reuse {
-		buf = cc.buf
-	}
 	status, body, err = readReply(cc.br, fields, limit, buf)
-	if reuse && err == nil {
-		cc.buf = body
-	}
 	return status, body, true, err
 }
 
@@ -292,13 +310,23 @@ func handshake(c net.Conn, req []byte, base, proto string) (*bufio.Reader, error
 // stream is not speaking the protocol.
 const maxRefusal = 64 << 10
 
-// roundTrip sends env on pc and reads its reply. answered reports whether
-// any reply byte arrived. Any error other than a well-formed refusal
-// leaves pc broken.
-func (p *ConnPool) roundTrip(ctx context.Context, pc *clientConn, env []byte, nops int) (res []OpResult, pos uint64, answered bool, err error) {
+// roundTrip sends xb's envelope on pc and decodes its reply into xb, all
+// by deadline when it is not zero. answered reports whether any reply
+// byte arrived. Any error other than a well-formed refusal leaves pc
+// broken.
+func (p *ConnPool) roundTrip(ctx context.Context, pc *clientConn, xb *ExchangeBuf, nops int, deadline time.Time) (res []OpResult, pos uint64, answered bool, err error) {
+	if !deadline.IsZero() {
+		pc.c.SetDeadline(deadline)
+	}
 	var hdr [1]uint64 // position
-	status, body, answered, err := pc.roundTrip(ctx, env, hdr[:], wireHeaderSize+MaxWirePayload, false)
+	status, body, answered, err := pc.roundTrip(ctx, xb.env, hdr[:], wireHeaderSize+MaxWirePayload, xb.body)
+	if body != nil {
+		xb.body = body
+	}
 	if err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			err = context.DeadlineExceeded // the attempt's timeout
+		}
 		return nil, 0, answered, fmt.Errorf("exchange with %s: %w", p.base, err)
 	}
 	switch status {
@@ -311,11 +339,13 @@ func (p *ConnPool) roundTrip(ctx context.Context, pc *clientConn, env []byte, no
 	default:
 		return nil, 0, true, remoteStatusError(status, statusText(status), body)
 	}
-	// The body is freshly owned by this reply, so results may alias it.
-	results, err := DecodeBatchResponse(body, nil, 0)
+	// The body is the caller's (xb), so results may alias it; nops bounds
+	// the count before the results grow.
+	results, err := DecodeBatchResponse(body, xb.res[:0], nops)
 	if err != nil {
 		return nil, 0, true, fmt.Errorf("%w: decoding response: %v", ErrRemote, err)
 	}
+	xb.res = results
 	if len(results) != nops {
 		return nil, 0, true, fmt.Errorf("%w: %d results for %d ops", ErrRemote, len(results), nops)
 	}
@@ -325,7 +355,7 @@ func (p *ConnPool) roundTrip(ctx context.Context, pc *clientConn, env []byte, no
 // appendExchangeRequest appends the request envelope of one exchange:
 // the key's length and bytes, the minimum position, then the §2 request
 // frame for ops.
-func appendExchangeRequest(dst []byte, key string, minPos uint64, ops []Op) ([]byte, error) {
+func appendExchangeRequest[K string | []byte](dst []byte, key K, minPos uint64, ops []Op) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
 	dst = binary.AppendUvarint(dst, minPos)

@@ -81,7 +81,12 @@
 // back-to-back binary exchanges (docs/WIRE.md §7; exchange.go): each one
 // runs the binary /v1/batch path without per-request HTTP, and a steady
 // get exchange allocates nothing. ConnPool (connpool.go) is its client,
-// the router's member wire. A follower's pulls (docs/WIRE.md §8; repl.go,
+// the router's member wire. ConnPool.Exchange works in an ExchangeBuf the
+// caller owns: the request envelope, the reply body and the decoded
+// results, whose values and error strings alias that body until the
+// ExchangeBuf is used again. A reply is never read into memory its
+// connection owns, since the connection returns to the pool, and to
+// another caller, before this caller is done with the results. A follower's pulls (docs/WIRE.md §8; repl.go,
 // follower.go) ride the same machinery: both upgraded wires share one
 // reply envelope (writeReply and readReply in exchange.go), one server
 // loop (srvkit.UpgradedConn.Serve) and one client connection

@@ -103,7 +103,7 @@ func writeReply(bw *bufio.Writer, status int, fields []uint64, out []byte, msg s
 // may be at most limit bytes on a 200 and maxRefusal otherwise; a longer
 // one is an ErrRemote error, returned before any of it is read, since
 // the stream is not speaking the protocol. The body is read into buf's
-// capacity, or a fresh slice when buf is nil.
+// capacity, or a fresh slice when that is short.
 func readReply(br *bufio.Reader, fields []uint64, limit int, buf []byte) (status int, body []byte, err error) {
 	st, err := binary.ReadUvarint(br)
 	for i := 0; i < len(fields) && err == nil; i++ {

@@ -110,8 +110,10 @@ type Follower struct {
 	// not match the WAL cut. Exposed via GuardInstall.
 	installMu sync.Mutex
 
-	// The pull connection, used by the Run goroutine alone.
-	conn *clientConn
+	// The pull connection and the buffer its replies are read into, used
+	// by the Run goroutine alone.
+	conn    *clientConn
+	pullBuf []byte
 
 	mu      sync.Mutex
 	err     error              // sticky divergence/apply failure
@@ -335,7 +337,7 @@ const maxPullReply = DefaultReplMaxBytes + extarray.MaxFramePayload + 16
 
 // exchange sends one pull request on the follower's connection, dialing
 // one if it has none or it broke, and reads the reply (docs/WIRE.md §8).
-// Its frames alias the connection's buffer until the next exchange. Any
+// Its frames alias the follower's pull buffer until the next exchange. Any
 // error leaves the connection broken.
 func (f *Follower) exchange(ctx context.Context, from, epoch uint64) (rep replReply, err error) {
 	if f.conn == nil || f.conn.broken {
@@ -347,7 +349,10 @@ func (f *Follower) exchange(ctx context.Context, from, epoch uint64) (rep replRe
 	var req [4 * binary.MaxVarintLen64]byte
 	var hdr [3]uint64 // next, committed, epoch
 	pull := appendPullRequest(req[:0], from, epoch, f.opt.PollWait, DefaultReplMaxBytes)
-	status, body, _, err := f.conn.roundTrip(ctx, pull, hdr[:], maxPullReply, true)
+	status, body, _, err := f.conn.roundTrip(ctx, pull, hdr[:], maxPullReply, f.pullBuf)
+	if body != nil {
+		f.pullBuf = body
+	}
 	if err != nil {
 		return rep, fmt.Errorf("tabled: repl pull from %s: %w", f.opt.Source, err)
 	}

@@ -70,6 +70,9 @@ func (l *Log) WaitCommitted(ctx context.Context, seq uint64) error {
 			l.mu.Unlock()
 			return ErrClosed
 		}
+		if l.commitGen == nil {
+			l.commitGen = make(chan struct{})
+		}
 		gen := l.commitGen
 		l.mu.Unlock()
 		select {

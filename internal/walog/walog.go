@@ -107,12 +107,17 @@ type Log struct {
 	// first record in the file (records checkpointed away keep their
 	// numbers); offs[k] is the byte offset of record base+k; committed is
 	// the sequence just past the last durable record — the replication
-	// horizon. commitGen is closed and replaced whenever committed
-	// advances, waking WaitCommitted long-polls.
+	// horizon. commitGen, made only while a WaitCommitted long-poll is
+	// parked, is closed and cleared whenever committed advances, waking
+	// them.
 	base      uint64
 	offs      []int64
 	committed uint64
 	commitGen chan struct{}
+
+	// frame holds the record being appended, header and payload, so it
+	// goes to the file in one write; reused under mu.
+	frame []byte
 
 	// Durable stream identity (see state.go): statePath is the sidecar
 	// file ("" disables persistence), marks the epoch history.
@@ -216,7 +221,6 @@ func Open(path string, apply func(payload []byte) error, opt Options) (*Log, int
 		base:      base,
 		offs:      offs,
 		committed: base + uint64(len(offs)),
-		commitGen: make(chan struct{}),
 		statePath: opt.StatePath,
 	}
 	l.syncDone = sync.NewCond(&l.mu)
@@ -285,7 +289,12 @@ func (l *Log) Enqueue(payload []byte) Ticket {
 		return Ticket{err: ErrClosed}
 	}
 	off := l.size
-	n, err := extarray.AppendFrame(l.f, payload)
+	var n int
+	frame, err := extarray.EncodeFrame(l.frame[:0], payload)
+	if err == nil {
+		l.frame = frame
+		n, err = l.f.Write(frame)
+	}
 	l.size += int64(n)
 	if err != nil {
 		// Bytes may be on disk (a torn frame); the next boot truncates it.
@@ -400,13 +409,16 @@ func (l *Log) syncedLocked(d time.Duration, err error, size int64, next, gen uin
 	return nil
 }
 
-// wakeCommittedLocked rotates commitGen so every WaitCommitted loop
-// re-checks the log state. Called when the committed horizon advances —
-// and on failure or close, so long-polls observe the terminal state
-// instead of sleeping until their context expires.
+// wakeCommittedLocked closes commitGen, if a WaitCommitted loop made
+// one, so every such loop re-checks the log state. Called when the
+// committed horizon advances — and on failure or close, so long-polls
+// observe the terminal state instead of sleeping until their context
+// expires.
 func (l *Log) wakeCommittedLocked() {
-	close(l.commitGen)
-	l.commitGen = make(chan struct{})
+	if l.commitGen != nil {
+		close(l.commitGen)
+		l.commitGen = nil
+	}
 }
 
 // Checkpoint runs save (which must persist a consistent snapshot of the

@@ -30,6 +30,50 @@ func collect(t *testing.T, path string, opt walog.Options) (*walog.Log, [][]byte
 	return l, got, n
 }
 
+// writeCounter counts the Write calls a log makes on its file.
+type writeCounter struct {
+	walog.File
+	writes atomic.Int64
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes.Add(1)
+	return w.File.Write(p)
+}
+
+// TestOneWritePerRecord: each record, frame header and payload together,
+// reaches the file in exactly one Write, so a record costs one write(2)
+// and the records still replay whole.
+func TestOneWritePerRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	wc := new(writeCounter)
+	l, _, _ := collect(t, path, walog.Options{
+		WrapFile: func(f walog.File) walog.File { wc.File = f; return wc },
+	})
+	const records = 20
+	for i := 0; i < records; i++ {
+		if err := l.Append(bytes.Repeat([]byte{byte(i)}, 10*i)); err != nil {
+			t.Fatalf("Append(%d): %v", i, err)
+		}
+		if got := wc.writes.Load(); got != int64(i+1) {
+			t.Fatalf("after %d records: %d writes", i+1, got)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, got, n := collect(t, path, walog.Options{})
+	defer l2.Close()
+	if n != records {
+		t.Fatalf("replayed %d records, want %d", n, records)
+	}
+	for i, p := range got {
+		if !bytes.Equal(p, bytes.Repeat([]byte{byte(i)}, 10*i)) {
+			t.Fatalf("record %d replayed as %q", i, p)
+		}
+	}
+}
+
 // TestAppendReplay is the core durability round trip: records appended and
 // synced come back in order, byte for byte, at the next Open.
 func TestAppendReplay(t *testing.T) {
