@@ -62,6 +62,12 @@
 // -rate enables per-client-IP admission control on /v1/batch: a sliding
 // window of -rate requests per -rate-window, refusing the excess with 429.
 //
+// -timeout bounds one routed batch from its arrival: each member exchange
+// takes the earlier of it and -node-timeout as its connection deadline,
+// no retry starts past it, and a batch past it after decode or after the
+// fan-out is answered 503 ("batch timed out"). The request log holds one
+// line per failed (non-2xx) or slow request; successful ones log at Debug.
+//
 // On SIGINT/SIGTERM the router flips /readyz to 503, drains for up to
 // -drain, and exits 0 on a clean drain.
 package main
@@ -103,7 +109,7 @@ func run() int {
 	rate := flag.Int("rate", 0, "per-client-IP /v1/batch requests per -rate-window (0 = unlimited)")
 	rateWindow := flag.Duration("rate-window", time.Second, "sliding admission window")
 	maxBatch := flag.Int("maxbatch", tabled.DefaultMaxBatch, "max ops per /v1/batch request")
-	reqTimeout := flag.Duration("timeout", tabled.DefaultBatchTimeout, "per-request handler timeout for /v1/batch (503 on overrun; negative = none)")
+	reqTimeout := flag.Duration("timeout", tabled.DefaultBatchTimeout, "per-batch deadline on /v1/batch from arrival, member exchanges included (503 \"batch timed out\" on overrun; negative = none)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	replicaReads := flag.Bool("replica-reads", false, "offload all-read sub-batches to healthy nodes' live replicas")

@@ -93,11 +93,20 @@
 // choice — a dead follower stalls writes rather than widening the window
 // of writes only the primary holds.
 //
-// -timeout bounds one /v1/batch request end to end; an overrun answers a
-// clean 503 ("batch timed out"). The connection read/write deadlines are
-// derived from it by srvkit.NewHTTPServer — the write deadline always
-// exceeds the handler timeout, so a slow batch is cut by the
-// 503-producing TimeoutHandler, never by a dropped connection.
+// -timeout bounds one batch, on /v1/batch or an exchange, from its
+// arrival; an overrun answers a clean 503 ("batch timed out"). The
+// handler enforces it: it checks the deadline after decode, after
+// execution and before the reply, and ends a wait parked on another
+// batch's WAL sync or on the replication ack at the deadline. The
+// connection read/write deadlines are derived from it by
+// srvkit.NewHTTPServer — the write deadline exceeds the timeout by
+// srvkit.WriteSlack, so a slow batch gets its 503, never a dropped
+// connection.
+//
+// The request log (stderr) holds one line per request that failed
+// (non-2xx) or was slow; successful requests log at Debug, which the
+// default level leaves out. http_requests_total and
+// http_request_duration_seconds count every request.
 //
 // -faults enables the deterministic fault injector for chaos testing:
 // "seed=7,errrate=0.05,latency=2ms,tornat=8192,syncerr=0.01" (see
@@ -144,7 +153,7 @@ func run() int {
 	replAck := flag.Duration("repl-ack", 0, "withhold write acks until a follower durably replicated them, 503 after this wait (0 = async replication; requires -wal)")
 	faultSpec := flag.String("faults", "", "fault injection spec, e.g. seed=7,errrate=0.05,latency=2ms,tornat=8192,syncerr=0.01 (chaos testing)")
 	maxBatch := flag.Int("maxbatch", tabled.DefaultMaxBatch, "max ops per /v1/batch request")
-	reqTimeout := flag.Duration("timeout", tabled.DefaultBatchTimeout, "per-request handler timeout for /v1/batch (503 on overrun; negative = none)")
+	reqTimeout := flag.Duration("timeout", tabled.DefaultBatchTimeout, "per-batch deadline on /v1/batch and exchanges, from arrival (503 \"batch timed out\" on overrun; negative = none)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Parse()

@@ -1,6 +1,7 @@
 package apf
 
 import (
+	"math"
 	"testing"
 
 	"pairfn/internal/obs"
@@ -103,10 +104,13 @@ func BenchmarkInstrumentedEncode(b *testing.B) {
 }
 
 // TestInstrumentationOverheadBudget machine-checks the < 20 ns/op budget
-// with testing.Benchmark. Skipped in -short mode (timing assertions on a
-// loaded CI machine are noise-prone) and under the race detector (whose
-// instrumentation adds ~100 ns to every atomic op, dwarfing the budget);
-// the benchmark above remains the authoritative measurement.
+// with testing.Benchmark. Skipped in -short mode and under the race
+// detector (whose instrumentation adds ~100 ns to every atomic op,
+// dwarfing the budget); the benchmark above remains the authoritative
+// measurement. Raw and instrumented trials alternate, and each side keeps
+// its fastest, so a busy phase of a loaded host (other test packages
+// running beside this one) slows trials of both sides rather than all of
+// one side.
 func TestInstrumentationOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing assertion; run without -short")
@@ -116,26 +120,22 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 	}
 	raw := NewTHash()
 	wrapped := Instrument(raw, obs.NewRegistry())
-	measure := func(f APF) float64 {
-		best := 0.0
-		for trial := 0; trial < 3; trial++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				var sink int64
-				for i := 0; i < b.N; i++ {
-					z, _ := f.Encode(int64(i&63)+1, int64(i&1023)+1)
-					sink += z
-				}
-				_ = sink
-			})
-			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			if trial == 0 || ns < best {
-				best = ns
+	trial := func(f APF) float64 {
+		r := testing.Benchmark(func(b *testing.B) {
+			var sink int64
+			for i := 0; i < b.N; i++ {
+				z, _ := f.Encode(int64(i&63)+1, int64(i&1023)+1)
+				sink += z
 			}
-		}
-		return best
+			_ = sink
+		})
+		return float64(r.T.Nanoseconds()) / float64(r.N)
 	}
-	rawNS := measure(raw)
-	wrappedNS := measure(wrapped)
+	rawNS, wrappedNS := math.Inf(1), math.Inf(1)
+	for i := 0; i < 3; i++ {
+		rawNS = min(rawNS, trial(raw))
+		wrappedNS = min(wrappedNS, trial(wrapped))
+	}
 	overhead := wrappedNS - rawNS
 	t.Logf("raw %.1f ns/op, instrumented %.1f ns/op, overhead %.1f ns/op", rawNS, wrappedNS, overhead)
 	if overhead >= 20 {

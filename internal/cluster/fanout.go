@@ -167,6 +167,11 @@ type Router struct {
 	health  *Checker
 	m       *Metrics
 	logger  *slog.Logger
+	// keyPrefix and keySeq make the idempotency key of a batch that came
+	// without one: a random prefix drawn once per router, so keys from
+	// different routers and restarts never meet, and a counter.
+	keyPrefix string
+	keySeq    atomic.Uint64
 
 	replicaReads      bool
 	replicaReadMaxLag uint64
@@ -204,6 +209,7 @@ func New(spec *Spec, opt Options) (*Router, error) {
 		health:            NewChecker(spec, hopt),
 		m:                 m,
 		logger:            opt.Logger,
+		keyPrefix:         tabled.NewIdemKey() + "-",
 		replicaReads:      opt.ReplicaReads,
 		replicaReadMaxLag: opt.ReplicaReadMaxLag,
 	}
@@ -279,7 +285,7 @@ func (r *Router) Spec() *Spec { return r.spec }
 // The op count is folded in so a degraded-member read-only filter (which
 // shrinks the sub-batch) never replays a response recorded for a
 // different op set.
-func appendNodeKey(dst []byte, key, node, suffix string, nops int) []byte {
+func appendNodeKey[K string | []byte](dst []byte, key K, node, suffix string, nops int) []byte {
 	dst = append(dst, key...)
 	dst = append(dst, '/')
 	dst = append(dst, node...)
@@ -308,14 +314,20 @@ func digestKey(key string) string {
 // front door until the reply is written — and may then reuse it. The zero
 // value is ready for use.
 type Scratch struct {
+	// Deadline, when not zero, bounds the batch's member exchanges: each
+	// attempt's connection deadline is the earlier of it and the node
+	// timeout, and none starts or retries once it has passed. The front
+	// door sets it to the batch's arrival plus its batch timeout.
+	Deadline time.Time
+
 	out   []tabled.OpResult
 	nodes []*nodeScratch
 	wg    sync.WaitGroup
 	// The batch being fanned out, read by the nodes' run functions; set
-	// only while Execute runs.
+	// only while Execute runs. key is the batch's idempotency key.
 	r   *Router
 	ctx context.Context
-	key string
+	key []byte
 }
 
 // A nodeScratch is one member's share of a Scratch.
@@ -342,7 +354,7 @@ func (sc *Scratch) reset(nops, nnodes int) []tabled.OpResult {
 		ns := new(nodeScratch)
 		ns.run = func() {
 			defer sc.wg.Done()
-			ns.reply = sc.r.callNode(sc.ctx, n, ns.sub, sc.key, ns)
+			ns.reply = sc.r.callNode(sc.ctx, sc.Deadline, n, ns.sub, sc.key, ns)
 		}
 		sc.nodes = append(sc.nodes, ns)
 	}
@@ -361,12 +373,16 @@ func (sc *Scratch) reset(nops, nnodes int) []tabled.OpResult {
 //
 // key is the client's Idempotency-Key ("" generates one), propagated to
 // every sub-batch via appendNodeKey so end-to-end retries stay idempotent
-// without any router-side replay cache.
+// without any router-side replay cache. sc.Deadline bounds the member
+// exchanges (see Scratch).
 func (r *Router) Execute(ctx context.Context, sc *Scratch, ops []tabled.Op, key string) []tabled.OpResult {
-	if key == "" {
-		key = tabled.NewIdemKey()
-	} else if len(key) > maxClientKey {
-		key = digestKey(key)
+	switch {
+	case key == "":
+		sc.key = strconv.AppendUint(append(sc.key[:0], r.keyPrefix...), r.keySeq.Add(1), 36)
+	case len(key) > maxClientKey:
+		sc.key = append(sc.key[:0], digestKey(key)...)
+	default:
+		sc.key = append(sc.key[:0], key...)
 	}
 	plan := r.part.Partition(ops, r.health.FirstHealthy())
 	defer plan.Release()
@@ -382,7 +398,7 @@ func (r *Router) Execute(ctx context.Context, sc *Scratch, ops []tabled.Op, key 
 			last = n
 		}
 	}
-	sc.r, sc.ctx, sc.key = r, ctx, key
+	sc.r, sc.ctx = r, ctx
 	for n := 0; n < last; n++ {
 		if ns := sc.nodes[n]; len(ns.sub) > 0 {
 			sc.wg.Add(1)
@@ -391,7 +407,7 @@ func (r *Router) Execute(ctx context.Context, sc *Scratch, ops []tabled.Op, key 
 	}
 	if last >= 0 {
 		ns := sc.nodes[last]
-		ns.reply = r.callNode(ctx, last, ns.sub, key, ns)
+		ns.reply = r.callNode(ctx, sc.Deadline, last, ns.sub, sc.key, ns)
 	}
 	sc.wg.Wait()
 	sc.r, sc.ctx = nil, nil
@@ -433,8 +449,9 @@ func (r *Router) Execute(ctx context.Context, sc *Scratch, ops []tabled.Op, key 
 // the stale node stays fenced until the spec is amended or it reseeds
 // under the new primary (and then reports the new epoch itself). The
 // returned slice always has one result per sub-batch op; it and the
-// member's reply live in ns.
-func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key string, ns *nodeScratch) []tabled.OpResult {
+// member's reply live in ns. deadline bounds the member exchanges (see
+// Scratch.Deadline).
+func (r *Router) callNode(ctx context.Context, deadline time.Time, n int, sub []tabled.Op, key []byte, ns *nodeScratch) []tabled.OpResult {
 	name := r.spec.Nodes[n].Name
 	if cap(ns.res) < len(sub) {
 		ns.res = make([]tabled.OpResult, len(sub))
@@ -525,7 +542,7 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 		// acknowledged.
 		t0 := time.Now()
 		ns.key = appendNodeKey(ns.key[:0], key, name, "/replica", len(send))
-		got, _, err := client.Exchange(ctx, &ns.xb, send, ns.key, r.written[n].Load())
+		got, _, err := client.Exchange(ctx, &ns.xb, send, ns.key, r.written[n].Load(), deadline)
 		if err == nil {
 			r.m.nodeBatch(n, len(send), time.Since(t0), false)
 			r.m.replicaRead(len(send))
@@ -542,7 +559,7 @@ func (r *Router) callNode(ctx context.Context, n int, sub []tabled.Op, key strin
 	}
 	t0 := time.Now()
 	ns.key = appendNodeKey(ns.key[:0], key, name, "", len(send))
-	got, pos, err := client.Exchange(ctx, &ns.xb, send, ns.key, 0)
+	got, pos, err := client.Exchange(ctx, &ns.xb, send, ns.key, 0, deadline)
 	r.m.nodeBatch(n, len(send), time.Since(t0), err != nil)
 	if pos > 0 && client == r.pools[n] {
 		latchMax(r.written[n], pos)

@@ -19,8 +19,10 @@ import (
 type HandlerOptions struct {
 	// MaxBatch caps ops per request (0 → tabled.DefaultMaxBatch).
 	MaxBatch int
-	// BatchTimeout bounds one routed batch end to end, fan-out included
-	// (0 → tabled.DefaultBatchTimeout).
+	// BatchTimeout bounds one routed batch end to end, fan-out included,
+	// from its arrival: the member exchanges end at the deadline, and a
+	// batch past it is refused with a 503 "batch timed out" (0 →
+	// tabled.DefaultBatchTimeout, negative → no timeout).
 	BatchTimeout time.Duration
 	// Limiter is the per-client admission control on /v1/batch (nil or
 	// zero-Limit admits everything).
@@ -28,7 +30,8 @@ type HandlerOptions struct {
 	// Registry receives request metrics and serves /metrics (may be nil;
 	// pass the same registry given to New so cluster_* metrics co-publish).
 	Registry *obs.Registry
-	// Logger receives one line per request (may be nil).
+	// Logger receives the request log (may be nil): failed and slow
+	// requests at Info, the rest at Debug (see obs.Route.Observe).
 	Logger *slog.Logger
 	// Ready gates /readyz for drains (nil reads as always ready).
 	Ready *obs.Flag
@@ -70,10 +73,10 @@ func NewHandler(src RouterSource, opt HandlerOptions) http.Handler {
 	// the rate-limited counter carries no per-node labels, so every
 	// reloaded router's Metrics (same registry, get-or-create) holds the
 	// identical counter object.
+	// The batch timeout is no wrapper: handleBatch and the member
+	// exchanges enforce it, so a batch pays no timer or goroutine for it.
 	mux.Handle("POST /v1/batch", opt.Limiter.Middleware(nil, src.Router().m, srvkit.APIStack{
-		MaxBodyBytes:   tabled.DefaultMaxBodyBytes,
-		RequestTimeout: opt.BatchTimeout,
-		TimeoutBody:    "batch timed out",
+		MaxBodyBytes: tabled.DefaultMaxBodyBytes,
 	}.Wrap(http.HandlerFunc(h.handleBatch))))
 	mux.HandleFunc("GET /v1/stats", h.handleStats)
 	mux.HandleFunc("GET /v1/cluster", h.handleCluster)
@@ -122,15 +125,27 @@ var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
 // back inline under a 200; only a batch in which EVERY op failed and at
 // least one failure was member unavailability collapses to a typed 503,
 // so a blanket outage looks like one retryable error instead of a
-// success full of failures.
+// success full of failures. The batch timeout runs from the handler's
+// entry: a batch past it after decode, or after the fan-out, is refused
+// with a 503 "batch timed out", and it bounds every member exchange.
 func (h *frontDoor) handleBatch(w http.ResponseWriter, r *http.Request) {
+	deadline := tabled.BatchDeadline(time.Now(), h.opt.BatchTimeout)
 	bs := batchScratches.Get().(*batchScratch)
 	defer batchScratches.Put(bs)
 	ops, binary, ok := tabled.ReadBatch(w, r, &bs.buf, h.opt.MaxBatch)
 	if !ok {
 		return
 	}
+	if tabled.Expired(deadline) {
+		http.Error(w, tabled.TimedOut, http.StatusServiceUnavailable)
+		return
+	}
+	bs.sc.Deadline = deadline
 	results := h.src.Router().Execute(r.Context(), &bs.sc, ops, r.Header.Get(tabled.IdempotencyKeyHeader))
+	if tabled.Expired(deadline) {
+		http.Error(w, tabled.TimedOut, http.StatusServiceUnavailable)
+		return
+	}
 	if AllUnavailable(results) {
 		// The whole batch failed on unavailable members (e.g. a write to a
 		// degraded range, or every owner down): a typed, retryable refusal.

@@ -14,8 +14,9 @@ type MiddlewareConfig struct {
 	// Registry receives the metrics; nil disables metric recording (the
 	// middleware still logs).
 	Registry *Registry
-	// Logger, when non-nil, emits one structured line per request
-	// (method, path, status, bytes, duration).
+	// Logger, when non-nil, receives one structured line per request
+	// (method, path, status, bytes, duration): at Info for a request that
+	// failed (non-2xx) or was slow, at Debug for the rest.
 	Logger *slog.Logger
 	// PathLabel maps a request to the value of the path label, bounding
 	// label cardinality (raw URL paths from the open internet would mint
@@ -33,7 +34,8 @@ type MiddlewareConfig struct {
 //	http_request_duration_seconds{path}      histogram of wall time
 //	http_response_bytes_total{path}          counter of body bytes written
 //
-// and, when cfg.Logger is set, logging one line per completed request.
+// and, when cfg.Logger is set, logging one line per completed request (see
+// Route.Observe for its level).
 // The ResponseWriter handed to next unwraps (http.ResponseController), so
 // handlers behind the middleware can still hijack, set deadlines, or
 // enable full duplex. A hijacked request is recorded when its handler
@@ -114,16 +116,30 @@ type Route struct {
 	codes [len(statusClasses)]atomic.Pointer[Counter] // resolved on first use
 }
 
+// slowRequest is the wall time past which a successful request is logged
+// at Info. It sits above the replication long-poll's default window
+// (2 s), so a follower's empty pulls are not reported as slow.
+const slowRequest = 5 * time.Second
+
 // Observe records one completed request: its status class, body bytes
-// and wall time, plus a log line when the Requests has a logger.
+// and wall time, plus a log line when the Requests has a logger. The line
+// is at Info for a request that failed (non-2xx) or took slowRequest or
+// longer, and at Debug otherwise: the metrics count every request, so
+// the log keeps the ones an operator looks for, and a logger filtering
+// Debug (the daemons' default) costs a successful request one Enabled
+// call, not a formatted line and a write.
 func (rt *Route) Observe(ctx context.Context, method, path, remote string, status int, bytes int64, elapsed time.Duration) {
 	if rt.q.reg != nil {
 		rt.code(status).Inc()
 		rt.bytes.Add(bytes)
 		rt.dur.Observe(elapsed.Seconds())
 	}
-	if rt.q.logger != nil {
-		rt.q.logger.LogAttrs(ctx, slog.LevelInfo, "request",
+	level := slog.LevelDebug
+	if status < 200 || status >= 300 || elapsed >= slowRequest {
+		level = slog.LevelInfo
+	}
+	if rt.q.logger != nil && rt.q.logger.Enabled(ctx, level) {
+		rt.q.logger.LogAttrs(ctx, level, "request",
 			slog.String("method", method),
 			slog.String("path", path),
 			slog.Int("status", status),

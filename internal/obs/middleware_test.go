@@ -165,6 +165,68 @@ func TestMiddlewareLogsRequests(t *testing.T) {
 	}
 }
 
+// TestRequestLogLevels: at the default level (Info) a successful request
+// writes no log line, while a 4xx, a 5xx and a slow 2xx each write exactly
+// one; the metrics count all of them. The slow one is observed directly,
+// with its elapsed time, since slowRequest is seconds long.
+func TestRequestLogLevels(t *testing.T) {
+	var buf bytes.Buffer
+	reg := NewRegistry()
+	logger := slog.New(slog.NewTextHandler(&buf, nil))
+	h := Middleware(MiddlewareConfig{Registry: reg, Logger: logger}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/bad":
+			http.Error(w, "bad", http.StatusBadRequest)
+		case "/boom":
+			http.Error(w, "boom", http.StatusServiceUnavailable)
+		default:
+			w.Write([]byte("ok"))
+		}
+	}))
+	lines := func() []string {
+		s := strings.TrimSpace(buf.String())
+		buf.Reset()
+		if s == "" {
+			return nil
+		}
+		return strings.Split(s, "\n")
+	}
+	for _, tc := range []struct {
+		path  string
+		lines int
+	}{{"/ok", 0}, {"/bad", 1}, {"/boom", 1}} {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", tc.path, nil))
+		got := lines()
+		if len(got) != tc.lines {
+			t.Errorf("%s: %d log lines %q, want %d", tc.path, len(got), got, tc.lines)
+		}
+		for _, l := range got {
+			if !strings.Contains(l, "level=INFO") || !strings.Contains(l, "path="+tc.path) {
+				t.Errorf("%s: log line %q, want an INFO line for the path", tc.path, l)
+			}
+		}
+	}
+	q := NewRequests(reg, logger)
+	q.Route("/ok").Observe(context.Background(), "POST", "/ok", "test", http.StatusOK, 2, slowRequest)
+	if got := lines(); len(got) != 1 || !strings.Contains(got[0], "level=INFO") || !strings.Contains(got[0], "status=200") {
+		t.Errorf("slow request: log lines %q, want one INFO line", got)
+	}
+	q.Route("/ok").Observe(context.Background(), "POST", "/ok", "test", http.StatusOK, 2, slowRequest-time.Millisecond)
+	if got := lines(); len(got) != 0 {
+		t.Errorf("request just under the slow threshold: log lines %q, want none", got)
+	}
+	out := expo(t, reg)
+	for _, want := range []string{
+		`http_requests_total{code="2xx",path="/ok"} 3`,
+		`http_requests_total{code="4xx",path="/bad"} 1`,
+		`http_requests_total{code="5xx",path="/boom"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+}
+
 // TestMiddlewareHijack: a handler behind the middleware can take over the
 // connection through http.ResponseController (an HTTP/1.1 Upgrade), and
 // the middleware records the 101 it wrote before hijacking.

@@ -10,13 +10,17 @@
 // written once:
 //
 //   - DeriveTimeouts / NewHTTPServer: the http.Server deadlines are a
-//     function of the per-request handler timeout, computed in exactly
-//     one place, with WriteTimeout always comfortably beyond the
-//     timeout handler's 503.
+//     function of the per-request timeout, computed in exactly one
+//     place, with WriteTimeout always comfortably beyond the 503 that
+//     answers an overrun.
 //   - APIStack: the hardening middleware for API routes — request flow
 //     is TimeoutHandler → MaxBytesReader → handler — applied only to
 //     the routes that opt in, so /healthz, /readyz, /metrics and pprof
-//     are never starved by a slow API timeout.
+//     are never starved by a slow API timeout. The TimeoutHandler (a
+//     goroutine, timer and response copy per request) is for handlers
+//     that cannot enforce a deadline themselves: tabled's batch
+//     handlers carry their deadline through their stages instead and
+//     use APIStack for the body cap alone.
 //   - Degraded: the sticky read-only state machine (flip a writable
 //     flag, set a gauge, log once, fire hooks once) shared by the WAL-
 //     and journal-failure paths.
@@ -41,5 +45,6 @@
 // Everything is stdlib + internal/obs; nothing here knows about tables
 // or volunteers. scripts/srvkit_guard.sh keeps the mains honest: a
 // cmd/*server constructing http.Server or signal plumbing directly
-// fails CI.
+// fails CI, and so does an APIStack RequestTimeout in internal/tabled or
+// internal/cluster.
 package srvkit

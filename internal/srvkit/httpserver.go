@@ -11,10 +11,13 @@ import (
 const DefaultReadHeaderTimeout = 5 * time.Second
 
 // WriteSlack is the margin added to the request timeout when deriving the
-// connection write deadline. It covers the timeout handler writing its
-// 503 plus response flushing to a slow client: the connection deadline
-// must never fire before the 503-producing http.TimeoutHandler does, or
-// the client sees a reset instead of a status.
+// connection write deadline. It covers the handler writing its 503 plus
+// response flushing to a slow client: the connection deadline must never
+// fire before the 503 is written, or the client sees a reset instead of a
+// status. A handler that enforces its own deadline answers at its first
+// stage boundary past it, so the slack also covers the one step in flight
+// then — a backend call, or an fsync the batch leads, which cannot be
+// abandoned midway; an http.TimeoutHandler answers at the deadline itself.
 const WriteSlack = 20 * time.Second
 
 // MinReadTimeout floors the derived read deadline so short handler
@@ -29,15 +32,15 @@ type Timeouts struct {
 }
 
 // DeriveTimeouts computes the http.Server deadlines for a server whose
-// slowest intentional request is bounded by requestTimeout (the
-// per-request http.TimeoutHandler deadline, e.g. tabled's batch timeout
-// or wbc's volunteer-protocol timeout):
+// slowest intentional request is bounded by requestTimeout (tabled's
+// batch timeout, which its handlers enforce themselves, or wbc's
+// volunteer-protocol timeout, an http.TimeoutHandler):
 //
 //	Write = requestTimeout + WriteSlack   (always > requestTimeout)
 //	Read  = max(Write, MinReadTimeout)
 //
-// so a handler that overruns is cut by the 503-producing timeout
-// handler, never by the kernel dropping the connection. This derivation
+// so a handler that overruns is answered with its 503, never cut by the
+// kernel dropping the connection. This derivation
 // is the fix for the old tabledserver bug: it hardcoded WriteTimeout at
 // 2m, so any request timeout ≥ 2m turned the promised 503 into a reset.
 //

@@ -82,7 +82,7 @@ var ErrBehind = errors.New("tabled: replica behind the requested position")
 // returns one result per op, like Client.BatchWithKey over the binary
 // wire. The results own their memory.
 func (p *ConnPool) BatchWithKey(ctx context.Context, ops []Op, key string) ([]OpResult, error) {
-	res, _, err := p.Exchange(ctx, new(ExchangeBuf), ops, []byte(key), 0)
+	res, _, err := p.Exchange(ctx, new(ExchangeBuf), ops, []byte(key), 0, time.Time{})
 	return res, err
 }
 
@@ -104,7 +104,13 @@ type ExchangeBuf struct {
 // WAL position covering a batch that writes, 0 for one that only reads: a
 // caller that keeps the highest pos it was answered can pass it as a later
 // read's minPos to read its own writes.
-func (p *ConnPool) Exchange(ctx context.Context, xb *ExchangeBuf, ops []Op, key []byte, minPos uint64) (res []OpResult, pos uint64, err error) {
+//
+// deadline (zero: none) is the batch's: each attempt's connection
+// deadline is the earlier of it and the pool's per-attempt timeout, and
+// no attempt starts, and no retry follows, once it has passed; the error
+// then wraps context.DeadlineExceeded. It is a connection deadline, not a
+// derived context, so it costs no timer.
+func (p *ConnPool) Exchange(ctx context.Context, xb *ExchangeBuf, ops []Op, key []byte, minPos uint64, deadline time.Time) (res []OpResult, pos uint64, err error) {
 	if len(key) > maxExchangeKey {
 		return nil, 0, fmt.Errorf("tabled: idempotency key of %d bytes exceeds %d", len(key), maxExchangeKey)
 	}
@@ -112,10 +118,10 @@ func (p *ConnPool) Exchange(ctx context.Context, xb *ExchangeBuf, ops []Op, key 
 		return nil, 0, err
 	}
 	if p.retry == nil {
-		return p.attempt(ctx, xb, len(ops))
+		return p.attempt(ctx, xb, len(ops), deadline)
 	}
 	err = p.retry.Do(ctx, func(ctx context.Context) error {
-		r, rpos, err := p.attempt(ctx, xb, len(ops))
+		r, rpos, err := p.attempt(ctx, xb, len(ops), deadline)
 		if err != nil {
 			return err
 		}
@@ -138,14 +144,26 @@ func (p *ConnPool) Close() {
 	}
 }
 
-// attempt runs one exchange of the request envelope in xb. The timeout is
-// a deadline on the connection rather than a derived context, so a steady
-// exchange makes no timer and no context; only a dial takes one.
-func (p *ConnPool) attempt(ctx context.Context, xb *ExchangeBuf, nops int) ([]OpResult, uint64, error) {
-	var deadline time.Time
-	if p.timeout > 0 {
-		deadline = time.Now().Add(p.timeout)
+// attempt runs one exchange of the request envelope in xb, by the earlier
+// of the batch deadline and the pool's timeout. Both are a deadline on
+// the connection rather than a derived context, so a steady exchange
+// makes no timer and no context; only a dial takes one. An attempt that
+// the batch deadline ends, or finds passed, is not retried.
+func (p *ConnPool) attempt(ctx context.Context, xb *ExchangeBuf, nops int, batch time.Time) (res []OpResult, pos uint64, err error) {
+	if Expired(batch) {
+		return nil, 0, retry.Permanent(fmt.Errorf("exchange with %s: %w", p.base, context.DeadlineExceeded))
 	}
+	deadline := batch
+	if p.timeout > 0 {
+		if t := time.Now().Add(p.timeout); deadline.IsZero() || t.Before(deadline) {
+			deadline = t
+		}
+	}
+	defer func() {
+		if err != nil && Expired(batch) {
+			err = retry.Permanent(err)
+		}
+	}()
 	pc, pooled := p.take()
 	if pc == nil {
 		var err error

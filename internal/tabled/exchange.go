@@ -22,8 +22,9 @@ import (
 // refusal text out. Each exchange runs the same code as a binary POST
 // /v1/batch — the frame decode and serve, with its gates, replication ack,
 // idempotency cache and pooled scratch — minus the per-request HTTP
-// parsing, header maps, and TimeoutHandler goroutine that made the member
-// hop cost more than the batch it carried.
+// parsing and header maps that made the member hop cost more than the
+// batch it carried. The batch timeout runs from the exchange's first
+// byte, as a POST's runs from its arrival.
 
 // ConnPath is the member route that upgrades a connection to the batch
 // exchange protocol.
@@ -65,6 +66,7 @@ func (s *server) handleConn(w http.ResponseWriter, r *http.Request) {
 // its end (answered, then the connection closes).
 func (s *server) exchange(ctx context.Context, br *bufio.Reader, bw *bufio.Writer, scr *wireScratch, rt *obs.Route, remote string) bool {
 	start := time.Now()
+	deadline := BatchDeadline(start, s.opt.BatchTimeout)
 	key, minPos, status, msg, err := s.readExchange(br, scr)
 	if err != nil {
 		return false
@@ -73,7 +75,7 @@ func (s *server) exchange(ctx context.Context, br *bufio.Reader, bw *bufio.Write
 	var out []byte
 	var pos [1]uint64
 	if keep {
-		out, pos[0], status, msg = s.answer(ctx, key, minPos, scr)
+		out, pos[0], status, msg = s.answer(ctx, deadline, key, minPos, scr)
 	}
 	n := writeReply(bw, status, pos[:], out, msg)
 	rt.Observe(ctx, exchangeMethod, "/v1/batch", remote, status, int64(n), time.Since(start))
@@ -173,15 +175,16 @@ func (s *server) readExchange(br *bufio.Reader, scr *wireScratch) (key []byte, m
 	return scr.key, minPos, 0, "", nil
 }
 
-// answer decodes the frame in scr.body and serves it exactly as a binary
-// POST /v1/batch is served, returning the reply's §4 frame (aliasing
-// scr.out) or its refusal. The key aliases scr.key for the exchange.
-func (s *server) answer(ctx context.Context, key []byte, minPos uint64, scr *wireScratch) (out []byte, pos uint64, status int, msg string) {
+// answer decodes the frame in scr.body and serves it by deadline exactly
+// as a binary POST /v1/batch is served, returning the reply's §4 frame
+// (aliasing scr.out) or its refusal. The key aliases scr.key for the
+// exchange.
+func (s *server) answer(ctx context.Context, deadline time.Time, key []byte, minPos uint64, scr *wireScratch) (out []byte, pos uint64, status int, msg string) {
 	ops, err := scr.decode(true, s.opt.MaxBatch)
 	if err != nil {
 		return nil, 0, http.StatusBadRequest, "bad request: " + err.Error()
 	}
-	rep := s.serve(ctx, aliasString(key), minPos, ops, scr)
+	rep := s.serve(ctx, deadline, aliasString(key), minPos, ops, scr)
 	if rep.status != http.StatusOK {
 		return nil, 0, rep.status, rep.msg
 	}

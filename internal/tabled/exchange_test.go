@@ -761,18 +761,18 @@ func TestExchangeGetAllocFree(t *testing.T) {
 func TestConnPositions(t *testing.T) {
 	ctx := context.Background()
 	_, _, p := startConnServer(t, newConnTable(t, nil), ServerOptions{WAL: openTestWAL(t, nil)})
-	_, pos1, err := p.Exchange(ctx, new(ExchangeBuf), []Op{{Op: "set", X: 1, Y: 1, V: "a"}}, []byte("w1"), 0)
+	_, pos1, err := p.Exchange(ctx, new(ExchangeBuf), []Op{{Op: "set", X: 1, Y: 1, V: "a"}}, []byte("w1"), 0, time.Time{})
 	if err != nil || pos1 != 1 {
 		t.Fatalf("first write: pos %d, %v; want 1", pos1, err)
 	}
-	_, pos2, err := p.Exchange(ctx, new(ExchangeBuf), []Op{{Op: "get", X: 1, Y: 1}, {Op: "set", X: 2, Y: 2, V: "b"}}, []byte("w2"), 0)
+	_, pos2, err := p.Exchange(ctx, new(ExchangeBuf), []Op{{Op: "get", X: 1, Y: 1}, {Op: "set", X: 2, Y: 2, V: "b"}}, []byte("w2"), 0, time.Time{})
 	if err != nil || pos2 <= pos1 {
 		t.Fatalf("second write: pos %d, %v; want > %d", pos2, err, pos1)
 	}
-	if _, pos, err := p.Exchange(ctx, new(ExchangeBuf), []Op{{Op: "get", X: 1, Y: 1}}, []byte("r1"), 0); err != nil || pos != 0 {
+	if _, pos, err := p.Exchange(ctx, new(ExchangeBuf), []Op{{Op: "get", X: 1, Y: 1}}, []byte("r1"), 0, time.Time{}); err != nil || pos != 0 {
 		t.Fatalf("read: pos %d, %v; want 0", pos, err)
 	}
-	if _, pos, err := p.Exchange(ctx, new(ExchangeBuf), []Op{{Op: "set", X: 1, Y: 1, V: "a"}}, []byte("w1"), 0); err != nil || pos < pos1 {
+	if _, pos, err := p.Exchange(ctx, new(ExchangeBuf), []Op{{Op: "set", X: 1, Y: 1, V: "a"}}, []byte("w1"), 0, time.Time{}); err != nil || pos < pos1 {
 		t.Fatalf("replayed write: pos %d, %v; want >= %d", pos, err, pos1)
 	}
 
@@ -785,19 +785,19 @@ func TestConnPositions(t *testing.T) {
 		WAL: wal, Writable: writable, Repl: &Repl{WAL: wal, Follower: f},
 	})
 	get := []Op{{Op: "get", X: 1, Y: 1}}
-	if _, _, err := rp.Exchange(ctx, new(ExchangeBuf), get, nil, 4); !errors.Is(err, ErrBehind) || !retry.IsPermanent(err) {
+	if _, _, err := rp.Exchange(ctx, new(ExchangeBuf), get, nil, 4, time.Time{}); !errors.Is(err, ErrBehind) || !retry.IsPermanent(err) {
 		t.Fatalf("behind follower: err = %v, want permanent ErrBehind", err)
 	}
 	if n := rp.idleConns(); n != 1 {
 		t.Fatalf("%d pooled connections after a 412, want 1", n)
 	}
 	for _, minPos := range []uint64{0, 3} {
-		if _, _, err := rp.Exchange(ctx, new(ExchangeBuf), get, nil, minPos); err != nil {
+		if _, _, err := rp.Exchange(ctx, new(ExchangeBuf), get, nil, minPos, time.Time{}); err != nil {
 			t.Fatalf("minPos %d: %v", minPos, err)
 		}
 	}
 	f.Promote()
-	if _, _, err := rp.Exchange(ctx, new(ExchangeBuf), get, nil, 4); err != nil {
+	if _, _, err := rp.Exchange(ctx, new(ExchangeBuf), get, nil, 4, time.Time{}); err != nil {
 		t.Fatalf("promoted follower: %v", err)
 	}
 }

@@ -303,7 +303,7 @@ func (f *Follower) pullOnce(ctx context.Context) error {
 		return nil
 	})
 	if n > 0 {
-		if werr := last.Wait(); werr != nil {
+		if werr := last.Wait(context.Background(), time.Time{}); werr != nil {
 			return retry.Permanent(fmt.Errorf("tabled: repl append: %w", werr))
 		}
 		f.applied.Add(uint64(n))

@@ -412,14 +412,16 @@ func (g *ReplGate) Acked() uint64 {
 }
 
 // Wait blocks until the follower confirms records [0, seq), the gate
-// timeout passes (ErrReplAckTimeout), or ctx ends.
-func (g *ReplGate) Wait(ctx context.Context, seq uint64) error {
+// timeout passes (ErrReplAckTimeout), deadline passes (zero: none;
+// context.DeadlineExceeded), or ctx ends. It arms one timer, for the
+// earlier of the two limits, and only when it has to park.
+func (g *ReplGate) Wait(ctx context.Context, deadline time.Time, seq uint64) error {
 	timeout := g.Timeout
 	if timeout <= 0 {
 		timeout = DefaultReplAckTimeout
 	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
+	var timer *time.Timer
+	gateLimit := true
 	for {
 		g.mu.Lock()
 		if g.acked >= seq {
@@ -431,9 +433,22 @@ func (g *ReplGate) Wait(ctx context.Context, seq uint64) error {
 		}
 		gen := g.gen
 		g.mu.Unlock()
+		if timer == nil {
+			d := timeout
+			if !deadline.IsZero() {
+				if left := time.Until(deadline); left < d {
+					d, gateLimit = left, false
+				}
+			}
+			timer = time.NewTimer(d)
+			defer timer.Stop()
+		}
 		select {
 		case <-gen:
-		case <-deadline.C:
+		case <-timer.C:
+			if !gateLimit {
+				return context.DeadlineExceeded
+			}
 			return fmt.Errorf("%w: follower at %d, need %d after %v",
 				ErrReplAckTimeout, g.Acked(), seq, timeout)
 		case <-ctx.Done():

@@ -298,14 +298,14 @@ func waitSticky(t *testing.T, f *Follower) {
 // TestReplGateUnit covers the gate's horizon algebra directly.
 func TestReplGateUnit(t *testing.T) {
 	g := &ReplGate{Timeout: 30 * time.Millisecond}
-	if err := g.Wait(context.Background(), 0); err != nil {
+	if err := g.Wait(context.Background(), time.Time{}, 0); err != nil {
 		t.Fatalf("Wait(0) on zero gate: %v", err)
 	}
-	if err := g.Wait(context.Background(), 3); !errors.Is(err, ErrReplAckTimeout) {
+	if err := g.Wait(context.Background(), time.Time{}, 3); !errors.Is(err, ErrReplAckTimeout) {
 		t.Fatalf("unacked Wait err = %v", err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- g.Wait(context.Background(), 3) }()
+	go func() { done <- g.Wait(context.Background(), time.Time{}, 3) }()
 	g.Advance(2) // not enough
 	g.Advance(5) // covers it
 	if err := <-done; err != nil {
@@ -317,8 +317,13 @@ func TestReplGateUnit(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := g.Wait(ctx, 9); !errors.Is(err, context.Canceled) {
+	if err := g.Wait(ctx, time.Time{}, 9); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled Wait err = %v", err)
+	}
+	// A batch deadline earlier than the gate timeout ends the wait first,
+	// and is not an ack timeout.
+	if err := g.Wait(context.Background(), time.Now().Add(5*time.Millisecond), 9); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Wait past the batch deadline err = %v", err)
 	}
 }
 

@@ -24,8 +24,9 @@ const DefaultMaxBatch = 4096
 // DefaultMaxBodyBytes caps the /v1/batch request body (http.MaxBytesReader).
 const DefaultMaxBodyBytes = 4 << 20
 
-// DefaultBatchTimeout bounds one /v1/batch request end to end; a handler
-// that overruns it is abandoned and the client sees a 503.
+// DefaultBatchTimeout bounds one batch end to end, on /v1/batch and on an
+// exchange: a batch found past it at a stage boundary, or parked past it
+// in a wait, is refused with a 503 "batch timed out".
 const DefaultBatchTimeout = 30 * time.Second
 
 // DefaultIdempotencyCache is how many recent replies to batches that
@@ -84,7 +85,8 @@ type ServerOptions struct {
 	Registry *obs.Registry
 	// Metrics is the batch/shard instrumentation bundle (may be nil).
 	Metrics *Metrics
-	// Logger, when non-nil, logs one line per request.
+	// Logger, when non-nil, logs requests that fail or are slow (see
+	// obs.Route.Observe).
 	Logger *slog.Logger
 	// Ready gates /readyz (nil reads as always ready).
 	Ready *obs.Flag
@@ -93,8 +95,9 @@ type ServerOptions struct {
 	// MaxBodyBytes caps the /v1/batch request body; oversized requests get
 	// a 413 (0 → DefaultMaxBodyBytes).
 	MaxBodyBytes int64
-	// BatchTimeout bounds one /v1/batch request; overruns get a 503
-	// (0 → DefaultBatchTimeout, negative → no timeout).
+	// BatchTimeout bounds one batch, on /v1/batch or an exchange, from its
+	// arrival; overruns get a 503 "batch timed out" (0 →
+	// DefaultBatchTimeout, negative → no timeout).
 	BatchTimeout time.Duration
 	// Snapshot, when non-nil, is invoked by POST /v1/snapshot. Backends
 	// without snapshot support leave it nil and the endpoint returns 501.
@@ -184,17 +187,14 @@ func NewHandler(b Backend[string], opt ServerOptions) http.Handler {
 		opt.Repl.Fence = srv.degrade
 	}
 	mux := http.NewServeMux()
-	// Only /v1/batch sits behind the hardening stack: stats is cheap, and
-	// an on-demand snapshot save may legitimately outlast the batch
-	// timeout. Probes and metrics are mounted beside the stack so a
-	// stalled batch can never starve them.
+	// Only /v1/batch sits behind the body cap. Its batch timeout is no
+	// wrapper: serve enforces it (see BatchDeadline), so a batch that
+	// never parks pays no timer, goroutine or response copy for it.
 	mux.Handle("POST /v1/batch", srvkit.APIStack{
-		MaxBodyBytes:   opt.MaxBodyBytes,
-		RequestTimeout: opt.BatchTimeout,
-		TimeoutBody:    "batch timed out",
+		MaxBodyBytes: opt.MaxBodyBytes,
 	}.Wrap(http.HandlerFunc(srv.handleBatch)))
-	// The upgrade route must stay outside the stack: TimeoutHandler's
-	// writer cannot hijack, and a connection outlives any one request.
+	// The upgrade route stays outside the stack: a connection outlives
+	// any one request, and its exchanges read their own capped frames.
 	mux.HandleFunc("GET "+ConnPath, srv.handleConn)
 	mux.HandleFunc("GET /v1/stats", srv.handleStats)
 	mux.HandleFunc("POST /v1/snapshot", srv.handleSnapshot)
@@ -268,10 +268,11 @@ func (s *server) readOnlyMsg() string {
 
 // replAck is the semi-synchronous replication gate: a write batch that
 // executed and logged locally parks here until the follower's pull
-// horizon confirms it is durable remotely too, or the gate times out and
-// the ack is refused (503, retryable). No-op without a configured gate —
-// the common path costs one nil check. serve calls it for writes only.
-func (s *server) replAck(ctx context.Context) error {
+// horizon confirms it is durable remotely too, or the gate times out, or
+// the batch's deadline passes, and the ack is refused (503, retryable).
+// No-op without a configured gate — the common path costs one nil check.
+// serve calls it for writes only.
+func (s *server) replAck(ctx context.Context, deadline time.Time) error {
 	if s.opt.Repl == nil || s.opt.Repl.Gate == nil || s.opt.WAL == nil {
 		return nil
 	}
@@ -280,24 +281,61 @@ func (s *server) replAck(ctx context.Context) error {
 	// horizon covers the batch. Concurrent writers can push the horizon a
 	// little past it — over-waiting by a few records, never under.
 	_, next := s.opt.WAL.SeqState()
-	err := s.opt.Repl.Gate.Wait(ctx, next)
+	err := s.opt.Repl.Gate.Wait(ctx, deadline, next)
 	s.opt.Metrics.replAckWait(errors.Is(err, ErrReplAckTimeout))
 	return err
 }
 
+// TimedOut is the refusal text, with a 503, of a batch found past its
+// deadline; on the node a wait that ended at the deadline adds what it
+// waited for.
+const TimedOut = "batch timed out"
+
+// BatchDeadline is the deadline of a batch that arrived at arrival under
+// timeout: the zero time, none, when timeout is not positive.
+func BatchDeadline(arrival time.Time, timeout time.Duration) time.Time {
+	if timeout <= 0 {
+		return time.Time{}
+	}
+	return arrival.Add(timeout)
+}
+
+// Expired reports whether deadline is set and has passed.
+func Expired(deadline time.Time) bool {
+	return !deadline.IsZero() && !time.Now().Before(deadline)
+}
+
+// waitEnded reports whether err is a wait's end by its context or its
+// deadline rather than a failure of what it waited for.
+func waitEnded(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+}
+
 // refusalMsg phrases a durability refusal for the 503 body: a replication
-// ack that timed out, a request that ended while waiting for one, or a
-// failed WAL (which alone makes the node read-only).
+// ack that timed out, a batch that ended while waiting for its WAL sync
+// or replication ack, or a failed WAL (which alone makes the node
+// read-only).
 func refusalMsg(err error) string {
 	switch {
 	case errors.Is(err, ErrReplAckTimeout):
 		return "replication unconfirmed, write not acknowledged (durable locally; retry): " + err.Error()
 	case errors.Is(err, context.DeadlineExceeded):
-		return "batch timed out awaiting the replication ack, write not acknowledged (durable locally; retry): " + err.Error()
+		return TimedOut + " awaiting the replication ack, write not acknowledged (durable locally; retry): " + err.Error()
 	case errors.Is(err, context.Canceled):
 		return "batch canceled awaiting the replication ack, write not acknowledged (durable locally; retry): " + err.Error()
 	}
 	return "write-ahead log failed, server is now read-only: " + err.Error()
+}
+
+// walWaitMsg phrases the refusal of a batch that ended while waiting for
+// its WAL sync: the write is applied and logged, and the next sync makes
+// it durable, but it was not acknowledged.
+func walWaitMsg(err error) string {
+	what := TimedOut
+	if errors.Is(err, context.Canceled) {
+		what = "batch canceled"
+	}
+	return what + " awaiting the WAL sync, write not acknowledged (retry): " + err.Error()
 }
 
 // degrade flips the server into read-only mode after a WAL failure: writes
@@ -467,16 +505,17 @@ func WriteBatch(w http.ResponseWriter, binary bool, results []OpResult, buf *Bat
 }
 
 // handleBatch serves one /v1/batch request in either wire. The body cap
-// and request timeout are already in place: srvkit.APIStack wraps this
-// handler.
+// is already in place (srvkit.APIStack wraps this handler); the batch
+// timeout runs from here, and serve enforces it.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	deadline := BatchDeadline(time.Now(), s.opt.BatchTimeout)
 	scr := wirePool.Get().(*wireScratch)
 	defer wirePool.Put(scr)
 	ops, binary, ok := ReadBatch(w, r, &scr.BatchBuf, s.opt.MaxBatch)
 	if !ok {
 		return
 	}
-	rep := s.serve(r.Context(), r.Header.Get(IdempotencyKeyHeader), 0, ops, scr)
+	rep := s.serve(r.Context(), deadline, r.Header.Get(IdempotencyKeyHeader), 0, ops, scr)
 	if rep.status != http.StatusOK {
 		http.Error(w, rep.msg, rep.status)
 		return
@@ -504,14 +543,23 @@ type batchReply struct {
 // that writes under a recorded key is answered from the record; the
 // read-only gate refuses writes (503); the ops execute and log; a write
 // waits for the replication ack; and the reply to a keyed write is
-// recorded. The record is the §4 response frame, which answers a retry in
-// whichever wire it comes: the replay is decoded and re-encoded, and the
-// encoder is deterministic, so a binary retry gets the recorded bytes.
-// Reads are never recorded: a retried read re-executes, which is as good
-// as a replay. Set values decoded from a frame alias the pooled body in
-// scr, which the next request overwrites; the backend copies what it
-// keeps (see Backend).
-func (s *server) serve(ctx context.Context, key string, minPos uint64, ops []Op, scr *wireScratch) batchReply {
+// recorded. The record is the §4 response frame, which answers a retry
+// in whichever wire it comes: the replay is decoded and re-encoded, and
+// the encoder is deterministic, so a binary retry gets the recorded
+// bytes. Reads are never recorded: a retried read re-executes, which is
+// as good as a replay. Set values decoded from a frame alias the pooled
+// body in scr, which the next request overwrites; the backend copies what
+// it keeps (see Backend).
+//
+// deadline (zero: none) bounds the batch. It is checked on the way in
+// (after decode), after execution and before the reply, each a 503
+// "batch timed out", and it ends the waits that can park — a WAL sync
+// behind another batch's, and the replication ack — which end with ctx
+// too. A batch that never parks makes no timer for it.
+func (s *server) serve(ctx context.Context, deadline time.Time, key string, minPos uint64, ops []Op, scr *wireScratch) batchReply {
+	if Expired(deadline) {
+		return batchReply{status: http.StatusServiceUnavailable, msg: TimedOut}
+	}
 	if applied, ok := s.behind(minPos); ok {
 		return batchReply{status: http.StatusPreconditionFailed,
 			msg: fmt.Sprintf("replica behind: applied %d records, the batch needs %d", applied, minPos)}
@@ -534,20 +582,29 @@ func (s *server) serve(ctx context.Context, key string, minPos uint64, ops []Op,
 	if writes && !s.opt.Writable.Get() {
 		return batchReply{status: http.StatusServiceUnavailable, msg: s.readOnlyMsg()}
 	}
-	results, err := s.executeInto(ops, scr)
+	results, err := s.executeInto(ctx, deadline, ops, scr)
 	if err != nil {
-		// The batch was applied in memory but could not be made durable:
-		// refuse the ack. The client retries and either lands on the
-		// read-only gate or re-executes idempotently.
+		// The batch was applied in memory but not made durable in time, or
+		// could not be: refuse the ack. The client retries and either
+		// lands on the read-only gate or re-executes idempotently.
+		if waitEnded(err) {
+			return batchReply{status: http.StatusServiceUnavailable, msg: walWaitMsg(err)}
+		}
 		return batchReply{status: http.StatusServiceUnavailable, msg: refusalMsg(err)}
+	}
+	if Expired(deadline) {
+		return batchReply{status: http.StatusServiceUnavailable, msg: TimedOut}
 	}
 	if !writes {
 		return batchReply{status: http.StatusOK, results: results}
 	}
 	// Read before the ack wait, which only ever lets the log grow.
 	pos := s.walPos()
-	if err := s.replAck(ctx); err != nil {
+	if err := s.replAck(ctx, deadline); err != nil {
 		return batchReply{status: http.StatusServiceUnavailable, msg: refusalMsg(err)}
+	}
+	if Expired(deadline) {
+		return batchReply{status: http.StatusServiceUnavailable, msg: TimedOut}
 	}
 	if key != "" {
 		frame, err := AppendBatchResponse(scr.out[:0], results)
@@ -555,8 +612,7 @@ func (s *server) serve(ctx context.Context, key string, minPos uint64, ops []Op,
 			return batchReply{status: http.StatusInternalServerError, msg: "encoding response: " + err.Error()}
 		}
 		scr.out = frame
-		// Key and frame may alias pooled scratch; the cache keeps copies.
-		s.idem.put(strings.Clone(key), bytes.Clone(frame))
+		s.idem.put(key, frame)
 	}
 	return batchReply{status: http.StatusOK, results: results, pos: pos}
 }
@@ -568,8 +624,10 @@ func (s *server) serve(ctx context.Context, key string, minPos uint64, ops []Op,
 // scr.results and are valid until scr is reused. When a WAL is configured,
 // each applied set run (its successful cells) and each applied resize is
 // logged and fsynced before executeInto returns; a non-nil walErr means
-// durability was lost mid-batch and the caller must not acknowledge.
-func (s *server) executeInto(ops []Op, scr *wireScratch) (results []OpResult, walErr error) {
+// the batch is not durable and the caller must not acknowledge it: the
+// WAL failed (the server is now degraded), or a sync wait ended with ctx
+// or at deadline (waitEnded; the records stay queued for the next sync).
+func (s *server) executeInto(ctx context.Context, deadline time.Time, ops []Op, scr *wireScratch) (results []OpResult, walErr error) {
 	results = scr.growResults(len(ops))
 	for i := 0; i < len(ops); {
 		j := i + 1
@@ -599,8 +657,10 @@ func (s *server) executeInto(ops []Op, scr *wireScratch) (results []OpResult, wa
 			}
 			if s.opt.WAL != nil && len(acked) > 0 {
 				var err error
-				if scr.rec, err = s.opt.WAL.appendSet(scr.rec, acked); err != nil {
-					s.degrade(err)
+				if scr.rec, err = s.opt.WAL.appendSet(ctx, deadline, scr.rec, acked); err != nil {
+					if !waitEnded(err) {
+						s.degrade(err)
+					}
 					s.opt.Metrics.op(ops[i].Op, j-i, time.Since(start), true)
 					return results, err
 				}
@@ -628,8 +688,11 @@ func (s *server) executeInto(ops []Op, scr *wireScratch) (results []OpResult, wa
 			} else {
 				results[i] = OpResult{OK: true}
 				if s.opt.WAL != nil {
-					if err := s.opt.WAL.AppendResize(ops[i].Rows, ops[i].Cols); err != nil {
-						s.degrade(err)
+					rec := encodeResizeRecord(ops[i].Rows, ops[i].Cols)
+					if err := s.opt.WAL.Enqueue(rec).Wait(ctx, deadline); err != nil {
+						if !waitEnded(err) {
+							s.degrade(err)
+						}
 						s.opt.Metrics.op(ops[i].Op, 1, time.Since(start), true)
 						return results, err
 					}
@@ -659,14 +722,15 @@ func (s *server) executeInto(ops []Op, scr *wireScratch) (results []OpResult, wa
 // ops are value-idempotent; the cache exists to keep *sequential* retries
 // (the common lost-ack case) from re-executing and double-logging.
 type idemCache struct {
-	mu    sync.Mutex
-	max   int
-	m     map[string][]byte
-	order []string
+	mu   sync.Mutex
+	m    map[string][]byte
+	keys []string // in insertion order from next on, once full: a ring
+	next int
 }
 
-func newIdemCache(max int) *idemCache {
-	return &idemCache{max: max, m: make(map[string][]byte, max)}
+func newIdemCache(size int) *idemCache {
+	size = max(size, 1)
+	return &idemCache{m: make(map[string][]byte, size), keys: make([]string, 0, size)}
 }
 
 func (c *idemCache) get(key string) (frame []byte, ok bool) {
@@ -676,18 +740,26 @@ func (c *idemCache) get(key string) (frame []byte, ok bool) {
 	return frame, ok
 }
 
+// put records frame under key, evicting the oldest record when full. Key
+// and frame may alias pooled scratch, so put copies both, into one
+// allocation.
 func (c *idemCache) put(key string, frame []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[key]; ok {
 		return
 	}
-	for len(c.m) >= c.max && len(c.order) > 0 {
-		delete(c.m, c.order[0])
-		c.order = c.order[1:]
+	buf := make([]byte, len(key)+len(frame))
+	k := aliasString(buf[:copy(buf, key)])
+	copy(buf[len(k):], frame)
+	if len(c.keys) < cap(c.keys) {
+		c.keys = append(c.keys, k)
+	} else {
+		delete(c.m, c.keys[c.next])
+		c.keys[c.next] = k
+		c.next = (c.next + 1) % len(c.keys)
 	}
-	c.m[key] = frame
-	c.order = append(c.order, key)
+	c.m[k] = buf[len(k):]
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {

@@ -294,7 +294,7 @@ func TestServeEndedAckWait(t *testing.T) {
 				WAL: wal, Writable: obs.NewFlag(true), Metrics: m,
 				Repl: &Repl{WAL: wal, Gate: &ReplGate{Timeout: time.Hour}},
 			}}
-			rep := s.serve(tc.ctx, "", 0, []Op{{Op: "set", X: 1, Y: 1, V: "v"}}, new(wireScratch))
+			rep := s.serve(tc.ctx, time.Time{}, "", 0, []Op{{Op: "set", X: 1, Y: 1, V: "v"}}, new(wireScratch))
 			if rep.status != http.StatusServiceUnavailable || !strings.HasPrefix(rep.msg, tc.want) {
 				t.Fatalf("serve = %d %q, want 503 %q", rep.status, rep.msg, tc.want)
 			}

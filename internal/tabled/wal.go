@@ -1,6 +1,7 @@
 package tabled
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -134,18 +135,20 @@ func OpenWAL(path string, apply func(WALRecord) error, opt WALOptions) (*WAL, in
 // after the record is durable (fsynced, possibly by one fsync shared with
 // concurrent appends). Large batches are split across frames.
 func (w *WAL) AppendSet(cells []Cell[string]) error {
-	_, err := w.appendSet(nil, cells)
+	_, err := w.appendSet(context.Background(), time.Time{}, nil, cells)
 	return err
 }
 
 // appendSet is AppendSet encoding each record into buf, which it returns
 // grown for the caller to pass again: the log writes a payload before
-// Enqueue returns, so buf is free once appendSet does.
-func (w *WAL) appendSet(buf []byte, cells []Cell[string]) ([]byte, error) {
+// Enqueue returns, so buf is free once appendSet does. A wait parked
+// behind another batch's fsync ends with ctx or at deadline (see
+// walog.Ticket.Wait).
+func (w *WAL) appendSet(ctx context.Context, deadline time.Time, buf []byte, cells []Cell[string]) ([]byte, error) {
 	for len(cells) > 0 {
 		n := min(len(cells), maxWALChunkCells)
 		buf = appendSetRecord(buf[:0], cells[:n])
-		if err := w.Append(buf); err != nil {
+		if err := w.Enqueue(buf).Wait(ctx, deadline); err != nil {
 			return buf, err
 		}
 		cells = cells[n:]

@@ -7,10 +7,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pairfn/internal/core"
 	"pairfn/internal/obs"
@@ -226,7 +228,10 @@ func bodyOf(t *testing.T, r *http.Response) []byte {
 // pooled request body, which the SlabStore copies into its arena, so they
 // allocate nothing per op, with a WAL as without one: the WAL record is
 // encoded into the scratch too, and framed into a buffer the log reuses.
-// A set batch allocates nothing, with a WAL or without.
+// An unkeyed set batch allocates nothing, with a WAL or without; a keyed
+// one allocates exactly its idempotency record, key and reply frame in one
+// buffer. Every batch runs under a batch deadline, as a served one does:
+// a deadline that is never reached costs nothing.
 func TestServerBatchPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race: sync.Pool randomly drops puts")
@@ -265,12 +270,13 @@ func TestServerBatchPathAllocFree(t *testing.T) {
 			srv := newExchangeServer(table, opt)
 			scr := new(wireScratch)
 			ctx := context.Background()
+			deadline := time.Now().Add(time.Hour)
 			// Reads are never recorded, so a keyed get batch skips the cache; a
 			// repeated key on a set batch would replay instead of execute.
 			getKey, noKey := []byte("get-key"), []byte(nil)
 			run := func(frame, key []byte) {
 				scr.body = append(scr.body[:0], frame...)
-				out, _, status, msg := srv.answer(ctx, key, 0, scr)
+				out, _, status, msg := srv.answer(ctx, deadline, key, 0, scr)
 				if status != http.StatusOK {
 					t.Fatalf("answer: %d %s", status, msg)
 				}
@@ -278,14 +284,23 @@ func TestServerBatchPathAllocFree(t *testing.T) {
 					t.Fatal("empty response frame")
 				}
 			}
+			setKey, keyed := append(make([]byte, 0, 32), "set-key-"...), 0
+			runKeyed := func() {
+				keyed++
+				run(setFrame, strconv.AppendInt(setKey[:len("set-key-")], int64(keyed), 10))
+			}
 			run(getFrame, getKey) // warm the scratch and the plan pool
 			run(setFrame, noKey)
+			runKeyed()
 
 			if a := testing.AllocsPerRun(200, func() { run(getFrame, getKey) }); a != 0 {
 				t.Errorf("binary get batch: %.2f allocs per request, want 0", a)
 			}
 			if a := testing.AllocsPerRun(200, func() { run(setFrame, noKey) }); a != 0 {
 				t.Errorf("binary set batch: %.2f allocs per request, want 0", a)
+			}
+			if a := testing.AllocsPerRun(200, runKeyed); a != 1 {
+				t.Errorf("keyed binary set batch: %.2f allocs per request, want 1 (its idempotency record)", a)
 			}
 		})
 	}
@@ -308,7 +323,7 @@ func TestServerSetDoesNotRetainBody(t *testing.T) {
 			t.Fatal(err)
 		}
 		scr.body = append(scr.body[:0], frame...)
-		out, _, status, msg := srv.answer(context.Background(), nil, 0, scr)
+		out, _, status, msg := srv.answer(context.Background(), time.Time{}, nil, 0, scr)
 		if status != http.StatusOK {
 			t.Fatalf("answer: %d %s", status, msg)
 		}
@@ -426,4 +441,50 @@ func TestClientConnectionReuse(t *testing.T) {
 			d, workers, rounds, 3*workers)
 	}
 	DefaultTransport.CloseIdleConnections()
+}
+
+// TestKeyedRecordsReplayConcurrently: a keyed write's record holds its key
+// and reply frame in one buffer, copied from the request's pooled scratch.
+// Concurrent writers, each reusing one key buffer and one scratch, record
+// batches and retransmit them; every answer, first or replayed, decodes
+// to the batch's own results. The cache is small, so records are evicted
+// while others are read.
+func TestKeyedRecordsReplayConcurrently(t *testing.T) {
+	srv := newExchangeServer(newConnTable(t, nil), ServerOptions{})
+	srv.idem = newIdemCache(16)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			scr := new(wireScratch)
+			var key []byte
+			for i := 0; i < 100; i++ {
+				v := fmt.Sprintf("w%d-%d", w, i)
+				frame, err := AppendBatchRequest(nil, []Op{
+					{Op: "set", X: int64(w + 1), Y: int64(i%8 + 1), V: v},
+					{Op: "get", X: int64(w + 1), Y: int64(i%8 + 1)},
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for try := 0; try < 2; try++ {
+					key = fmt.Appendf(key[:0], "key-%d-%d", w, i)
+					scr.body = append(scr.body[:0], frame...)
+					out, _, status, msg := srv.answer(context.Background(), time.Time{}, key, 0, scr)
+					if status != http.StatusOK {
+						t.Errorf("writer %d batch %d try %d: %d %s", w, i, try, status, msg)
+						return
+					}
+					res, err := DecodeBatchResponse(out, nil, 0)
+					if err != nil || len(res) != 2 || !res[0].OK || !res[1].Found || res[1].V != v {
+						t.Errorf("writer %d batch %d try %d: %+v, %v; want the set acknowledged and %q read", w, i, try, res, err, v)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -67,7 +67,7 @@ func within(t *testing.T, d time.Duration, what string, fn func()) {
 func parkWait(t *testing.T, pf *parkFile, tk walog.Ticket) <-chan error {
 	t.Helper()
 	res := make(chan error, 1)
-	go func() { res <- tk.Wait() }()
+	go func() { res <- tk.Wait(context.Background(), time.Time{}) }()
 	select {
 	case <-pf.entered:
 	case <-time.After(5 * time.Second):
@@ -124,7 +124,7 @@ func TestSyncRunsOutsideLock(t *testing.T) {
 	if _, next := l.SeqState(); next != 2 {
 		t.Fatalf("committed = %d after the parked sync, want 2", next)
 	}
-	if err := c.Wait(); err != nil {
+	if err := c.Wait(context.Background(), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, next := l.SeqState(); next != 3 {
@@ -170,7 +170,7 @@ func TestSyncStraddlingCheckpoint(t *testing.T) {
 	if base, next := l.SeqState(); base != 3 || next != 3 {
 		t.Fatalf("SeqState after the checkpoint = [%d, %d), want [3, 3)", base, next)
 	}
-	if err := c.Wait(); err != nil {
+	if err := c.Wait(context.Background(), time.Time{}); err != nil {
 		t.Fatalf("pre-checkpoint ticket Wait = %v", err)
 	}
 	if base, next := l.SeqState(); base != 3 || next != 3 {
@@ -206,7 +206,7 @@ func TestSyncFailureReachesParkedWaiters(t *testing.T) {
 		for i := range errs {
 			tk := l.Enqueue([]byte{byte('b' + i)})
 			wg.Add(1)
-			go func() { defer wg.Done(); errs[i] = tk.Wait() }()
+			go func() { defer wg.Done(); errs[i] = tk.Wait(context.Background(), time.Time{}) }()
 		}
 	})
 	time.Sleep(20 * time.Millisecond) // let the followers park
@@ -318,5 +318,41 @@ func TestConcurrentAppendsShareFsync(t *testing.T) {
 	defer l2.Close()
 	if n != writers {
 		t.Fatalf("replayed %d records, want %d", n, writers)
+	}
+}
+
+// TestParkedWaitEnds: a Wait parked behind another Wait's fsync gives up
+// at its deadline, or when its context ends, while the fsync is still in
+// flight; the record stays enqueued, and the next sync makes it durable.
+func TestParkedWaitEnds(t *testing.T) {
+	l, pf := openParked(t)
+	pf.armed.Store(true)
+	leader := parkWait(t, pf, l.Enqueue([]byte("a")))
+
+	const timeout = 50 * time.Millisecond
+	b := l.Enqueue([]byte("b"))
+	start := time.Now()
+	if err := b.Wait(context.Background(), start.Add(timeout)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Wait past its deadline = %v, want %v", err, context.DeadlineExceeded)
+	}
+	if took := time.Since(start); took < timeout || took > timeout+time.Second {
+		t.Fatalf("Wait gave up after %v, want about %v", took, timeout)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(timeout, cancel)
+	if err := b.Wait(ctx, time.Time{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait with its context canceled = %v, want %v", err, context.Canceled)
+	}
+
+	pf.armed.Store(false)
+	pf.release <- nil
+	if err := <-leader; err != nil {
+		t.Fatalf("leading Wait = %v", err)
+	}
+	if err := b.Wait(context.Background(), time.Now().Add(time.Minute)); err != nil {
+		t.Fatalf("Wait after the fsync = %v", err)
+	}
+	if _, next := l.SeqState(); next != 2 {
+		t.Fatalf("committed = %d, want 2 (a and b)", next)
 	}
 }

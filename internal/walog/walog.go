@@ -1,6 +1,7 @@
 package walog
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -269,9 +270,10 @@ type Ticket struct {
 }
 
 // Append frames payload into the log and waits for durability — Enqueue
-// followed by Wait, for callers with no ordering constraint of their own.
+// followed by Wait, for callers with no ordering constraint or deadline
+// of their own.
 func (l *Log) Append(payload []byte) error {
-	return l.Enqueue(payload).Wait()
+	return l.Enqueue(payload).Wait(context.Background(), time.Time{})
 }
 
 // Enqueue frames payload into the log, fixing its position in the record
@@ -321,7 +323,14 @@ func (l *Log) Enqueue(payload []byte) Ticket {
 // record covered or lead the next sync. That is group commit without a
 // timer: concurrent appends share fsyncs whenever the disk is slower than
 // they arrive.
-func (t Ticket) Wait() error {
+//
+// A parked Wait gives up when ctx ends, with ctx's error, or at deadline
+// (zero: none), with context.DeadlineExceeded; the record stays enqueued
+// and a later sync still makes it durable. Only parking arms a timer, so
+// a Wait that finds its record covered, or leads the sync itself, costs
+// no timer and no allocation. A leading Wait returns when its fsync does:
+// a sync in flight cannot be abandoned.
+func (t Ticket) Wait(ctx context.Context, deadline time.Time) error {
 	if t.err != nil {
 		return t.err
 	}
@@ -331,6 +340,12 @@ func (t Ticket) Wait() error {
 	l := t.l
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	var stop func() // disarms the wake-ups a parked Wait arms
+	defer func() {
+		if stop != nil {
+			stop()
+		}
+	}()
 	for {
 		switch {
 		case l.failed != nil:
@@ -342,7 +357,38 @@ func (t Ticket) Wait() error {
 		case !l.syncing:
 			return l.leadSyncLocked()
 		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			return context.DeadlineExceeded
+		}
+		if stop == nil {
+			stop = l.armWake(ctx, deadline)
+		}
 		l.syncDone.Wait()
+	}
+}
+
+// armWake makes the Waits parked on syncDone re-check their state when ctx
+// ends or deadline (if not zero) passes, and returns the function that
+// disarms it.
+func (l *Log) armWake(ctx context.Context, deadline time.Time) (stop func()) {
+	wake := func() {
+		l.mu.Lock()
+		l.syncDone.Broadcast()
+		l.mu.Unlock()
+	}
+	var t *time.Timer
+	if !deadline.IsZero() {
+		t = time.AfterFunc(time.Until(deadline), wake)
+	}
+	stopCtx := context.AfterFunc(ctx, wake)
+	return func() {
+		if t != nil {
+			t.Stop()
+		}
+		stopCtx()
 	}
 }
 

@@ -238,7 +238,7 @@ func TestEnqueueOrderWait(t *testing.T) {
 	// Waiting on the last first syncs the whole prefix; earlier Waits
 	// return immediately.
 	for i := len(tickets) - 1; i >= 0; i-- {
-		if err := tickets[i].Wait(); err != nil {
+		if err := tickets[i].Wait(context.Background(), time.Time{}); err != nil {
 			t.Fatalf("Wait(%d): %v", i, err)
 		}
 	}
@@ -257,7 +257,7 @@ func TestEnqueueOrderWait(t *testing.T) {
 // TestZeroTicket pins the no-log convention: the zero Ticket is durable
 // immediately, so callers without a journal pass it through unconditionally.
 func TestZeroTicket(t *testing.T) {
-	if err := (walog.Ticket{}).Wait(); err != nil {
+	if err := (walog.Ticket{}).Wait(context.Background(), time.Time{}); err != nil {
 		t.Fatalf("zero Ticket Wait = %v, want nil", err)
 	}
 }

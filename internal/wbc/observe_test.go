@@ -183,16 +183,20 @@ func TestObservedProtocolMetrics(t *testing.T) {
 	}
 }
 
+// TestObservedHandlerLogsRequests: a successful request is logged at
+// Debug (obs.Route.Observe keeps Info for failed and slow ones), so a
+// logger that admits Debug sees its line.
 func TestObservedHandlerLogsRequests(t *testing.T) {
 	var buf bytes.Buffer
 	srv, _, _ := newObservedServer(t, ServerOptions{
-		Logger: slog.New(slog.NewTextHandler(&buf, nil)),
+		Logger: slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})),
 	})
 	cl := &Client{BaseURL: srv.URL}
 	if _, err := cl.Register(1); err != nil {
 		t.Fatal(err)
 	}
-	if line := buf.String(); !strings.Contains(line, "path=/register") || !strings.Contains(line, "status=200") {
+	if line := buf.String(); !strings.Contains(line, "level=DEBUG") ||
+		!strings.Contains(line, "path=/register") || !strings.Contains(line, "status=200") {
 		t.Errorf("request log missing register line: %q", line)
 	}
 }

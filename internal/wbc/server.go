@@ -266,7 +266,7 @@ func (c *Coordinator) logLocked(rec journalRec) walog.Ticket {
 // mutation is applied in memory but was never acknowledged, matching the
 // crash contract (an unacknowledged write may be lost on restart).
 func (c *Coordinator) waitDurable(t walog.Ticket) error {
-	err := t.Wait()
+	err := t.Wait(context.Background(), time.Time{})
 	if err == nil {
 		return nil
 	}

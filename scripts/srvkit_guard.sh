@@ -21,7 +21,16 @@ for f in cmd/*server/main.go; do
         status=1
     fi
 done
+for f in internal/tabled/*.go internal/cluster/*.go; do
+    case "$f" in *_test.go) continue ;; esac
+    bad=$(grep -nE 'RequestTimeout:' "$f")
+    if [ -n "$bad" ]; then
+        echo "srvkit-guard: $f wraps a batch handler in APIStack's TimeoutHandler; enforce the batch deadline in the handler instead:" >&2
+        echo "$bad" >&2
+        status=1
+    fi
+done
 if [ "$status" -eq 0 ]; then
-    echo "srvkit-guard: ok — all server mains go through internal/srvkit"
+    echo "srvkit-guard: ok — all server mains go through internal/srvkit, and no batch handler sits behind a TimeoutHandler"
 fi
 exit "$status"
