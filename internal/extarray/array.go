@@ -1,8 +1,10 @@
 package extarray
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pairfn/internal/core"
 )
@@ -123,27 +125,80 @@ func (a *Array[T]) Resize(rows, cols int64) error {
 		return fmt.Errorf("%w: to %d×%d", ErrShrink, rows, cols)
 	}
 	a.stats.Reshapes++
-	// Discard elements that fall outside the new bounds.
-	if rows < a.rows || cols < a.cols {
-		for x := int64(1); x <= a.rows; x++ {
-			for y := int64(1); y <= a.cols; y++ {
-				if x <= rows && y <= cols {
-					continue
-				}
-				addr, err := a.f.Encode(x, y)
-				if err != nil {
-					return err
-				}
-				if _, ok := a.store.Get(addr); ok {
-					a.store.Delete(addr)
-					a.stats.Moves++
-				}
-			}
-		}
+	n := a.store.Len()
+	err := Shrink(a.f, a.rows, a.cols, rows, cols, n, a.store.Scan, a.store.Delete)
+	a.stats.Moves += int64(n - a.store.Len())
+	if err != nil {
+		return err
 	}
 	a.rows, a.cols = rows, cols
 	return nil
 }
+
+// Shrink deletes the elements that a resize of a table laid out by f
+// from rows×cols to newRows×newCols discards; a resize that shrinks
+// neither side deletes nothing. n is the number of stored elements, scan
+// calls its fn with every stored element, in any order, and del deletes
+// the element at an address if there is one. Array.Resize and
+// tabled.Sharded.Resize both shrink through it and count the elements it
+// deleted as moves.
+//
+// It takes the cheaper of two walks. When the discarded region holds at
+// most n positions, it encodes each of them and deletes it, so dropping
+// a row of a dense table never walks the kept box. Otherwise it collects
+// the stored addresses, decodes them in ascending order with
+// core.DecodeBatch (so a mapping's shell-walk reuse applies), and deletes
+// those outside the new box: a sparse table shrinks at the cost of its
+// elements, however large its box.
+func Shrink[T any](f core.PF, rows, cols, newRows, newCols int64, n int, scan func(fn func(addr int64, v T)), del func(addr int64)) error {
+	kr, kc := min(rows, newRows), min(cols, newCols) // the kept box
+	if kr == rows && kc == cols {
+		return nil
+	}
+	if top := rows - kr; within(top, cols, int64(n)) && within(kr, cols-kc, int64(n)-top*cols) {
+		// The discarded rows below the kept box, then the discarded
+		// columns beside it.
+		for _, r := range [2][4]int64{{kr + 1, rows, 1, cols}, {1, kr, kc + 1, cols}} {
+			for x := r[0]; x <= r[1]; x++ {
+				for y := r[2]; y <= r[3]; y++ {
+					addr, err := f.Encode(x, y)
+					if err != nil {
+						return err
+					}
+					del(addr)
+				}
+			}
+		}
+		return nil
+	}
+	addrs := make([]int64, 0, n)
+	scan(func(addr int64, _ T) { addrs = append(addrs, addr) })
+	slices.Sort(addrs)
+	xs, ys, err := decode(f, addrs)
+	if err != nil {
+		return err
+	}
+	for i, addr := range addrs {
+		if xs[i] > kr || ys[i] > kc {
+			del(addr)
+		}
+	}
+	return nil
+}
+
+// decode decodes stored addresses with core.DecodeBatch, failing if any
+// does not decode.
+func decode(f core.PF, addrs []int64) (xs, ys []int64, err error) {
+	xs, ys = make([]int64, len(addrs)), make([]int64, len(addrs))
+	core.DecodeBatch(f, addrs, xs, ys, func(i int, e error) {
+		err = cmp.Or(err, fmt.Errorf("extarray: stored address %d: %w", addrs[i], e))
+	})
+	return xs, ys, err
+}
+
+// within reports whether a·b ≤ limit, for non-negative a, b and limit,
+// without overflowing int64.
+func within(a, b, limit int64) bool { return a == 0 || b <= limit/a }
 
 // GrowRows adds delta rows (delta ≥ 0).
 func (a *Array[T]) GrowRows(delta int64) error { return a.Resize(a.rows+delta, a.cols) }

@@ -276,3 +276,75 @@ func TestPagedStoreExposesSpread(t *testing.T) {
 		t.Errorf("pages: diagonal %d, hyperbolic %d; want 129 and 4", diag.Pages(), hyp.Pages())
 	}
 }
+
+// countingPF counts the Encode and Decode calls made through it. It
+// exposes only core.PF's methods, so core.DecodeBatch decodes through the
+// counted Decode.
+type countingPF struct {
+	core.PF
+	enc, dec int
+}
+
+func (c *countingPF) Encode(x, y int64) (int64, error) { c.enc++; return c.PF.Encode(x, y) }
+
+func (c *countingPF) Decode(z int64) (int64, int64, error) { c.dec++; return c.PF.Decode(z) }
+
+// TestShrinkBranches takes Shrink down each of its walks and checks the
+// result against a map model: a shrink whose discarded region holds at
+// most Len() positions encodes exactly that region and decodes nothing;
+// a larger one decodes each stored address once and encodes nothing.
+func TestShrinkBranches(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		rows, cols, step       int64
+		toRows, toCols, encode int64
+		scan                   bool
+	}{
+		{"dense/one-row", 16, 16, 1, 15, 16, 16, false},
+		{"dense/rows-down-cols-up", 16, 16, 1, 8, 20, 8 * 16, false},
+		{"sparse", 64, 64, 9, 40, 45, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pf := &countingPF{PF: core.SquareShell{}}
+			a, err := New[int64](pf, NewPagedStore[int64](), tc.rows, tc.cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := map[[2]int64]int64{}
+			for x := int64(1); x <= tc.rows; x += tc.step {
+				for y := int64(1); y <= tc.cols; y += tc.step {
+					if err := a.Set(x, y, x<<32|y); err != nil {
+						t.Fatal(err)
+					}
+					model[[2]int64{x, y}] = x<<32 | y
+				}
+			}
+			stored := len(model)
+			pf.enc, pf.dec = 0, 0
+			if err := a.Resize(tc.toRows, tc.toCols); err != nil {
+				t.Fatal(err)
+			}
+			wantDec := 0
+			if tc.scan {
+				wantDec = stored
+			}
+			if pf.enc != int(tc.encode) || pf.dec != wantDec {
+				t.Fatalf("shrink of %d cells made %d encodes and %d decodes, want %d and %d",
+					stored, pf.enc, pf.dec, tc.encode, wantDec)
+			}
+			for p := range model {
+				if p[0] > tc.toRows || p[1] > tc.toCols {
+					delete(model, p)
+				}
+			}
+			if a.Len() != len(model) || a.Stats().Moves != int64(stored-len(model)) {
+				t.Fatalf("Len %d, Moves %d; want %d, %d", a.Len(), a.Stats().Moves, len(model), stored-len(model))
+			}
+			for p, v := range model {
+				if got, ok, err := a.Get(p[0], p[1]); err != nil || !ok || got != v {
+					t.Fatalf("Get(%d, %d) = %d, %v, %v; want %d", p[0], p[1], got, ok, err, v)
+				}
+			}
+		})
+	}
+}

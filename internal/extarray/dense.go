@@ -73,6 +73,15 @@ func (s *DenseStore[T]) Len() int { return s.n }
 // MaxAddr implements Store.
 func (s *DenseStore[T]) MaxAddr() int64 { return s.max }
 
+// Scan implements Store by walking the used slots.
+func (s *DenseStore[T]) Scan(fn func(addr int64, v T)) {
+	for i, u := range s.used {
+		if u {
+			fn(int64(i)+1, s.vals[i])
+		}
+	}
+}
+
 // Slots returns the allocated slot count — the literal memory bill of the
 // mapping's spread.
 func (s *DenseStore[T]) Slots() int64 { return int64(len(s.vals)) }

@@ -27,8 +27,10 @@ func TestDenseStoreParity(t *testing.T) {
 	if d.Len() != m.Len() || d.MaxAddr() != m.MaxAddr() {
 		t.Errorf("Len/MaxAddr mismatch: %d/%d vs %d/%d", d.Len(), d.MaxAddr(), m.Len(), m.MaxAddr())
 	}
+	scanMatches[int64](t, d, m)
 	d.Delete(50)
 	m.Delete(50)
+	scanMatches[int64](t, d, m)
 	if _, ok := d.Get(50); ok {
 		t.Error("delete failed")
 	}

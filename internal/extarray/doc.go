@@ -32,6 +32,13 @@
 // the arena compacts into fresh chunks once dead bytes outweigh live
 // ones.
 //
+// Every Store has Scan, which visits the stored elements once each in
+// ascending address order: MapStore sorts its keys, DenseStore walks its
+// used slots, and the paged stores walk their page directories in page
+// order and each page's used bitmap, so a scan costs O(pages + elements).
+// Saves, Range and sparse shrinks (Shrink) iterate through it, so their
+// cost follows the stored elements, not the logical box a grow can set.
+//
 // # Overflow and concurrency
 //
 // Addresses are computed by the underlying storage mapping and inherit its

@@ -3,6 +3,7 @@ package extarray
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -243,12 +244,40 @@ func storeModel[T comparable](t *testing.T, newStore func() pagedTestStore[T], v
 			if observe != nil {
 				observe(ps)
 			}
+			if op%1000 == 999 {
+				scanMatches[T](t, ps, ms)
+			}
 		}
 		for a, mv := range ms.m {
 			if pv, ok := ps.Get(a); !ok || pv != mv {
 				t.Fatalf("seed %d: sweep Get(%d) = (%v, %v), want %v", seed, a, pv, ok, mv)
 			}
 		}
+		scanMatches[T](t, ps, ms)
 		check(t, ps)
+	}
+}
+
+// scanMatches checks that s.Scan visits exactly the elements of the
+// MapStore model ms, in the same strictly ascending address order.
+func scanMatches[T comparable](t *testing.T, s Store[T], ms *MapStore[T]) {
+	t.Helper()
+	type elem struct {
+		addr int64
+		v    T
+	}
+	var got, want []elem
+	s.Scan(func(a int64, v T) { got = append(got, elem{a, v}) })
+	ms.Scan(func(a int64, v T) { want = append(want, elem{a, v}) })
+	if len(want) != ms.Len() {
+		t.Fatalf("model scan visited %d elements, holds %d", len(want), ms.Len())
+	}
+	for i := range want {
+		if i > 0 && want[i].addr <= want[i-1].addr {
+			t.Fatalf("model scan out of order: %d after %d", want[i].addr, want[i-1].addr)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Scan visited %d elements, model %d (or in another order, or other values)", len(got), len(want))
 	}
 }

@@ -62,13 +62,7 @@ func (pg *slabPage) slot(off, w int64, bit uint64) int {
 func (pg *slabPage) insert(off, w int64, bit uint64, r slabRef) {
 	if !pg.direct() && len(pg.refs) == slabSparseMax {
 		d := make([]slabRef, 1<<pageBits)
-		i := 0
-		for j, word := range pg.used {
-			for ; word != 0; word &= word - 1 {
-				d[j<<6|bits.TrailingZeros64(word)] = pg.refs[i]
-				i++
-			}
-		}
+		slots(&pg.used, func(off, rank int) { d[off] = pg.refs[rank] })
 		pg.refs = d
 	}
 	if pg.direct() {
@@ -244,6 +238,21 @@ func (s *SlabStore) Len() int { return s.n }
 
 // MaxAddr implements Store.
 func (s *SlabStore) MaxAddr() int64 { return s.max }
+
+// Scan implements Store as PagedStore does. A sparse page's refs are in
+// slot order, so the k-th present slot's ref is refs[k]. The strings fn
+// receives alias the arena, as Get's do.
+func (s *SlabStore) Scan(fn func(addr int64, v string)) {
+	s.scan(func(p int64, pg *slabPage) {
+		direct := pg.direct()
+		slots(&pg.used, func(off, rank int) {
+			if direct {
+				rank = off
+			}
+			fn(p<<pageBits|int64(off), str(s.chunks, pg.refs[rank]))
+		})
+	})
+}
 
 // Pages returns the number of pages currently allocated, counted as
 // PagedStore counts them.

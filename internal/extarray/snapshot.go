@@ -1,9 +1,11 @@
 package extarray
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // PFLike is the slice of core.StorageMapping that snapshots need: a named,
@@ -92,21 +94,11 @@ func (a *Array[T]) Save(w io.Writer) error {
 		Cols:    a.cols,
 		Stats:   a.stats,
 	}
-	// Walk the logical box; only stored elements are emitted. (Stores do
-	// not expose iteration; the logical walk keeps the Store interface
-	// minimal and the snapshot deterministic.)
-	for x := int64(1); x <= a.rows; x++ {
-		for y := int64(1); y <= a.cols; y++ {
-			addr, err := a.f.Encode(x, y)
-			if err != nil {
-				return fmt.Errorf("extarray: Save: %w", err)
-			}
-			if v, ok := a.store.Get(addr); ok {
-				snap.Addrs = append(snap.Addrs, addr)
-				snap.Values = append(snap.Values, v)
-			}
-		}
-	}
+	snap.Addrs, snap.Values = make([]int64, 0, a.store.Len()), make([]T, 0, a.store.Len())
+	a.store.Scan(func(addr int64, v T) {
+		snap.Addrs = append(snap.Addrs, addr)
+		snap.Values = append(snap.Values, v)
+	})
 	return EncodeSnapshot(w, &snap)
 }
 
@@ -138,19 +130,31 @@ func Load[T any](r io.Reader, f PFLike, store Store[T]) (*Array[T], error) {
 }
 
 // Range calls fn for every stored element in row-major logical order,
-// stopping early if fn returns false.
+// stopping early if fn returns false. It scans the store, decodes the
+// addresses and sorts the positions, so it costs the stored elements,
+// not the logical box.
 func (a *Array[T]) Range(fn func(x, y int64, v T) bool) error {
-	for x := int64(1); x <= a.rows; x++ {
-		for y := int64(1); y <= a.cols; y++ {
-			addr, err := a.f.Encode(x, y)
-			if err != nil {
-				return err
-			}
-			if v, ok := a.store.Get(addr); ok {
-				if !fn(x, y, v) {
-					return nil
-				}
-			}
+	type cell struct {
+		x, y int64
+		v    T
+	}
+	var addrs []int64
+	var cells []cell
+	a.store.Scan(func(addr int64, v T) {
+		addrs = append(addrs, addr)
+		cells = append(cells, cell{v: v})
+	})
+	xs, ys, err := decode(a.f, addrs)
+	if err != nil {
+		return err
+	}
+	for i := range cells {
+		cells[i].x, cells[i].y = xs[i], ys[i]
+	}
+	slices.SortFunc(cells, func(p, q cell) int { return cmp.Or(cmp.Compare(p.x, q.x), cmp.Compare(p.y, q.y)) })
+	for _, c := range cells {
+		if !fn(c.x, c.y, c.v) {
+			return nil
 		}
 	}
 	return nil

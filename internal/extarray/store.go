@@ -1,5 +1,10 @@
 package extarray
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // A Store is an address-indexed backing memory for array elements.
 // Addresses are the 1-based values produced by a storage mapping.
 type Store[T any] interface {
@@ -13,6 +18,11 @@ type Store[T any] interface {
 	Len() int
 	// MaxAddr returns the largest address ever occupied — the footprint.
 	MaxAddr() int64
+	// Scan calls fn once for every stored element, in ascending address
+	// order. fn must not modify the store. Saves, Range and sparse shrinks
+	// iterate through it, so they cost the stored elements, not the
+	// logical box.
+	Scan(fn func(addr int64, v T))
 }
 
 // MapStore is a hash-map-backed Store: O(1) expected access, memory
@@ -51,6 +61,19 @@ func (s *MapStore[T]) Len() int { return len(s.m) }
 
 // MaxAddr implements Store.
 func (s *MapStore[T]) MaxAddr() int64 { return s.max }
+
+// Scan implements Store by sorting the keys: it is the test reference
+// the other stores' scans are checked against.
+func (s *MapStore[T]) Scan(fn func(addr int64, v T)) {
+	addrs := make([]int64, 0, len(s.m))
+	for a := range s.m {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	for _, a := range addrs {
+		fn(a, s.m[a])
+	}
+}
 
 // pageBits sizes PagedStore pages at 2^pageBits elements.
 const pageBits = 10
@@ -135,6 +158,42 @@ func (d *pageDir[P]) alloc(p int64) *P {
 	return pg
 }
 
+// scan calls fn for every allocated page in ascending page order:
+// negative far pages, then the dense directory, then the far pages past
+// it. Only the far map's keys are sorted, so a scan costs O(pages).
+func (d *pageDir[P]) scan(fn func(p int64, pg *P)) {
+	far := make([]int64, 0, len(d.far))
+	for p := range d.far {
+		far = append(far, p)
+	}
+	slices.Sort(far)
+	i := 0
+	for ; i < len(far) && far[i] < 0; i++ {
+		fn(far[i], d.far[far[i]])
+	}
+	for p, pg := range d.dir {
+		if pg != nil {
+			fn(int64(p), pg)
+		}
+	}
+	for ; i < len(far); i++ {
+		fn(far[i], d.far[far[i]])
+	}
+}
+
+// slots calls fn for every set bit of a page's used bitmap in ascending
+// order, with the slot's offset in the page and its rank among the
+// present slots.
+func slots(used *[1 << pageBits / 64]uint64, fn func(off, rank int)) {
+	rank := 0
+	for w, word := range used {
+		for ; word != 0; word &= word - 1 {
+			fn(w<<6|bits.TrailingZeros64(word), rank)
+			rank++
+		}
+	}
+}
+
 // Get implements Store.
 func (s *PagedStore[T]) Get(addr int64) (T, bool) {
 	p, off, w, bit := split(addr)
@@ -178,6 +237,14 @@ func (s *PagedStore[T]) Len() int { return s.n }
 
 // MaxAddr implements Store.
 func (s *PagedStore[T]) MaxAddr() int64 { return s.max }
+
+// Scan implements Store: the page directory in order, then each page's
+// used bitmap, so a scan costs O(pages + elements).
+func (s *PagedStore[T]) Scan(fn func(addr int64, v T)) {
+	s.scan(func(p int64, pg *page[T]) {
+		slots(&pg.used, func(off, _ int) { fn(p<<pageBits|int64(off), pg.vals[off]) })
+	})
+}
 
 // Pages returns the number of pages currently allocated — the physical
 // memory proxy that exposes spread.

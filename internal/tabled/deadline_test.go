@@ -267,7 +267,7 @@ func TestHandlerBatchAllocs(t *testing.T) {
 }
 
 // handlerGetAllocs is TestHandlerBatchAllocs' pinned count.
-const handlerGetAllocs = 3
+const handlerGetAllocs = 2
 
 // BenchmarkHandlerBatch times 128-op binary get and set batches through
 // the whole NewHandler stack in process (no network), a WAL-less node

@@ -480,6 +480,14 @@ func (buf *BatchBuf) decode(binary bool, maxBatch int) ([]Op, error) {
 	return ops, nil
 }
 
+// binaryContentType and jsonContentType are WriteBatch's Content-Type
+// header values, assigned into the header map whole: Header().Set would
+// allocate a fresh []string per response. Nothing writes to them.
+var (
+	binaryContentType = []string{ContentTypeBinary}
+	jsonContentType   = []string{"application/json"}
+)
+
 // WriteBatch answers a batch with its results in the request's wire: a §4
 // frame, built in buf, when binary, else a JSON BatchResponse. It returns
 // the error of writing to the client; an encoding failure is answered
@@ -487,19 +495,19 @@ func (buf *BatchBuf) decode(binary bool, maxBatch int) ([]Op, error) {
 func WriteBatch(w http.ResponseWriter, binary bool, results []OpResult, buf *BatchBuf) error {
 	var body []byte
 	var err error
-	ct := ContentTypeBinary
+	ct := binaryContentType
 	if binary {
 		body, err = AppendBatchResponse(buf.out[:0], results)
 		buf.out = body
 	} else {
-		ct = "application/json"
+		ct = jsonContentType
 		body, err = json.Marshal(&BatchResponse{Results: results})
 	}
 	if err != nil {
 		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
 		return nil
 	}
-	w.Header().Set("Content-Type", ct)
+	w.Header()["Content-Type"] = ct
 	_, err = w.Write(body)
 	return err
 }

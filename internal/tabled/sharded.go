@@ -36,13 +36,12 @@ type GetResult[T any] struct {
 }
 
 // shard is one lock-striped slice of the address space with its own
-// backing store and cost counters (all guarded by mu). The store is keyed
-// by shard-local addresses (Sharded.local); footprint is the largest real
+// backing store and footprint (both guarded by mu). The store is keyed by
+// shard-local addresses (Sharded.local); footprint is the largest real
 // address ever set here.
 type shard[T any] struct {
 	mu        sync.RWMutex
 	store     extarray.Store[T]
-	moves     int64
 	footprint int64
 }
 
@@ -60,11 +59,12 @@ type Sharded[T any] struct {
 	// RestoreSnapshot can swap every shard's contents wholesale.
 	newStore func() extarray.Store[T]
 
-	// rows, cols and reshapes are written only under ALL shard write locks
-	// (in index order) and read under any single shard lock.
+	// rows, cols, reshapes and moves are written only under ALL shard
+	// write locks (in index order) and read under any single shard lock.
 	rows     int64
 	cols     int64
 	reshapes int64
+	moves    int64
 }
 
 // NewSharded returns an empty rows×cols sharded table over f. nshards is
@@ -118,6 +118,18 @@ func (s *Sharded[T]) shardIndex(addr int64) int {
 // page is exactly one real page, so page counts do not change.
 func (s *Sharded[T]) local(addr int64) int64 {
 	return addr>>(stripeBits+s.bits)<<stripeBits | addr&(1<<stripeBits-1)
+}
+
+// scan calls fn with every stored cell's real address, shard by shard,
+// each shard in ascending address order. Shard g's local address gets
+// back the stripe bits that local dropped: the inverse of local. The
+// caller holds every shard lock, and fn must not modify the stores.
+func (s *Sharded[T]) scan(fn func(addr int64, v T)) {
+	for g := range s.shards {
+		s.shards[g].store.Scan(func(la int64, v T) {
+			fn(la>>stripeBits<<(stripeBits+s.bits)|int64(g)<<stripeBits|la&(1<<stripeBits-1), v)
+		})
+	}
 }
 
 // checkBounds validates (x, y) against dims; the caller must hold at least
@@ -376,8 +388,9 @@ func (s *Sharded[T]) unlockAll() {
 
 // Resize implements extarray.Table. It is the one global barrier: all
 // shard locks are held while dimensions change. Growth touches no backing
-// store; a shrink deletes discarded cells from only the shards that own
-// their addresses (counted as moves there, mirroring extarray.Array).
+// store; a shrink deletes discarded cells from the shards that own their
+// addresses through extarray.Shrink, as extarray.Array does, and counts
+// them as moves.
 func (s *Sharded[T]) Resize(rows, cols int64) error {
 	if rows < 0 || cols < 0 {
 		return fmt.Errorf("%w: to %d×%d", extarray.ErrShrink, rows, cols)
@@ -385,30 +398,19 @@ func (s *Sharded[T]) Resize(rows, cols int64) error {
 	s.lockAll()
 	defer s.unlockAll()
 	s.reshapes++
-	if rows < s.rows || cols < s.cols {
-		for x := int64(1); x <= s.rows; x++ {
-			for y := int64(1); y <= s.cols; y++ {
-				if x <= rows && y <= cols {
-					continue
-				}
-				addr, err := s.f.Encode(x, y)
-				if err != nil {
-					return err
-				}
-				sh, la := s.shardOf(addr), s.local(addr)
-				if _, ok := sh.store.Get(la); ok {
-					sh.store.Delete(la)
-					sh.moves++
-				}
-			}
-		}
+	n := s.lenLocked()
+	err := extarray.Shrink(s.f, s.rows, s.cols, rows, cols, n, s.scan,
+		func(addr int64) { s.shardOf(addr).store.Delete(s.local(addr)) })
+	s.moves += int64(n - s.lenLocked())
+	if err != nil {
+		return err
 	}
 	s.rows, s.cols = rows, cols
 	return nil
 }
 
-// Stats implements extarray.Table, aggregating across shards: Moves is the
-// sum, Footprint the max of the shards' real-address footprints.
+// Stats implements extarray.Table: Footprint is the max of the shards'
+// real-address footprints, Moves and Reshapes the table's counters.
 func (s *Sharded[T]) Stats() extarray.Stats { return s.stats(false) }
 
 // stats is the one fold behind Stats and SaveAt. With locked false it
@@ -421,10 +423,9 @@ func (s *Sharded[T]) stats(locked bool) extarray.Stats {
 		if !locked {
 			sh.mu.RLock()
 		}
-		st.Moves += sh.moves
 		st.Footprint = max(st.Footprint, sh.footprint)
 		if i == 0 {
-			st.Reshapes = s.reshapes
+			st.Reshapes, st.Moves = s.reshapes, s.moves
 		}
 		if !locked {
 			sh.mu.RUnlock()
@@ -441,6 +442,15 @@ func (s *Sharded[T]) Len() int {
 		sh.mu.RLock()
 		n += sh.store.Len()
 		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// lenLocked is Len for a caller that holds every shard lock.
+func (s *Sharded[T]) lenLocked() int {
+	n := 0
+	for i := range s.shards {
+		n += s.shards[i].store.Len()
 	}
 	return n
 }

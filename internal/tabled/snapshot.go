@@ -35,27 +35,13 @@ func (s *Sharded[T]) SaveAt(w io.Writer, seq, epoch uint64) error {
 		ReplSeq:   seq,
 		ReplEpoch: epoch,
 	}
-	for x := int64(1); x <= s.rows; x++ {
-		for y := int64(1); y <= s.cols; y++ {
-			addr, err := s.f.Encode(x, y)
-			if err != nil {
-				return fmt.Errorf("tabled: save: %w", err)
-			}
-			if v, ok := s.shardOf(addr).store.Get(s.local(addr)); ok {
-				snap.Addrs = append(snap.Addrs, addr)
-				snap.Values = append(snap.Values, v)
-			}
-		}
-	}
+	n := s.lenLocked()
+	snap.Addrs, snap.Values = make([]int64, 0, n), make([]T, 0, n)
+	s.scan(func(addr int64, v T) {
+		snap.Addrs = append(snap.Addrs, addr)
+		snap.Values = append(snap.Values, v)
+	})
 	return extarray.EncodeSnapshot(w, &snap)
-}
-
-// restore stores one snapshot cell at real address addr; the caller
-// holds the owning shard's write lock or owns the table outright.
-func (s *Sharded[T]) restore(addr int64, v T) {
-	sh := s.shardOf(addr)
-	sh.store.Set(s.local(addr), v)
-	sh.footprint = max(sh.footprint, addr)
 }
 
 // SaveFileAt atomically persists the table to path (temp file + fsync +
@@ -79,24 +65,13 @@ func LoadShardedMeta[T any](r io.Reader, f core.StorageMapping, nshards int, new
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("tabled: load: %w", err)
 	}
-	if snap.Mapping != f.Name() {
-		return nil, 0, 0, fmt.Errorf("tabled: load: snapshot was laid out by %q, not %q",
-			snap.Mapping, f.Name())
-	}
-	s, err := NewSharded[T](f, nshards, newStore, snap.Rows, snap.Cols, m)
+	s, err := NewSharded[T](f, nshards, newStore, 0, 0, m)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	for i, addr := range snap.Addrs {
-		if _, _, err := extarray.CheckSnapshotAddr(snap, f, addr); err != nil {
-			return nil, 0, 0, fmt.Errorf("tabled: load: %w", err)
-		}
-		s.restore(addr, snap.Values[i])
+	if err := s.RestoreSnapshot(snap); err != nil {
+		return nil, 0, 0, err
 	}
-	s.reshapes = snap.Stats.Reshapes
-	// Moves cannot be attributed to shards after the fact; keep the
-	// aggregate by crediting shard 0.
-	s.shards[0].moves = snap.Stats.Moves
 	return s, snap.ReplSeq, snap.ReplEpoch, nil
 }
 
@@ -130,14 +105,14 @@ func (s *Sharded[T]) RestoreSnapshot(snap *extarray.SnapshotData[T]) error {
 	defer s.unlockAll()
 	for i := range s.shards {
 		s.shards[i].store = s.newStore()
-		s.shards[i].moves = 0
 		s.shards[i].footprint = 0
 	}
 	for i, addr := range snap.Addrs {
-		s.restore(addr, snap.Values[i])
+		sh := s.shardOf(addr)
+		sh.store.Set(s.local(addr), snap.Values[i])
+		sh.footprint = max(sh.footprint, addr)
 	}
 	s.rows, s.cols = snap.Rows, snap.Cols
-	s.reshapes = snap.Stats.Reshapes
-	s.shards[0].moves = snap.Stats.Moves
+	s.reshapes, s.moves = snap.Stats.Reshapes, snap.Stats.Moves
 	return nil
 }
