@@ -44,7 +44,9 @@
 // exists (the mapping name inside the snapshot is checked), persisted
 // every -snapshot-every (0 disables the timer), on POST /v1/snapshot, and
 // once more during shutdown. Writes are atomic (temp file + fsync +
-// rename): a crash mid-write never corrupts the previous snapshot.
+// rename): a crash mid-write never corrupts the previous snapshot. The
+// file is CRC-framed (extarray.EncodeFramed): a damaged, truncated or
+// older-format file is a logged refusal to boot and exit 1.
 // Every save attempt is accounted
 // under srvkit_persist_*{name="snapshot"}; after three consecutive
 // failures /readyz stays 200 but its body flips to

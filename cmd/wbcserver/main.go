@@ -25,8 +25,9 @@
 // fsynced (concurrent mutations share one fsync) before the HTTP
 // response, so registration, issuance, and attribution survive kill -9.
 // Boot recovery loads the newest -checkpoint (if present) and replays the
-// journal tail; a corrupt checkpoint or journal is a clean nonzero exit, a
-// torn final journal record is truncated. -checkpoint-every snapshots
+// journal tail; a corrupt journal or checkpoint (CRC-framed: any flipped
+// bit or truncation) is a clean nonzero exit, a torn final journal record
+// is truncated. -checkpoint-every snapshots
 // periodically and truncates the journal under the append lock; every
 // checkpoint attempt is accounted under srvkit_persist_*{name="checkpoint"},
 // and after three consecutive failures /readyz stays 200 but its body

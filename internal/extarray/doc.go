@@ -39,6 +39,14 @@
 // Saves, Range and sparse shrinks (Shrink) iterate through it, so their
 // cost follows the stored elements, not the logical box a grow can set.
 //
+// # Frames and state files
+//
+// framelog.go is the one frame format: a length and a CRC32C before each
+// payload. Logs (internal/walog) cut a torn tail and go on; durable state
+// files — snapshots, the reseed spool, wbc checkpoints, the walog
+// sidecar — are gob in 64 KiB frames (EncodeFramed), and DecodeFramed
+// refuses any bad checksum, torn frame or trailing byte.
+//
 // # Overflow and concurrency
 //
 // Addresses are computed by the underlying storage mapping and inherit its

@@ -3,14 +3,16 @@ package extarray
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // This file is the frame layer shared by every append-only log in the repo
-// (today: tabled's write-ahead log). A frame is
+// (internal/walog) and every durable state file (EncodeFramed). A frame is
 //
 //	[4B little-endian payload length][4B CRC32-Castagnoli of payload][payload]
 //
@@ -32,32 +34,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // frameHeaderSize is the fixed per-frame overhead: length + checksum.
 const frameHeaderSize = 8
 
-// ErrFrameTooLarge is returned by AppendFrame and EncodeFrame for payloads
+// ErrFrameTooLarge is returned by EncodeFrame for payloads
 // over MaxFramePayload, and reported as a torn tail by ReadFrames when a
 // length prefix exceeds it (a corrupt length is indistinguishable from a
 // torn write).
 var ErrFrameTooLarge = fmt.Errorf("extarray: frame exceeds %d bytes", int64(MaxFramePayload))
 
-// AppendFrame writes one framed record to w and returns the number of
-// bytes written (frameHeaderSize + len(payload) on success). A short write
-// returns the error from w; the caller owns recovery (for a log file:
-// truncate back to the pre-append offset, or let the next boot's ReadFrames
-// cut the torn tail).
-func AppendFrame(w io.Writer, payload []byte) (int, error) {
-	if len(payload) > MaxFramePayload {
-		return 0, ErrFrameTooLarge
-	}
-	var hdr [frameHeaderSize]byte
-	n, err := w.Write(appendFrameHeader(hdr[:0], payload))
-	if err != nil {
-		return n, err
-	}
-	m, err := w.Write(payload)
-	return n + m, err
-}
-
-// EncodeFrame appends one framed record carrying payload to dst — the
-// bytes AppendFrame writes — so a caller can write it in one call.
+// EncodeFrame appends one framed record carrying payload to dst, so a
+// caller can write it in one call.
 func EncodeFrame(dst, payload []byte) ([]byte, error) {
 	if len(payload) > MaxFramePayload {
 		return dst, ErrFrameTooLarge
@@ -74,6 +58,39 @@ func appendFrameHeader(dst, payload []byte) []byte {
 // FrameLen returns the on-disk size of a frame carrying len(payload) bytes.
 func FrameLen(payload []byte) int64 { return int64(frameHeaderSize + len(payload)) }
 
+// errTornFrame is readFrame's report of a short, oversized or
+// checksum-failing frame. ReadFrames turns it into a torn tail; to
+// DecodeFramed it is the whole story.
+var errTornFrame = errors.New("torn or corrupt frame (want an intact CRC32C-framed gob state file)")
+
+// readFrame reads the next frame from r, using hdr for its header and buf
+// (reused when it has room) for its payload, and returns the payload. It
+// returns io.EOF at a clean end, errTornFrame for a frame that is short,
+// longer than limit or fails its checksum, and other read errors as is.
+func readFrame(r io.Reader, hdr *[frameHeaderSize]byte, buf []byte, limit uint32) ([]byte, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, errTornFrame // torn header
+		}
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	if n > limit {
+		return nil, errTornFrame // corrupt length prefix
+	}
+	buf = slices.Grow(buf[:0], int(n))[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, errTornFrame // torn payload
+		}
+		return nil, err
+	}
+	if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return nil, errTornFrame // bit rot or torn overwrite
+	}
+	return buf, nil
+}
+
 // ReadFrames scans r from the current position, invoking fn once per
 // intact frame with its payload (the slice is reused; fn must copy what it
 // keeps). It returns the byte offset just past the last intact frame and
@@ -89,36 +106,128 @@ func ReadFrames(r io.Reader, fn func(payload []byte) error) (valid int64, torn b
 		buf []byte
 	)
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return valid, false, nil // clean end of log
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return valid, true, nil // torn header
-			}
+		p, err := readFrame(br, &hdr, buf, MaxFramePayload)
+		switch {
+		case errors.Is(err, io.EOF):
+			return valid, false, nil // clean end of log
+		case errors.Is(err, errTornFrame):
+			return valid, true, nil
+		case err != nil:
 			return valid, false, err
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > MaxFramePayload {
-			return valid, true, nil // corrupt length prefix
-		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return valid, true, nil // torn payload
-			}
+		if err := fn(p); err != nil {
 			return valid, false, err
 		}
-		if crc32.Checksum(buf, castagnoli) != want {
-			return valid, true, nil // bit rot or torn overwrite
-		}
-		if err := fn(buf); err != nil {
-			return valid, false, err
-		}
-		valid += int64(frameHeaderSize) + int64(n)
+		buf = p
+		valid += FrameLen(p)
 	}
+}
+
+// stateChunk caps one frame of a state file: a flipped byte poisons one
+// frame, and framing costs 8 bytes in 64 KiB.
+const stateChunk = 64 << 10
+
+// EncodeFramed writes v to w as a durable state file: v's gob encoding in
+// frames of at most 64 KiB of payload, read back by DecodeFramed.
+func EncodeFramed(w io.Writer, v any) error {
+	cw := &chunkWriter{w: w, buf: make([]byte, frameHeaderSize, frameHeaderSize+stateChunk)}
+	if err := gob.NewEncoder(cw).Encode(v); err != nil {
+		return err
+	}
+	return cw.flush()
+}
+
+// chunkWriter frames the bytes written to it, stateChunk to a frame; buf
+// is the frame being filled, header space first.
+type chunkWriter struct {
+	w   io.Writer
+	buf []byte
+}
+
+func (cw *chunkWriter) Write(p []byte) (n int, err error) {
+	for {
+		k := copy(cw.buf[len(cw.buf):cap(cw.buf)], p[n:])
+		cw.buf, n = cw.buf[:len(cw.buf)+k], n+k
+		if n == len(p) {
+			return n, nil
+		}
+		if err := cw.flush(); err != nil { // full, and more to come
+			return n, err
+		}
+	}
+}
+
+func (cw *chunkWriter) flush() error {
+	if len(cw.buf) == frameHeaderSize {
+		return nil
+	}
+	appendFrameHeader(cw.buf[:0], cw.buf[frameHeaderSize:])
+	_, err := cw.w.Write(cw.buf)
+	cw.buf = cw.buf[:frameHeaderSize]
+	return err
+}
+
+// DecodeFramed reads a state file written by EncodeFramed from r into the
+// pointer v. It fails closed: gob reads a frame only after its checksum
+// holds, and a torn frame, an early end or bytes after the value are
+// errors, as a state file, unlike a log, has no legitimate torn tail. gob
+// can panic on hostile input whose checksums hold; recover makes that an
+// error too.
+func DecodeFramed(r io.Reader, v any) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("extarray: framed gob: corrupt stream: %v", p)
+		}
+	}()
+	fr := &frameReader{r: r}
+	// A damaged first frame costs one checksum, not a gob decoder.
+	if err = fr.next(); err == nil || errors.Is(err, io.EOF) {
+		err = gob.NewDecoder(fr).Decode(v)
+	}
+	if err == nil {
+		if _, err = fr.ReadByte(); err == nil {
+			err = errors.New("trailing bytes after the value")
+		} else if errors.Is(err, io.EOF) {
+			return nil
+		}
+	}
+	return fmt.Errorf("extarray: framed gob: %w", err)
+}
+
+// frameReader hands out the verified payload bytes of a framed stream, one
+// whole frame at a time. As an io.ByteReader it keeps gob from reading
+// ahead, so DecodeFramed sees what follows the value.
+type frameReader struct {
+	r   io.Reader
+	hdr [frameHeaderSize]byte
+	buf []byte // the current frame's payload
+	off int    // read position in buf
+	err error  // sticky: the first error next met
+}
+
+func (fr *frameReader) Read(p []byte) (int, error) {
+	for fr.off == len(fr.buf) {
+		if err := fr.next(); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, fr.buf[fr.off:])
+	fr.off += n
+	return n, nil
+}
+
+func (fr *frameReader) ReadByte() (byte, error) {
+	var b [1]byte
+	_, err := fr.Read(b[:])
+	return b[0], err
+}
+
+// next loads the next frame. Its error, io.EOF at a clean end included,
+// is sticky.
+func (fr *frameReader) next() error {
+	if fr.err == nil {
+		fr.buf, fr.err = readFrame(fr.r, &fr.hdr, fr.buf, stateChunk)
+		fr.off = 0
+	}
+	return fr.err
 }

@@ -3,10 +3,21 @@ package extarray
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
+
+// appendFrame writes the frame carrying p to buf, as a log append does.
+func appendFrame(buf *bytes.Buffer, p []byte) (int, error) {
+	frame, err := EncodeFrame(nil, p)
+	if err != nil {
+		return 0, err
+	}
+	return buf.Write(frame)
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -18,12 +29,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	var wrote int64
 	for _, p := range payloads {
-		n, err := AppendFrame(&buf, p)
+		n, err := appendFrame(&buf, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if int64(n) != FrameLen(p) {
-			t.Fatalf("AppendFrame wrote %d bytes, FrameLen says %d", n, FrameLen(p))
+			t.Fatalf("appendFrame wrote %d bytes, FrameLen says %d", n, FrameLen(p))
 		}
 		wrote += int64(n)
 	}
@@ -54,11 +65,11 @@ func TestFrameRoundTrip(t *testing.T) {
 // never an error, never a garbage frame.
 func TestFrameTornTail(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := AppendFrame(&buf, []byte("keep me")); err != nil {
+	if _, err := appendFrame(&buf, []byte("keep me")); err != nil {
 		t.Fatal(err)
 	}
 	goodLen := int64(buf.Len())
-	if _, err := AppendFrame(&buf, []byte("the torn one")); err != nil {
+	if _, err := appendFrame(&buf, []byte("the torn one")); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -90,7 +101,7 @@ func TestFrameTornTail(t *testing.T) {
 func TestFrameCorruptMiddle(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 3; i++ {
-		if _, err := AppendFrame(&buf, []byte(fmt.Sprintf("record-%d", i))); err != nil {
+		if _, err := appendFrame(&buf, []byte(fmt.Sprintf("record-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,11 +125,11 @@ func TestFrameCorruptMiddle(t *testing.T) {
 // huge allocation: it reads as a torn tail.
 func TestFrameCorruptLength(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := AppendFrame(&buf, []byte("ok")); err != nil {
+	if _, err := appendFrame(&buf, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 	off := int64(buf.Len())
-	if _, err := AppendFrame(&buf, []byte("victim")); err != nil {
+	if _, err := appendFrame(&buf, []byte("victim")); err != nil {
 		t.Fatal(err)
 	}
 	data := append([]byte(nil), buf.Bytes()...)
@@ -129,21 +140,20 @@ func TestFrameCorruptLength(t *testing.T) {
 	}
 }
 
-func TestAppendFrameRejectsOversize(t *testing.T) {
-	var buf bytes.Buffer
-	_, err := AppendFrame(&buf, make([]byte, MaxFramePayload+1))
+func TestEncodeFrameRejectsOversize(t *testing.T) {
+	dst, err := EncodeFrame(nil, make([]byte, MaxFramePayload+1))
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
-	if buf.Len() != 0 {
-		t.Fatal("oversize append wrote bytes")
+	if len(dst) != 0 {
+		t.Fatal("oversize encode appended bytes")
 	}
 }
 
 func TestReadFramesCallbackError(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 2; i++ {
-		if _, err := AppendFrame(&buf, []byte{byte(i)}); err != nil {
+		if _, err := appendFrame(&buf, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,5 +161,110 @@ func TestReadFramesCallbackError(t *testing.T) {
 	_, _, err := ReadFrames(bytes.NewReader(buf.Bytes()), func([]byte) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want callback error", err)
+	}
+}
+
+// TestFramedRoundTrip checks the state-file codec's layout — gob cut into
+// 64 KiB frames, the last one partial — and that it fails closed on a
+// stream cut at a frame boundary and on bytes after the value.
+func TestFramedRoundTrip(t *testing.T) {
+	type state struct {
+		Name string
+		Blob []byte
+	}
+	in := state{Name: "big", Blob: bytes.Repeat([]byte{0x5a}, 2*stateChunk+123)}
+	var buf bytes.Buffer
+	if err := EncodeFramed(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	var stream []byte
+	valid, torn, err := ReadFrames(bytes.NewReader(buf.Bytes()), func(p []byte) error {
+		sizes = append(sizes, len(p))
+		stream = append(stream, p...)
+		return nil
+	})
+	if err != nil || torn || valid != int64(buf.Len()) {
+		t.Fatalf("ReadFrames: valid=%d of %d torn=%v err=%v", valid, buf.Len(), torn, err)
+	}
+	if len(sizes) != 3 || sizes[0] != stateChunk || sizes[1] != stateChunk || sizes[2] == 0 || sizes[2] > stateChunk {
+		t.Fatalf("frame payload sizes %v, want two of %d and a partial one", sizes, stateChunk)
+	}
+	var plain bytes.Buffer
+	if err := gob.NewEncoder(&plain).Encode(in); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stream, plain.Bytes()) {
+		t.Fatal("frame payloads are not the plain gob stream")
+	}
+
+	var out state
+	if err := DecodeFramed(bytes.NewReader(buf.Bytes()), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Name != in.Name || !bytes.Equal(out.Blob, in.Blob) {
+		t.Fatal("round trip changed the value")
+	}
+	// A file cut after whole frames passes every checksum; gob must still
+	// see the value end early.
+	one := frameHeaderSize + stateChunk
+	if err := DecodeFramed(bytes.NewReader(buf.Bytes()[:one]), &out); err == nil {
+		t.Fatal("stream cut at a frame boundary decoded")
+	}
+	trailing, _ := EncodeFrame(append([]byte(nil), buf.Bytes()...), []byte("extra"))
+	if err := DecodeFramed(bytes.NewReader(trailing), &out); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("trailing frame: err = %v", err)
+	}
+}
+
+// TestDecodeFramedRefusesUnframed: a state file in the old unframed format
+// (plain gob, or JSON) is refused with an error naming the expected one.
+func TestDecodeFramedRefusesUnframed(t *testing.T) {
+	var plain bytes.Buffer
+	if err := gob.NewEncoder(&plain).Encode(SnapshotData[string]{Mapping: "square-shell", Rows: 1, Cols: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{
+		"gob":   plain.Bytes(),
+		"json":  []byte(`{"base":7,"marks":[{"epoch":1,"start":3}]}`),
+		"empty": nil,
+	} {
+		_, err := DecodeSnapshot[string](bytes.NewReader(b))
+		if err == nil {
+			t.Fatalf("%s: unframed file decoded", name)
+		}
+		if name != "empty" && !strings.Contains(err.Error(), "CRC32C-framed gob") {
+			t.Errorf("%s: error %q does not name the expected format", name, err)
+		}
+	}
+}
+
+// gobBomb stands in for hostile gob input that panics the decoder: its
+// GobDecode panics, and gob passes that panic through.
+type gobBomb struct{}
+
+func (gobBomb) GobEncode() ([]byte, error) { return []byte{1}, nil }
+func (*gobBomb) GobDecode([]byte) error    { panic("hostile input") }
+
+// TestDecodeFramedRecoversGobPanic keeps DecodeFramed's recover tested:
+// frames with valid checksums whose gob panics the decoder, or is
+// garbage, must come back as an error, never a panic.
+func TestDecodeFramedRecoversGobPanic(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, &SnapshotData[gobBomb]{Addrs: []int64{1}, Values: []gobBomb{{}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSnapshot[gobBomb](bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "hostile input") {
+		t.Fatalf("panicking gob: err = %v", err)
+	}
+	for _, garbage := range [][]byte{
+		[]byte("not a gob"),
+		bytes.Repeat([]byte{0xff}, 64),
+		{0x03, 0xff, 0x81, 0x00},
+	} {
+		framed, _ := EncodeFrame(nil, garbage)
+		if _, err := DecodeSnapshot[string](bytes.NewReader(framed)); err == nil {
+			t.Fatalf("framed garbage %x decoded", garbage)
+		}
 	}
 }

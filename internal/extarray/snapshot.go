@@ -2,7 +2,6 @@ package extarray
 
 import (
 	"cmp"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"slices"
@@ -17,7 +16,7 @@ type PFLike interface {
 	Decode(z int64) (x, y int64, err error)
 }
 
-// SnapshotData is the gob wire form of a persisted table: the mapping's
+// SnapshotData is the persisted form of a table: the mapping's
 // name, the logical dimensions, the cost counters, and every stored element
 // with its address. It is shared by Array.Save/Load and by the tabled
 // service's sharded snapshots — one format, loadable by either. The storage
@@ -34,35 +33,23 @@ type SnapshotData[T any] struct {
 	// ReplSeq and ReplEpoch tie the snapshot to the replication stream it
 	// was cut from: the snapshot is exactly the effect of WAL records
 	// [0, ReplSeq), taken under primary epoch ReplEpoch. Zero for
-	// snapshots of unreplicated tables; gob leaves absent fields zero, so
-	// old snapshots load unchanged.
+	// snapshots of unreplicated tables.
 	ReplSeq   uint64
 	ReplEpoch uint64
 }
 
-// EncodeSnapshot writes s to w in the snapshot gob format.
+// EncodeSnapshot writes s to w as a CRC-framed gob state file
+// (EncodeFramed).
 func EncodeSnapshot[T any](w io.Writer, s *SnapshotData[T]) error {
-	return gob.NewEncoder(w).Encode(s)
+	return EncodeFramed(w, s)
 }
 
-// DecodeSnapshot reads a snapshot from r, validating its internal
-// consistency (equal address/value counts) but not its mapping — callers
-// check Mapping against the mapping they will decode addresses with.
-//
-// Corrupt input — a truncated file, a flipped bit — must surface as an
-// error, never a crash: encoding/gob documents that it is not hardened
-// against adversarial data and can panic on malformed streams, and a
-// server booting from a damaged snapshot needs a clean logged error and a
-// nonzero exit, not a panic trace. The decode therefore runs under a
-// recover that converts any gob panic into a decode error.
-func DecodeSnapshot[T any](r io.Reader) (snap *SnapshotData[T], err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			snap, err = nil, fmt.Errorf("extarray: decode snapshot: corrupt stream: %v", p)
-		}
-	}()
+// DecodeSnapshot reads a snapshot from r (DecodeFramed) and checks its
+// address and value counts agree, but not its mapping — callers check
+// Mapping against the mapping they will decode addresses with.
+func DecodeSnapshot[T any](r io.Reader) (*SnapshotData[T], error) {
 	var s SnapshotData[T]
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+	if err := DecodeFramed(r, &s); err != nil {
 		return nil, fmt.Errorf("extarray: decode snapshot: %w", err)
 	}
 	if len(s.Addrs) != len(s.Values) {
@@ -86,7 +73,7 @@ func CheckSnapshotAddr[T any](snap *SnapshotData[T], f PFLike, addr int64) (x, y
 	return x, y, nil
 }
 
-// Save serializes the array with encoding/gob in the SnapshotData format.
+// Save serializes the array as a SnapshotData state file (EncodeSnapshot).
 func (a *Array[T]) Save(w io.Writer) error {
 	snap := SnapshotData[T]{
 		Mapping: a.f.Name(),

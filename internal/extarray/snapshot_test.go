@@ -2,7 +2,9 @@ package extarray
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"pairfn/internal/core"
@@ -70,10 +72,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadCorruptSnapshot is the boot-safety regression: a bit-flipped or
-// truncated snapshot must yield a clean error from every decode entry
-// point — encoding/gob can panic on malformed streams, and a panic at boot
-// is an unclean crash where a logged error and nonzero exit is required.
+// TestLoadCorruptSnapshot is the boot-safety regression: every single-bit
+// flip and every truncation of a snapshot must be refused by Load — none
+// may panic, and none may load, not even a flip inside a value that would
+// still decode as gob (the frame checksum catches it first).
 func TestLoadCorruptSnapshot(t *testing.T) {
 	a := NewMapBacked[string](core.SquareShell{}, 16, 16)
 	for x := int64(1); x <= 16; x++ {
@@ -88,45 +90,39 @@ func TestLoadCorruptSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-
-	// Every single-bit flip and every truncation point must decode to an
-	// error, never a panic. (Exhaustive over a small snapshot: a few KB.)
-	for i := range good {
-		for bit := 0; bit < 8; bit++ {
-			flipped := append([]byte(nil), good...)
-			flipped[i] ^= 1 << bit
-			if bytes.Equal(flipped, good) {
-				continue
-			}
-			func() {
-				defer func() {
-					if p := recover(); p != nil {
-						t.Fatalf("flip byte %d bit %d: decode panicked: %v", i, bit, p)
-					}
-				}()
-				snap, err := DecodeSnapshot[string](bytes.NewReader(flipped))
-				if err != nil {
-					return // clean rejection
-				}
-				// Flips that survive decoding (e.g. inside a value string)
-				// must still be structurally consistent.
-				if len(snap.Addrs) != len(snap.Values) {
-					t.Fatalf("flip byte %d bit %d: inconsistent snapshot accepted", i, bit)
-				}
-			}()
-		}
+	load := func(b []byte) error {
+		_, err := Load[string](bytes.NewReader(b), core.SquareShell{}, NewMapStore[string]())
+		return err
 	}
-	for cut := 0; cut < len(good); cut += 7 {
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					t.Fatalf("truncate at %d: decode panicked: %v", cut, p)
+	if err := load(good); err != nil {
+		t.Fatalf("intact snapshot: %v", err)
+	}
+	// The flips are split over the CPUs: under -race each decode costs
+	// microseconds, and there are 8 per byte.
+	var wg sync.WaitGroup
+	workers := runtime.GOMAXPROCS(0)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			flipped := append([]byte(nil), good...)
+			for i := w; i < len(flipped); i += workers {
+				for bit := 0; bit < 8; bit++ {
+					flipped[i] ^= 1 << bit
+					if load(flipped) == nil {
+						t.Errorf("flip byte %d bit %d: corrupt snapshot loaded", i, bit)
+						return
+					}
+					flipped[i] ^= 1 << bit
 				}
-			}()
-			if _, err := DecodeSnapshot[string](bytes.NewReader(good[:cut])); err == nil {
-				t.Fatalf("truncate at %d: decode accepted a partial snapshot", cut)
 			}
 		}()
+	}
+	wg.Wait()
+	for cut := 0; cut < len(good); cut++ {
+		if load(good[:cut]) == nil {
+			t.Fatalf("truncate at %d of %d: partial snapshot loaded", cut, len(good))
+		}
 	}
 }
 

@@ -46,10 +46,11 @@
 //
 // # Wire format and persistence
 //
-// Snapshots reuse the extarray gob snapshot format (extarray.SnapshotData)
-// and are written with extarray.AtomicWriteFile, so a crash mid-write never
-// corrupts the previous snapshot and an extarray.Array can load a tabled
-// snapshot (and vice versa) under the same mapping. The HTTP API is a
+// Snapshots are CRC-framed extarray snapshot files (extarray.SnapshotData,
+// extarray.EncodeFramed) written with extarray.AtomicWriteFile, so a crash
+// mid-write never corrupts the previous snapshot, a flipped bit is refused
+// at load, and an extarray.Array can load a tabled snapshot (and vice
+// versa) under the same mapping. The HTTP API is a
 // single batched endpoint (POST /v1/batch) carrying get/set/resize/dims/
 // stats ops, plus /v1/stats, /v1/snapshot, and the standard /metrics,
 // /healthz, /readyz from internal/obs.

@@ -16,11 +16,12 @@ import (
 // This file is the snapshot-transfer side of replication (DESIGN §5e): a
 // primary serves its latest checkpointable state over HTTP so a follower
 // stranded below the log base — or an ex-primary fenced onto a dead fork —
-// can rebuild itself without operator surgery. The response body is the
-// table's gob snapshot wrapped in the same CRC frames the WAL uses, so the
-// receiving side fails closed on any transfer corruption, and the stream
-// is resumable by byte offset (pinned to a snapshot sequence, since a
-// newer spool may replace the old one between attempts).
+// can rebuild itself without operator surgery. The response body is a
+// snapshot file as Sharded.SaveAt writes it, CRC-framed gob
+// (extarray.EncodeFramed), so the receiving side fails closed on any
+// transfer corruption, and the stream is resumable by byte offset
+// (pinned to a snapshot sequence, since a newer spool may replace the old
+// one between attempts).
 
 // ReplSnapshotPath is the snapshot-transfer endpoint:
 //
@@ -40,14 +41,9 @@ const (
 	ReplSnapshotSizeHeader = "X-Tabled-Repl-Snapshot-Size"
 )
 
-// replSnapChunk caps one CRC frame of the snapshot spool. Small enough
-// that a flipped byte poisons one frame, large enough that framing
-// overhead is negligible.
-const replSnapChunk = 64 << 10
-
 // replSnapSpoolName is the on-disk name of the cached spool in Dir. It is
-// replaced atomically (temp + rename), so a crash mid-build leaves the
-// previous spool intact.
+// replaced atomically (extarray.AtomicWriteFile), so a crash mid-build
+// leaves the previous spool intact.
 const replSnapSpoolName = "repl-snapshot.spool"
 
 // ReplSnapshots serves /v1/repl/snapshot from a spool file it (re)builds
@@ -100,50 +96,25 @@ func (rs *ReplSnapshots) ensure() (f *os.File, seq, epoch uint64, size int64, er
 }
 
 // rebuildLocked builds a fresh spool under the WAL cut and installs it
-// atomically. Called with rs.mu held.
+// atomically; the fsyncs run after the WAL lock is released. Called with
+// rs.mu held.
 func (rs *ReplSnapshots) rebuildLocked() error {
 	if err := os.MkdirAll(rs.Dir, 0o755); err != nil {
 		return fmt.Errorf("tabled: repl snapshot: %w", err)
 	}
-	tmp, err := os.CreateTemp(rs.Dir, replSnapSpoolName+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("tabled: repl snapshot: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
+	final := filepath.Join(rs.Dir, replSnapSpoolName)
 	var cut, cutEpoch uint64
-	err = rs.WAL.Cut(func(c, e uint64) error {
-		cut, cutEpoch = c, e
-		fw := &frameChunkWriter{w: tmp}
-		if err := rs.Save(fw, c, e); err != nil {
-			return err
-		}
-		return fw.Flush()
+	err := extarray.AtomicWriteFile(final, func(w io.Writer) error {
+		return rs.WAL.Cut(func(c, e uint64) error {
+			cut, cutEpoch = c, e
+			return rs.Save(w, c, e)
+		})
 	})
 	if err != nil {
 		return fmt.Errorf("tabled: repl snapshot: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("tabled: repl snapshot: %w", err)
-	}
-	st, err := tmp.Stat()
+	st, err := os.Stat(final)
 	if err != nil {
-		return fmt.Errorf("tabled: repl snapshot: %w", err)
-	}
-	name := tmp.Name()
-	if err := tmp.Close(); err != nil {
-		tmp = nil
-		os.Remove(name)
-		return fmt.Errorf("tabled: repl snapshot: %w", err)
-	}
-	tmp = nil
-	final := filepath.Join(rs.Dir, replSnapSpoolName)
-	if err := os.Rename(name, final); err != nil {
-		os.Remove(name)
 		return fmt.Errorf("tabled: repl snapshot: %w", err)
 	}
 	rs.path, rs.seq, rs.epoch, rs.size = final, cut, cutEpoch, st.Size()
@@ -206,43 +177,6 @@ func parseResume(seqStr, offStr string, seq uint64, size int64) (int64, bool) {
 		return 0, false
 	}
 	return off, true
-}
-
-// frameChunkWriter wraps the gob snapshot stream into CRC frames of at
-// most replSnapChunk payload bytes each, using the WAL's frame format so
-// the receiving side reuses walog.ReadStream for fail-closed parsing.
-type frameChunkWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-func (fw *frameChunkWriter) Write(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 {
-		room := replSnapChunk - len(fw.buf)
-		if room == 0 {
-			if err := fw.Flush(); err != nil {
-				return 0, err
-			}
-			room = replSnapChunk
-		}
-		if room > len(p) {
-			room = len(p)
-		}
-		fw.buf = append(fw.buf, p[:room]...)
-		p = p[room:]
-	}
-	return n, nil
-}
-
-// Flush emits the buffered bytes as one frame (a no-op when empty).
-func (fw *frameChunkWriter) Flush() error {
-	if len(fw.buf) == 0 {
-		return nil
-	}
-	_, err := extarray.AppendFrame(fw.w, fw.buf)
-	fw.buf = fw.buf[:0]
-	return err
 }
 
 // corruptWriter flips exactly one byte, at cumulative offset at, of the

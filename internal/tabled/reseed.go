@@ -11,7 +11,6 @@ import (
 
 	"pairfn/internal/extarray"
 	"pairfn/internal/retry"
-	"pairfn/internal/walog"
 )
 
 // This file is the follower half of snapshot-transfer reseed: when
@@ -52,16 +51,10 @@ func (f *Follower) reseed(ctx context.Context, rn *reseedNeeded) error {
 		f.opt.Metrics.replReseedFailure(int64(len(body)))
 		return err
 	}
-	// Unwrap the CRC frames; a flipped byte anywhere fails here, closed.
-	var raw []byte
-	if _, err := walog.ReadStream(body, func(p []byte) error {
-		raw = append(raw, p...)
-		return nil
-	}); err != nil {
-		f.opt.Metrics.replReseedFailure(int64(len(body)))
-		return fmt.Errorf("tabled: reseed: snapshot stream: %w", err)
-	}
-	snap, err := extarray.DecodeSnapshot[string](bytes.NewReader(raw))
+	// The decode checks each frame before gob reads it: a flipped byte
+	// anywhere fails here, closed, and the verified body is installed as
+	// it is.
+	snap, err := extarray.DecodeSnapshot[string](bytes.NewReader(body))
 	if err != nil {
 		f.opt.Metrics.replReseedFailure(int64(len(body)))
 		return fmt.Errorf("tabled: reseed: decode: %w", err)
@@ -80,7 +73,7 @@ func (f *Follower) reseed(ctx context.Context, rn *reseedNeeded) error {
 	//  3. in-memory restore + position — pure memory, no crash window.
 	err = f.GuardInstall(func() error {
 		if err := extarray.AtomicWriteFile(f.opt.SnapshotPath, func(w io.Writer) error {
-			_, werr := w.Write(raw)
+			_, werr := w.Write(body)
 			return werr
 		}); err != nil {
 			return retry.Permanent(fmt.Errorf("tabled: reseed: install snapshot: %w", err))
@@ -158,7 +151,9 @@ func (f *Follower) fetchSnapshot(ctx context.Context) (body []byte, seq, epoch u
 			body = body[:0]
 			seq, epoch, wantSize, pinned = srvSeq, srvEpoch, srvSize, true
 		}
-		_, err = io.Copy(byteAppender{&body}, resp.Body)
+		buf := bytes.NewBuffer(body)
+		_, err = io.Copy(buf, resp.Body)
+		body = buf.Bytes()
 		resp.Body.Close()
 		if err != nil {
 			lastErr = err // partial bytes kept; next attempt resumes
@@ -190,12 +185,4 @@ func parseSnapshotHeaders(resp *http.Response) (seq, epoch uint64, size int64, e
 		return 0, 0, 0, fmt.Errorf("bad %s: %w", ReplSnapshotSizeHeader, err)
 	}
 	return seq, epoch, size, nil
-}
-
-// byteAppender adapts a growing byte slice to io.Writer for io.Copy.
-type byteAppender struct{ b *[]byte }
-
-func (a byteAppender) Write(p []byte) (int, error) {
-	*a.b = append(*a.b, p...)
-	return len(p), nil
 }

@@ -1,17 +1,20 @@
 package tabled
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"pairfn/internal/core"
 	"pairfn/internal/obs"
 	"pairfn/internal/retry"
 )
@@ -98,11 +101,41 @@ func TestReseedStrandedFollower(t *testing.T) {
 
 	follower, f := startReseedFollower(t, fdir, primary.srv.URL, nil)
 	waitCaughtUp(t, primary, f)
-	if got, want := tableState(t, follower.b), tableState(t, primary.b); !reflect.DeepEqual(got, want) {
+	want := tableState(t, primary.b)
+	if got := tableState(t, follower.b); !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-reseed state: %d cells vs %d", len(got), len(want))
 	}
 	if f.Reseeds() != 1 {
 		t.Fatalf("reseeds = %d, want 1", f.Reseeds())
+	}
+
+	// The installed snapshot file is the bytes the primary served, and a
+	// fresh boot from it has the same cells and cut.
+	resp, err := http.Get(primary.srv.URL + ReplSnapshotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	installed, err := os.ReadFile(fdir + "/follower.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(installed, served) {
+		t.Fatalf("installed snapshot (%d bytes) differs from the served one (%d bytes)", len(installed), len(served))
+	}
+	booted, seq, epoch, err := LoadShardedFileMeta[string](fdir+"/follower.gob", core.SquareShell{}, 4, slabStore, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != base || epoch != 0 {
+		t.Fatalf("booted cut (seq %d, epoch %d), want (%d, 0)", seq, epoch, base)
+	}
+	if got := tableState(t, booted); !reflect.DeepEqual(got, want) {
+		t.Fatalf("booted from the installed snapshot: %d cells vs %d", len(got), len(want))
 	}
 
 	// Tailing must keep working after the install: new primary writes
@@ -167,6 +200,9 @@ func TestReseedCorruptTransferFailsClosed(t *testing.T) {
 	}
 	if f.Reseeds() != 0 || f.Applied() != 0 {
 		t.Fatalf("corrupt bytes installed: reseeds=%d applied=%d", f.Reseeds(), f.Applied())
+	}
+	if _, err := os.Stat(fdir + "/follower.gob"); !os.IsNotExist(err) {
+		t.Fatalf("corrupt transfer wrote a snapshot file (stat err = %v)", err)
 	}
 
 	// Clear the fault: the very next attempt must succeed.

@@ -2,6 +2,7 @@ package tabled
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -136,5 +137,39 @@ func TestShardedSaveFileAtomic(t *testing.T) {
 		if v, ok, err := l.Get(tc.x, tc.y); err != nil || !ok || v != tc.want {
 			t.Fatalf("Get(%d,%d) = %q %v %v", tc.x, tc.y, v, ok, err)
 		}
+	}
+}
+
+// TestLoadRefusesFlippedValue: one bit flipped inside a stored value of a
+// SaveFileAt file still decodes as gob (it reads back "HElLOWORLD"), so
+// only the frame checksum can refuse it — and LoadShardedFileMeta must.
+func TestLoadRefusesFlippedValue(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tabled.gob")
+	f := core.SquareShell{}
+	s, err := NewSharded[string](f, 4, slabStore, 8, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Set(3, 5, "HELLOWORLD"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveFileAt(path, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(b, []byte("HELLOWORLD"))
+	if i < 0 {
+		t.Fatal("value not found in the snapshot file")
+	}
+	b[i+2] ^= 0x20 // 'L' -> 'l'
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, _, _, err := LoadShardedFileMeta[string](path, f, 4, slabStore, nil); err == nil {
+		v, _, _ := l.Get(3, 5)
+		t.Fatalf("flipped snapshot loaded; (3, 5) = %q", v)
 	}
 }

@@ -1,7 +1,6 @@
 package walog
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,9 +12,9 @@ import (
 // This file is the durable identity of the record stream: which sequence
 // the log's first on-disk record carries (base survives restarts, so a
 // checkpointed log does not renumber from zero), and which primary epoch
-// each sequence range belongs to. Both live in a tiny JSON sidecar next to
-// the log (Options.StatePath), written atomically so it is either the old
-// state or the new one, never torn.
+// each sequence range belongs to. Both live in a tiny CRC-framed sidecar
+// next to the log (Options.StatePath, extarray.EncodeFramed), written
+// atomically so it is either the old state or the new one, never torn.
 //
 // Epochs are the replication fencing primitive. Every promotion bumps the
 // epoch and records the sequence it took effect at (an EpochMark); frames
@@ -38,29 +37,29 @@ import (
 // until the next mark. Marks are strictly increasing in Epoch and
 // non-decreasing in Start.
 type EpochMark struct {
-	Epoch uint64 `json:"epoch"`
-	Start uint64 `json:"start"`
+	Epoch uint64
+	Start uint64
 }
 
 // StreamState is the durable sidecar persisted at Options.StatePath.
 type StreamState struct {
-	Base  uint64      `json:"base"`
-	Marks []EpochMark `json:"marks,omitempty"`
+	Base  uint64
+	Marks []EpochMark
 }
 
 // loadStreamState reads the sidecar; a missing file is the zero state
 // (fresh log, or a log predating the sidecar — both start at base 0).
-func loadStreamState(path string) (StreamState, error) {
-	var st StreamState
-	b, err := os.ReadFile(path)
+func loadStreamState(path string) (st StreamState, err error) {
+	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return st, nil
 	}
 	if err != nil {
 		return st, err
 	}
-	if err := json.Unmarshal(b, &st); err != nil {
-		return st, fmt.Errorf("parse %s: %w", path, err)
+	defer f.Close()
+	if err := extarray.DecodeFramed(f, &st); err != nil {
+		return st, fmt.Errorf("read %s: %w", path, err)
 	}
 	return st, nil
 }
@@ -72,13 +71,8 @@ func (l *Log) persistStateLocked() error {
 	if l.statePath == "" {
 		return nil
 	}
-	b, err := json.Marshal(StreamState{Base: l.base, Marks: l.marks})
-	if err != nil {
-		return fmt.Errorf("%s: encode state: %w", l.name, err)
-	}
 	return extarray.AtomicWriteFile(l.statePath, func(w io.Writer) error {
-		_, err := w.Write(b)
-		return err
+		return extarray.EncodeFramed(w, StreamState{Base: l.base, Marks: l.marks})
 	})
 }
 

@@ -338,3 +338,63 @@ func TestStateSidecarAbsentKeepsLegacyBehavior(t *testing.T) {
 		t.Fatalf("legacy base = %d, want 0", base)
 	}
 }
+
+// TestCorruptSidecarFailsOpen: the sidecar is a checksummed state file, so
+// every single-bit flip and every truncation of it makes Open fail rather
+// than boot with a wrong base or wrong epoch marks.
+func TestCorruptSidecarFailsOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l, _, _ := collect(t, path, stateOpts(path))
+	for i := 0; i < 3; i++ {
+		if err := l.Append([]byte(fmt.Sprintf("r%d", i))); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	if err := l.CheckpointSeq(func(uint64) error { return nil }); err != nil {
+		t.Fatalf("CheckpointSeq: %v", err)
+	}
+	if err := l.SetEpoch(2); err != nil {
+		t.Fatalf("SetEpoch: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	statePath := path + ".state"
+	good, err := os.ReadFile(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opens := func(b []byte) error {
+		if err := os.WriteFile(statePath, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, _, err := walog.Open(path, func([]byte) error { return nil }, stateOpts(path))
+		if err == nil {
+			l.Close()
+		}
+		return err
+	}
+	corrupt := append([]byte(nil), good...)
+	for off := range corrupt {
+		for bit := 0; bit < 8; bit++ {
+			corrupt[off] ^= 1 << bit
+			if opens(corrupt) == nil {
+				t.Fatalf("offset %d bit %d: Open accepted a corrupt sidecar", off, bit)
+			}
+			corrupt[off] ^= 1 << bit
+		}
+	}
+	for n := 0; n < len(good); n++ {
+		if err := opens(good[:n]); err == nil || !strings.Contains(err.Error(), "state") {
+			t.Fatalf("truncated to %d of %d bytes: Open err = %v", n, len(good), err)
+		}
+	}
+	if err := opens(good); err != nil {
+		t.Fatalf("intact sidecar: %v", err)
+	}
+	l2, _, _ := collect(t, path, stateOpts(path))
+	defer l2.Close()
+	if base, next := l2.SeqState(); base != 3 || next != 3 || l2.Epoch() != 2 {
+		t.Fatalf("SeqState = [%d, %d) epoch %d, want [3, 3) epoch 2", base, next, l2.Epoch())
+	}
+}

@@ -1,6 +1,7 @@
 package walog
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -166,8 +167,7 @@ func (l *Log) Tail(from uint64, maxBytes int) (frames []byte, next uint64, err e
 // number of records delivered to fn, which is also safe to add to the
 // follower's applied sequence when err is nil.
 func ReadStream(frames []byte, fn func(payload []byte) error) (n int, err error) {
-	r := byteReader{b: frames}
-	valid, torn, err := extarray.ReadFrames(&r, func(payload []byte) error {
+	valid, torn, err := extarray.ReadFrames(bytes.NewReader(frames), func(payload []byte) error {
 		if err := fn(payload); err != nil {
 			return err
 		}
@@ -180,21 +180,5 @@ func ReadStream(frames []byte, fn func(payload []byte) error) (n int, err error)
 	if torn || valid != int64(len(frames)) {
 		return n, fmt.Errorf("walog: truncated or corrupt frame stream at byte %d of %d", valid, len(frames))
 	}
-	return n, nil
-}
-
-// byteReader is a minimal io.Reader over a byte slice (bytes.NewReader
-// would also do; this avoids the import for one method).
-type byteReader struct {
-	b   []byte
-	off int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.off:])
-	r.off += n
 	return n, nil
 }

@@ -14,20 +14,21 @@ import (
 	"time"
 
 	"pairfn/internal/apf"
+	"pairfn/internal/extarray"
 	"pairfn/internal/walog"
 )
 
 // snapOf captures c's complete persisted state as a decoded snapshot —
 // the equality witness for recovery tests (both sides round-trip through
-// gob, so map normalization is symmetric).
+// the checkpoint codec, so map normalization is symmetric).
 func snapOf(t *testing.T, c *Coordinator) coordSnap {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := c.Checkpoint(&buf); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	snap, err := decodeCoordSnap(&buf)
-	if err != nil {
+	var snap coordSnap
+	if err := extarray.DecodeFramed(&buf, &snap); err != nil {
 		t.Fatalf("decode snapshot: %v", err)
 	}
 	return snap

@@ -1,7 +1,6 @@
 package wbc
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math/rand"
@@ -11,10 +10,10 @@ import (
 	"pairfn/internal/extarray"
 )
 
-// Wire forms for gob. Only state is serialized: the APF and Workload are
-// code and must be supplied again on restore (checked by APF name, since
-// task indices are only meaningful under the allocation function that
-// issued them).
+// Checkpoint forms for extarray.EncodeFramed. Only state is serialized:
+// the APF and Workload are code and must be supplied again on restore
+// (checked by APF name, since task indices are only meaningful under the
+// allocation function that issued them).
 
 type volSnap struct {
 	ID        VolunteerID
@@ -92,7 +91,7 @@ func (c *Coordinator) checkpointLocked(w io.Writer) error {
 		snap.Vols = append(snap.Vols, vs)
 	}
 	sort.Slice(snap.Vols, func(i, j int) bool { return snap.Vols[i].ID < snap.Vols[j].ID })
-	return gob.NewEncoder(w).Encode(snap)
+	return extarray.EncodeFramed(w, snap)
 }
 
 // SaveCheckpoint atomically writes the coordinator's state to path
@@ -115,28 +114,14 @@ func (c *Coordinator) SaveCheckpoint(path string) error {
 	return save()
 }
 
-// decodeCoordSnap decodes a checkpoint stream, converting gob panics on
-// adversarially corrupt input into errors (mirroring
-// extarray.DecodeSnapshot) so a damaged checkpoint is a clean boot
-// failure, not a crash loop.
-func decodeCoordSnap(r io.Reader) (snap coordSnap, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("corrupt checkpoint stream: %v", p)
-		}
-	}()
-	err = gob.NewDecoder(r).Decode(&snap)
-	return snap, err
-}
-
 // Restore reconstructs a checkpointed coordinator. cfg must carry the same
 // APF (checked by name) and Workload; AuditRate/StrikeLimit/Seed from the
 // snapshot take precedence over cfg's. Active volunteers are granted a
 // fresh lease (when cfg.LeaseTTL > 0): survivors of the crash get a full
 // TTL to reconnect before their tasks are reclaimed.
 func Restore(r io.Reader, cfg Config) (*Coordinator, error) {
-	snap, err := decodeCoordSnap(r)
-	if err != nil {
+	var snap coordSnap
+	if err := extarray.DecodeFramed(r, &snap); err != nil {
 		return nil, fmt.Errorf("wbc: Restore: %w", err)
 	}
 	if cfg.APF == nil || cfg.Workload == nil {

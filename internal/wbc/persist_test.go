@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pairfn/internal/apf"
+	"pairfn/internal/extarray"
 )
 
 // TestCheckpointRestore runs half a workload, checkpoints, restores into a
@@ -154,29 +155,25 @@ func checkpointBytes(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestRestoreCorruptCheckpoint bit-flips every region of a checkpoint and
-// truncates it at every length: Restore must never panic — adversarially
-// corrupt gob is converted to a clean error (or, for flips that happen to
-// decode, a usable coordinator). A damaged checkpoint is a failed boot,
-// not a crash loop.
+// TestRestoreCorruptCheckpoint flips every bit of a checkpoint: Restore
+// must refuse each flip with an error that carries the restore context —
+// never panic, never restore. A damaged checkpoint is a failed boot, not a
+// crash loop and not a silently different ledger.
 func TestRestoreCorruptCheckpoint(t *testing.T) {
 	snapshot := checkpointBytes(t)
 	cfg := Config{APF: apf.NewTHash(), Workload: DivisorSum{}}
-
-	step := len(snapshot)/64 + 1
-	for off := 0; off < len(snapshot); off += step {
-		for _, bit := range []byte{0x01, 0x80} {
-			corrupt := append([]byte(nil), snapshot...)
-			corrupt[off] ^= bit
-			// Must not panic; an error (the common case) must carry the
-			// restore context rather than a raw gob panic message.
-			c, err := Restore(bytes.NewReader(corrupt), cfg)
-			if err == nil && c == nil {
-				t.Fatalf("offset %d bit %#x: nil coordinator without error", off, bit)
+	corrupt := append([]byte(nil), snapshot...)
+	for off := range corrupt {
+		for bit := 0; bit < 8; bit++ {
+			corrupt[off] ^= 1 << bit
+			_, err := Restore(bytes.NewReader(corrupt), cfg)
+			if err == nil {
+				t.Fatalf("offset %d bit %d: corrupt checkpoint restored", off, bit)
 			}
-			if err != nil && !strings.Contains(err.Error(), "Restore") {
-				t.Fatalf("offset %d bit %#x: error %q lacks restore context", off, bit, err)
+			if !strings.Contains(err.Error(), "Restore") {
+				t.Fatalf("offset %d bit %d: error %q lacks restore context", off, bit, err)
 			}
+			corrupt[off] ^= 1 << bit
 		}
 	}
 }
@@ -184,14 +181,34 @@ func TestRestoreCorruptCheckpoint(t *testing.T) {
 // TestRestoreTruncatedCheckpoint: every proper prefix of a checkpoint is a
 // clean error, never a panic — the torn-write case for the checkpoint
 // file itself (AtomicWriteFile makes this near-impossible in production,
-// but boot must tolerate a hand-copied or half-synced file).
+// but boot must refuse a hand-copied or half-synced file).
 func TestRestoreTruncatedCheckpoint(t *testing.T) {
 	snapshot := checkpointBytes(t)
 	cfg := Config{APF: apf.NewTHash(), Workload: DivisorSum{}}
-	step := len(snapshot)/32 + 1
-	for n := 0; n < len(snapshot); n += step {
+	for n := 0; n < len(snapshot); n++ {
 		if _, err := Restore(bytes.NewReader(snapshot[:n]), cfg); err == nil {
 			t.Fatalf("prefix of %d/%d bytes restored without error", n, len(snapshot))
+		}
+	}
+}
+
+// TestRestoreFramedGarbage: frames whose checksums hold but whose gob is
+// garbage (or the gob of another type) are refused with an error, never a
+// panic — the decoder's recover covers what the checksums cannot.
+func TestRestoreFramedGarbage(t *testing.T) {
+	cfg := Config{APF: apf.NewTHash(), Workload: DivisorSum{}}
+	var other bytes.Buffer
+	if err := extarray.EncodeFramed(&other, struct{ APFName []int }{[]int{1}}); err != nil {
+		t.Fatal(err)
+	}
+	garbage := [][]byte{other.Bytes()}
+	for _, g := range [][]byte{[]byte("not a gob"), bytes.Repeat([]byte{0xff}, 64), {0x03, 0xff, 0x81, 0x00}} {
+		framed, _ := extarray.EncodeFrame(nil, g)
+		garbage = append(garbage, framed)
+	}
+	for _, b := range garbage {
+		if _, err := Restore(bytes.NewReader(b), cfg); err == nil {
+			t.Fatalf("framed garbage %x restored", b)
 		}
 	}
 }
