@@ -359,9 +359,10 @@ func run() int {
 	}
 
 	info := table.Describe()
+	servedRows, servedCols := sh.Dims()
 	logger.Info("serving",
 		"addr", *addr, "backend", info.Backend, "mapping", *mapping,
-		"shards", info.Shards, "rows", *rows, "cols", *cols,
+		"shards", info.Shards, "rows", servedRows, "cols", servedCols,
 		"snapshot", *snapshot, "timeout", *reqTimeout, "pprof", *pprofOn,
 		"wire", "json+binary ("+tabled.ContentTypeBinary+")")
 

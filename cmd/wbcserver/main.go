@@ -41,11 +41,15 @@
 // its outstanding tasks are reissued to surviving volunteers with exact
 // attribution overrides.
 //
-// -timeout bounds one volunteer-protocol request; an overrun answers a
-// clean 503. The connection read/write deadlines are derived from it by
-// srvkit.NewHTTPServer, so the write deadline always exceeds the handler
-// timeout and slow handlers are cut by the TimeoutHandler, never by a
-// dropped connection.
+// -timeout bounds one volunteer-protocol request, enforced by the
+// handlers themselves: a request found past it after decoding or before
+// its reply, or parked past it behind another mutation's journal fsync,
+// answers a clean 503 {"error":"request timed out"} without degrading
+// the server. Request bodies are capped at 4 KiB (413 past it). The
+// connection read/write deadlines are derived from -timeout by
+// srvkit.NewHTTPServer, so the write deadline always exceeds it by
+// srvkit.WriteSlack and an overrun gets its 503, never a dropped
+// connection.
 //
 // On SIGINT/SIGTERM the server flips /readyz to 503, drains in-flight
 // requests for up to -drain, takes a final checkpoint, and exits 0 on a

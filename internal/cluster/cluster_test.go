@@ -325,6 +325,12 @@ func TestHandlerBadRequests(t *testing.T) {
 	if resp := post(string(big), "application/json"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("over-MaxBatch status = %d", resp.StatusCode)
 	}
+	over := strings.Repeat(" ", tabled.DefaultMaxBodyBytes+1)
+	for _, ct := range []string{"application/json", tabled.ContentTypeBinary} {
+		if resp := post(over, ct); resp.StatusCode != http.StatusRequestEntityTooLarge || !resp.Close {
+			t.Fatalf("over-cap %s body: status %d, close %v; want 413 closing the connection", ct, resp.StatusCode, resp.Close)
+		}
+	}
 }
 
 // TestHandlerLongIdempotencyKey: HTTP caps a client's Idempotency-Key only

@@ -73,11 +73,10 @@ func NewHandler(src RouterSource, opt HandlerOptions) http.Handler {
 	// the rate-limited counter carries no per-node labels, so every
 	// reloaded router's Metrics (same registry, get-or-create) holds the
 	// identical counter object.
-	// The batch timeout is no wrapper: handleBatch and the member
-	// exchanges enforce it, so a batch pays no timer or goroutine for it.
-	mux.Handle("POST /v1/batch", opt.Limiter.Middleware(nil, src.Router().m, srvkit.APIStack{
-		MaxBodyBytes: tabled.DefaultMaxBodyBytes,
-	}.Wrap(http.HandlerFunc(h.handleBatch))))
+	// The batch route has no other wrapper: tabled.ReadBatch caps the
+	// body, and handleBatch and the member exchanges enforce the batch
+	// timeout, so a batch pays no timer or goroutine for it.
+	mux.Handle("POST /v1/batch", opt.Limiter.Middleware(nil, src.Router().m, http.HandlerFunc(h.handleBatch)))
 	mux.HandleFunc("GET /v1/stats", h.handleStats)
 	mux.HandleFunc("GET /v1/cluster", h.handleCluster)
 	if opt.Registry != nil {

@@ -289,13 +289,7 @@ func (p *Plan) MergeInto(out []tabled.OpResult, n int, sub []tabled.OpResult) {
 		case r.Err != "":
 			out[i] = r
 		case out[i].Stats != nil && r.Stats != nil:
-			out[i].Stats.Moves += r.Stats.Moves
-			if r.Stats.Footprint > out[i].Stats.Footprint {
-				out[i].Stats.Footprint = r.Stats.Footprint
-			}
-			if r.Stats.Reshapes > out[i].Stats.Reshapes {
-				out[i].Stats.Reshapes = r.Stats.Reshapes
-			}
+			AggregateStats(out[i].Stats, *r.Stats)
 		}
 	}
 }
@@ -312,8 +306,9 @@ func (p *Plan) FillUnmerged(out []tabled.OpResult, err error) {
 	}
 }
 
-// AggregateStats is the broadcast-stats combine rule, exposed for the
-// router's /v1/stats endpoint: Moves sum, Footprint max, Reshapes max.
+// AggregateStats is the broadcast-stats combine rule, shared by MergeInto
+// and the router's /v1/stats endpoint: Moves sum, Footprint max, Reshapes
+// max.
 func AggregateStats(agg *extarray.Stats, st extarray.Stats) {
 	agg.Moves += st.Moves
 	if st.Footprint > agg.Footprint {

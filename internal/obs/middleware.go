@@ -49,13 +49,21 @@ func Middleware(cfg MiddlewareConfig, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		q.inFlight.Inc()
-		sw := &statusWriter{ResponseWriter: w}
+		sw := statusWriters.Get().(*statusWriter)
+		sw.ResponseWriter = w
 		next.ServeHTTP(sw, r)
 		q.inFlight.Dec()
 		q.Route(pathLabel(r)).Observe(r.Context(), r.Method, r.URL.Path, r.RemoteAddr,
 			sw.Status(), sw.bytes, time.Since(start))
+		*sw = statusWriter{}
+		statusWriters.Put(sw)
 	})
 }
+
+// statusWriters recycles Middleware's per-request writers. A writer goes
+// back once next returns, which for a hijacked connection is when the
+// connection is done, so no handler still holds it.
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
 
 // Requests is Middleware's request accounting — the http_* families and
 // the per-request log line — for servers that also answer requests

@@ -1,9 +1,9 @@
 // Package srvkit is the shared production-server kit behind
 // cmd/tabledserver and cmd/wbcserver (and every future pairfn service:
 // the tabledcluster router, follower nodes, a tuple or spread-query
-// API). Both daemons used to hand-roll the same stack — body caps,
-// http.TimeoutHandler wiring, probes, degraded read-only mode, graceful
-// drain, periodic snapshot/checkpoint timers — and the copies drifted
+// API). Both daemons used to hand-roll the same stack — connection
+// deadlines, probes, degraded read-only mode, graceful drain, periodic
+// snapshot/checkpoint timers — and the copies drifted
 // into real bugs (tabledserver pinned WriteTimeout at 2m regardless of
 // the request timeout, so a long batch timeout ended in a dropped
 // connection instead of the promised 503). srvkit is that stack,
@@ -13,14 +13,13 @@
 //     function of the per-request timeout, computed in exactly one
 //     place, with WriteTimeout always comfortably beyond the 503 that
 //     answers an overrun.
-//   - APIStack: the hardening middleware for API routes — request flow
-//     is TimeoutHandler → MaxBytesReader → handler — applied only to
-//     the routes that opt in, so /healthz, /readyz, /metrics and pprof
-//     are never starved by a slow API timeout. The TimeoutHandler (a
-//     goroutine, timer and response copy per request) is for handlers
-//     that cannot enforce a deadline themselves: tabled's batch
-//     handlers carry their deadline through their stages instead and
-//     use APIStack for the body cap alone.
+//   - No request middleware: each API handler enforces its own limits.
+//     It reads its body under a constant cap (413 past it) and checks
+//     its deadline at its stage boundaries, passing it to the waits that
+//     can park (503 past it). So a request pays no goroutine, timer or
+//     response copy for a deadline it never reaches, and the probes,
+//     /metrics and pprof, mounted beside the API routes, share none of
+//     their limits.
 //   - Degraded: the sticky read-only state machine (flip a writable
 //     flag, set a gauge, log once, fire hooks once) shared by the WAL-
 //     and journal-failure paths.
@@ -45,6 +44,6 @@
 // Everything is stdlib + internal/obs; nothing here knows about tables
 // or volunteers. scripts/srvkit_guard.sh keeps the mains honest: a
 // cmd/*server constructing http.Server or signal plumbing directly
-// fails CI, and so does an APIStack RequestTimeout in internal/tabled or
-// internal/cluster.
+// fails CI, and so does a handler wrapped in net/http's timeout handler
+// or body-limiting reader anywhere outside tests under cmd/ and internal/.
 package srvkit

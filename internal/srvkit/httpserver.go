@@ -14,10 +14,10 @@ const DefaultReadHeaderTimeout = 5 * time.Second
 // connection write deadline. It covers the handler writing its 503 plus
 // response flushing to a slow client: the connection deadline must never
 // fire before the 503 is written, or the client sees a reset instead of a
-// status. A handler that enforces its own deadline answers at its first
-// stage boundary past it, so the slack also covers the one step in flight
-// then — a backend call, or an fsync the batch leads, which cannot be
-// abandoned midway; an http.TimeoutHandler answers at the deadline itself.
+// status. Every pairfn handler enforces its own deadline and answers at
+// its first stage boundary past it, so the slack also covers the one step
+// in flight then — a backend call, or an fsync the request leads, which
+// cannot be abandoned midway.
 const WriteSlack = 20 * time.Second
 
 // MinReadTimeout floors the derived read deadline so short handler
@@ -33,8 +33,8 @@ type Timeouts struct {
 
 // DeriveTimeouts computes the http.Server deadlines for a server whose
 // slowest intentional request is bounded by requestTimeout (tabled's
-// batch timeout, which its handlers enforce themselves, or wbc's
-// volunteer-protocol timeout, an http.TimeoutHandler):
+// batch timeout or wbc's volunteer-protocol timeout, each enforced by its
+// handlers):
 //
 //	Write = requestTimeout + WriteSlack   (always > requestTimeout)
 //	Read  = max(Write, MinReadTimeout)

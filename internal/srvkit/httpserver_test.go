@@ -11,8 +11,7 @@ import (
 
 // TestDeriveTimeouts pins the one-place derivation contract: the write
 // deadline always comfortably exceeds the request timeout, so the
-// 503-producing TimeoutHandler — not the kernel — is what cuts a slow
-// handler.
+// handler's own 503 — not the kernel — is what answers a slow request.
 func TestDeriveTimeouts(t *testing.T) {
 	cases := []struct {
 		req         time.Duration
@@ -57,19 +56,25 @@ func serveOnce(t *testing.T, srv *http.Server) string {
 	return "http://" + ln.Addr().String()
 }
 
-// TestTimeoutHandlerWinsOverConnDeadline is the scaled regression test
+// TestHandlerDeadlineWinsOverConnDeadline is the scaled regression test
 // for the tabledserver bug: with the server built by NewHTTPServer, a
-// handler overrunning the request timeout yields a clean 503 with the
-// timeout body — never a connection reset — because the derived write
-// deadline sits WriteSlack beyond the TimeoutHandler's deadline.
-func TestTimeoutHandlerWinsOverConnDeadline(t *testing.T) {
+// handler whose step in flight overruns the request timeout answers its
+// own 503 at the next stage boundary — never a connection reset —
+// because the derived write deadline sits WriteSlack beyond the request
+// deadline.
+func TestHandlerDeadlineWinsOverConnDeadline(t *testing.T) {
 	const reqTimeout = 100 * time.Millisecond
 	slow := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		time.Sleep(8 * reqTimeout)
+		deadline := time.Now().Add(reqTimeout)
+		time.Sleep(8 * reqTimeout) // a step that cannot be abandoned midway
+		if !time.Now().Before(deadline) {
+			http.Error(w, "batch timed out", http.StatusServiceUnavailable)
+			return
+		}
 		io.WriteString(w, "too late")
 	})
 	mux := http.NewServeMux()
-	mux.Handle("/api", APIStack{RequestTimeout: reqTimeout, TimeoutBody: "batch timed out"}.Wrap(slow))
+	mux.Handle("/api", slow)
 	base := serveOnce(t, NewHTTPServer("", mux, reqTimeout))
 
 	resp, err := http.Get(base + "/api")

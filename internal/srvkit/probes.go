@@ -9,9 +9,9 @@ import (
 )
 
 // Probes are the liveness/readiness endpoints every pairfn server
-// exposes. They are mounted on the mux directly — never behind APIStack —
-// so a slow API timeout or a body cap can never starve an operator or a
-// load balancer:
+// exposes. They are mounted on the mux beside the API routes and share
+// none of their deadlines or body caps, so a stalled API handler never
+// starves an operator or a load balancer:
 //
 //	GET /healthz   200 "ok" while the process serves at all
 //	GET /readyz    200 "ready" | 503 "draining" | 503 "degraded: <detail>"
@@ -74,8 +74,8 @@ func (p Probes) Register(mux *http.ServeMux) {
 // MountPprof mounts the net/http/pprof handlers under /debug/pprof/ on
 // mux. Mounted explicitly: importing net/http/pprof only registers on
 // http.DefaultServeMux, which pairfn servers do not use. Like the
-// probes, pprof sits beside APIStack, not behind it — profiling a server
-// whose API is stalled is exactly when pprof matters.
+// probes, pprof sits beside the API routes — profiling a server whose API
+// is stalled is exactly when pprof matters.
 func MountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -198,7 +198,7 @@ func (*frameBody) Close() error { return nil }
 
 // handlerBatch is one binary /v1/batch request, served in process by the
 // full NewHandler stack: request middleware (metrics and a logger at the
-// daemons' default level), mux, body cap and batch handler.
+// daemons' default level), mux and batch handler.
 type handlerBatch struct {
 	h     http.Handler
 	req   *http.Request
@@ -223,6 +223,7 @@ func newHandlerBatch(t testing.TB, opt ServerOptions, ops []Op) *handlerBatch {
 	hb := &handlerBatch{h: NewHandler(table, opt), body: new(frameBody), frame: frame,
 		w: discardWriter{h: make(http.Header)}}
 	hb.req = httptest.NewRequest(http.MethodPost, "/v1/batch", nil)
+	hb.req.Body = hb.body
 	hb.req.Header.Set("Content-Type", ContentTypeBinary)
 	return hb
 }
@@ -230,7 +231,6 @@ func newHandlerBatch(t testing.TB, opt ServerOptions, ops []Op) *handlerBatch {
 // run serves the batch once and fails unless it is answered 200.
 func (hb *handlerBatch) run(t testing.TB) {
 	hb.body.Reset(hb.frame)
-	hb.req.Body = hb.body // the body cap wrapped the last one
 	hb.w.status = 0
 	hb.h.ServeHTTP(&hb.w, hb.req)
 	if hb.w.status != http.StatusOK {
@@ -251,10 +251,9 @@ func handlerOps(kind string, n int) []Op {
 
 // TestHandlerBatchAllocs pins the allocations of a steady-state binary
 // get batch through the whole NewHandler stack, under the default batch
-// timeout: the request middleware's status writer, the body cap's reader,
-// and the reply's Content-Type header value. The timeout itself allocates
-// nothing on a batch that never parks; a TimeoutHandler paid a context, a
-// timer, a request copy, a buffered writer and a goroutine.
+// timeout, at none: the request middleware's status writer is pooled,
+// ReadBatch counts the body against its cap into the pooled buffer, and
+// the timeout allocates nothing on a batch that never parks.
 func TestHandlerBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race: sync.Pool randomly drops puts")
@@ -267,7 +266,7 @@ func TestHandlerBatchAllocs(t *testing.T) {
 }
 
 // handlerGetAllocs is TestHandlerBatchAllocs' pinned count.
-const handlerGetAllocs = 2
+const handlerGetAllocs = 0
 
 // BenchmarkHandlerBatch times 128-op binary get and set batches through
 // the whole NewHandler stack in process (no network), a WAL-less node

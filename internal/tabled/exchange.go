@@ -160,9 +160,8 @@ func (s *server) readExchange(br *bufio.Reader, scr *wireScratch) (key []byte, m
 		return nil, 0, 0, "", err
 	}
 	size := wireHeaderSize + int64(binary.LittleEndian.Uint32(scr.body))
-	if limit := s.opt.MaxBodyBytes; limit > 0 && size > limit {
-		return nil, 0, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request body exceeds %d bytes", limit), nil
+	if size > DefaultMaxBodyBytes {
+		return nil, 0, http.StatusRequestEntityTooLarge, errBodyTooLarge.Error(), nil
 	}
 	if size > wireHeaderSize+MaxWirePayload {
 		return nil, 0, http.StatusBadRequest,

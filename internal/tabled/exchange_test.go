@@ -133,8 +133,10 @@ func TestConnPoolRefusalsMatchHTTP(t *testing.T) {
 	}{
 		{name: "over-maxbatch", opt: func(_ *testing.T, o *ServerOptions) { o.MaxBatch = 4 },
 			ops: []Op{{Op: "dims"}, {Op: "dims"}, {Op: "dims"}, {Op: "dims"}, {Op: "dims"}}, status: "400"},
-		{name: "oversized-frame", opt: func(_ *testing.T, o *ServerOptions) { o.MaxBodyBytes = 64 },
-			ops: []Op{{Op: "set", X: 1, Y: 1, V: strings.Repeat("x", 100)}}, status: "413", closes: true},
+		// The pooled connection sends only the envelope's head: the member
+		// refuses on the declared frame size, before the rest would arrive.
+		{name: "oversized-frame", opt: func(*testing.T, *ServerOptions) {},
+			ops: []Op{{Op: "set", X: 1, Y: 1, V: strings.Repeat("x", DefaultMaxBodyBytes)}}, status: "413", closes: true},
 		{name: "read-only", opt: func(_ *testing.T, o *ServerOptions) { o.Writable = obs.NewFlag(false) },
 			ops: set, status: "503"},
 		{name: "degraded", opt: func(t *testing.T, o *ServerOptions) {
@@ -161,6 +163,13 @@ func TestConnPoolRefusalsMatchHTTP(t *testing.T) {
 			js, _ := serve()
 			jc := &Client{Base: js.URL, HTTP: js.Client()}
 			_, p := serve()
+			if tc.closes {
+				if _, err := p.BatchWithKey(ctx, []Op{{Op: "dims"}}, ""); err != nil {
+					t.Fatal(err)
+				}
+				pc := p.idle[0]
+				pc.c = &headOnlyConn{Conn: pc.c}
+			}
 			if tc.warmup {
 				hc.Batch(ctx, set)
 				jc.Batch(ctx, set)
@@ -303,9 +312,23 @@ func fakeMember(t *testing.T, serve func(i int, c net.Conn, br *bufio.Reader)) (
 	return "http://" + l.Addr().String(), accepted
 }
 
+// headOnlyConn is a client connection that sends at most the first
+// headOnlyBytes of each write and reports the whole write sent: a peer
+// sees an envelope that declares its frame's size without the frame.
+type headOnlyConn struct{ net.Conn }
+
+const headOnlyBytes = 64
+
+func (c *headOnlyConn) Write(p []byte) (int, error) {
+	if _, err := c.Conn.Write(p[:min(len(p), headOnlyBytes)]); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
 // readRequest reads one request envelope off a fake member's connection.
 func readRequest(br *bufio.Reader) ([]Op, error) {
-	s := &server{opt: ServerOptions{MaxBodyBytes: DefaultMaxBodyBytes}}
+	s := &server{}
 	scr := new(wireScratch)
 	if _, _, _, _, err := s.readExchange(br, scr); err != nil {
 		return nil, err
@@ -678,9 +701,6 @@ func TestConnDrainFinishesInFlight(t *testing.T) {
 func newExchangeServer(b Backend[string], opt ServerOptions) *server {
 	if opt.MaxBatch == 0 {
 		opt.MaxBatch = DefaultMaxBatch
-	}
-	if opt.MaxBodyBytes == 0 {
-		opt.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	return &server{b: b, opt: opt, idem: newIdemCache(DefaultIdempotencyCache),
 		batchRoute: obs.NewRequests(opt.Registry, opt.Logger).Route("/v1/batch")}

@@ -21,7 +21,8 @@ import (
 // DefaultMaxBatch caps the ops accepted in one /v1/batch request.
 const DefaultMaxBatch = 4096
 
-// DefaultMaxBodyBytes caps the /v1/batch request body (http.MaxBytesReader).
+// DefaultMaxBodyBytes caps a /v1/batch request body and an exchange's
+// request frame: ReadBatch and readExchange refuse a larger one with a 413.
 const DefaultMaxBodyBytes = 4 << 20
 
 // DefaultBatchTimeout bounds one batch end to end, on /v1/batch and on an
@@ -92,9 +93,6 @@ type ServerOptions struct {
 	Ready *obs.Flag
 	// MaxBatch caps ops per request (0 → DefaultMaxBatch).
 	MaxBatch int
-	// MaxBodyBytes caps the /v1/batch request body; oversized requests get
-	// a 413 (0 → DefaultMaxBodyBytes).
-	MaxBodyBytes int64
 	// BatchTimeout bounds one batch, on /v1/batch or an exchange, from its
 	// arrival; overruns get a 503 "batch timed out" (0 →
 	// DefaultBatchTimeout, negative → no timeout).
@@ -146,9 +144,6 @@ func NewHandler(b Backend[string], opt ServerOptions) http.Handler {
 	if opt.MaxBatch <= 0 {
 		opt.MaxBatch = DefaultMaxBatch
 	}
-	if opt.MaxBodyBytes == 0 {
-		opt.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	if opt.BatchTimeout == 0 {
 		opt.BatchTimeout = DefaultBatchTimeout
 	}
@@ -187,14 +182,10 @@ func NewHandler(b Backend[string], opt ServerOptions) http.Handler {
 		opt.Repl.Fence = srv.degrade
 	}
 	mux := http.NewServeMux()
-	// Only /v1/batch sits behind the body cap. Its batch timeout is no
-	// wrapper: serve enforces it (see BatchDeadline), so a batch that
-	// never parks pays no timer, goroutine or response copy for it.
-	mux.Handle("POST /v1/batch", srvkit.APIStack{
-		MaxBodyBytes: opt.MaxBodyBytes,
-	}.Wrap(http.HandlerFunc(srv.handleBatch)))
-	// The upgrade route stays outside the stack: a connection outlives
-	// any one request, and its exchanges read their own capped frames.
+	// No route is wrapped: ReadBatch and readExchange cap the bodies, and
+	// serve enforces the batch timeout (see BatchDeadline), so a batch
+	// that never parks pays no timer, goroutine or response copy for it.
+	mux.HandleFunc("POST /v1/batch", srv.handleBatch)
 	mux.HandleFunc("GET "+ConnPath, srv.handleConn)
 	mux.HandleFunc("GET /v1/stats", srv.handleStats)
 	mux.HandleFunc("POST /v1/snapshot", srv.handleSnapshot)
@@ -404,16 +395,21 @@ func isBinaryContentType(ct string) bool {
 	return strings.TrimSpace(ct) == ContentTypeBinary
 }
 
-// readBody reads r into buf[:0] (growing as needed) up to the byte cap
-// already imposed by the MaxBytesReader wrapping r.
+var errBodyTooLarge = fmt.Errorf("request body exceeds %d bytes", DefaultMaxBodyBytes)
+
+// readBody reads r into buf[:0], growing it as needed, and fails with
+// errBodyTooLarge once more than DefaultMaxBodyBytes arrive.
 func readBody(buf []byte, r io.Reader) ([]byte, error) {
 	buf = buf[:0]
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
+		n, err := r.Read(buf[len(buf):min(cap(buf), DefaultMaxBodyBytes+1)])
 		buf = buf[:len(buf)+n]
+		if len(buf) > DefaultMaxBodyBytes {
+			return buf, errBodyTooLarge
+		}
 		if err == io.EOF {
 			return buf, nil
 		}
@@ -425,19 +421,22 @@ func readBody(buf []byte, r io.Reader) ([]byte, error) {
 
 // ReadBatch reads and decodes one POST /v1/batch request into buf. The
 // Content-Type picks the wire, returned as binary: a §2 frame or, by
-// default, a JSON BatchRequest. The body is read under the cap of the
-// caller's srvkit.APIStack, and the batch must hold 1 to maxBatch ops. On
-// failure ReadBatch has answered w — 413 for an oversized body, else 400 —
-// and ok is false. Set values decoded from a frame alias buf until its
-// next use.
+// default, a JSON BatchRequest. The body may hold at most
+// DefaultMaxBodyBytes, and the batch 1 to maxBatch ops. On failure
+// ReadBatch has answered w — 413 for an oversized body, which also closes
+// the connection since the rest of the body stays unread, else 400 — and
+// ok is false. Set values decoded from a frame alias buf until its next
+// use.
 func ReadBatch(w http.ResponseWriter, r *http.Request, buf *BatchBuf, maxBatch int) (ops []Op, binary, ok bool) {
 	binary = isBinaryContentType(r.Header.Get("Content-Type"))
-	var err error
-	if buf.body, err = readBody(buf.body, r.Body); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
-				http.StatusRequestEntityTooLarge)
+	err := errBodyTooLarge
+	if r.ContentLength <= DefaultMaxBodyBytes {
+		buf.body, err = readBody(buf.body, r.Body)
+	}
+	if err != nil {
+		if err == errBodyTooLarge {
+			w.Header().Set("Connection", "close")
+			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 		} else {
 			http.Error(w, "reading request: "+err.Error(), http.StatusBadRequest)
 		}
@@ -512,8 +511,7 @@ func WriteBatch(w http.ResponseWriter, binary bool, results []OpResult, buf *Bat
 	return err
 }
 
-// handleBatch serves one /v1/batch request in either wire. The body cap
-// is already in place (srvkit.APIStack wraps this handler); the batch
+// handleBatch serves one /v1/batch request in either wire. The batch
 // timeout runs from here, and serve enforces it.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	deadline := BatchDeadline(time.Now(), s.opt.BatchTimeout)

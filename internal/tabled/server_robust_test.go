@@ -244,17 +244,37 @@ func TestIdemCacheBounded(t *testing.T) {
 	}
 }
 
-// TestServerBodyLimit: a body over MaxBodyBytes is a 413, which the client
-// surfaces as a permanent (non-retried) remote error.
+// TestServerBodyLimit: a body over DefaultMaxBodyBytes is a 413, which
+// the client surfaces as a permanent (non-retried) remote error. A body
+// of unknown length is cut exactly at the cap.
 func TestServerBodyLimit(t *testing.T) {
-	c, _ := newWALServer(t, nil, func(o *ServerOptions) { o.MaxBodyBytes = 1024 })
-	err := c.Set(context.Background(), Cell[string]{X: 1, Y: 1, V: strings.Repeat("x", 4096)})
+	c, _ := newWALServer(t, nil, nil)
+	err := c.Set(context.Background(), Cell[string]{X: 1, Y: 1, V: strings.Repeat("x", DefaultMaxBodyBytes)})
 	if err == nil || !strings.Contains(err.Error(), "413") {
 		t.Fatalf("oversized body: %v, want 413", err)
 	}
 	// Within the limit still works.
 	if err := c.Set(context.Background(), Cell[string]{X: 1, Y: 1, V: "small"}); err != nil {
 		t.Fatal(err)
+	}
+	batch := `{"ops":[{"op":"dims"}]}`
+	for _, tc := range []struct {
+		size   int
+		status int
+	}{{DefaultMaxBodyBytes, http.StatusOK}, {DefaultMaxBodyBytes + 1, http.StatusRequestEntityTooLarge}} {
+		// A reader the client cannot size is sent chunked, with no
+		// Content-Length to refuse up front.
+		body := io.MultiReader(strings.NewReader(batch), strings.NewReader(strings.Repeat(" ", tc.size-len(batch))))
+		resp, err := c.HTTP.Post(c.Base+"/v1/batch", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || resp.Close != (tc.status != http.StatusOK) {
+			t.Errorf("chunked body of %d bytes: %d, close %v; want %d, closing the connection only on a 413",
+				tc.size, resp.StatusCode, resp.Close, tc.status)
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func TestWireSpecExamples(t *testing.T) {
 	exchangeKey, exchangeOps := "k1", requests["request-set-get"]
 	exchangeReplies := map[string]ServerOptions{
 		"exchange-reply-ok":      {WAL: openTestWAL(t, nil)},
-		"exchange-reply-refusal": {MaxBodyBytes: 16},
+		"exchange-reply-refusal": {MaxBatch: 1},
 	}
 
 	// §8 pull envelopes: the request is the follower's encoder's; each

@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"time"
+
+	"pairfn/internal/walog"
 )
 
 // §4 describes WBC operationally: "volunteers register with a WBC website
@@ -31,7 +35,10 @@ import (
 //	GET  /healthz, /readyz                             → probes (observe.go)
 //
 // Coordinator errors map to HTTP statuses: banned/departed → 403, unknown
-// volunteer/task → 404, ownership violations → 409, domain errors → 400.
+// volunteer/task → 404, ownership violations → 409, domain errors → 400,
+// a degraded (read-only) coordinator → 503. A body over
+// DefaultMaxBodyBytes is a 413, and a request past its deadline a 503
+// "request timed out" (see endpoint).
 
 type registerRequest struct {
 	Speed float64 `json:"speed"`
@@ -85,69 +92,51 @@ func NewHTTPHandler(c *Coordinator) http.Handler {
 	return NewObservedHandler(c, ServerOptions{})
 }
 
+// DefaultMaxBodyBytes caps volunteer-protocol request bodies. The
+// protocol carries a handful of integers; a kilobyte is generous.
+const DefaultMaxBodyBytes = 1 << 12
+
+// A requestError refuses a request before or instead of the coordinator's
+// answer: a body too large or malformed, or a request past its deadline
+// (see endpoint).
+type requestError struct {
+	status int
+	msg    string
+}
+
+func (e *requestError) Error() string { return e.msg }
+
+var (
+	errBodyTooLarge = &requestError{http.StatusRequestEntityTooLarge,
+		fmt.Sprintf("request body exceeds %d bytes", DefaultMaxBodyBytes)}
+	errTimedOut = &requestError{http.StatusServiceUnavailable, "request timed out"}
+)
+
 // apiMux builds the volunteer-protocol endpoints. The observability
 // endpoints (/metrics, /healthz, /readyz) are layered on by
 // NewObservedHandler, which owns the registry they report from.
-func apiMux(c *Coordinator) *http.ServeMux {
+func apiMux(c *Coordinator, timeout time.Duration) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /register", func(w http.ResponseWriter, r *http.Request) {
-		var req registerRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		id, err := c.Register(req.Speed)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, registerResponse{Volunteer: id})
-	})
-	mux.HandleFunc("POST /heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req heartbeatRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		if err := c.Heartbeat(req.Volunteer); err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, heartbeatResponse{OK: true})
-	})
-	mux.HandleFunc("POST /next", func(w http.ResponseWriter, r *http.Request) {
-		var req nextRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		k, err := c.NextTask(req.Volunteer)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, nextResponse{Task: k})
-	})
-	mux.HandleFunc("POST /submit", func(w http.ResponseWriter, r *http.Request) {
-		var req submitRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		caught, err := c.Submit(req.Volunteer, req.Task, req.Result)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, submitResponse{Caught: caught})
-	})
-	mux.HandleFunc("POST /depart", func(w http.ResponseWriter, r *http.Request) {
-		var req nextRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		if err := c.Depart(req.Volunteer); err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, struct{}{})
-	})
+	mux.HandleFunc("POST /register", endpoint(c, timeout, func(req registerRequest) (any, walog.Ticket, error) {
+		id, t, err := c.register(req.Speed)
+		return registerResponse{Volunteer: id}, t, err
+	}))
+	mux.HandleFunc("POST /heartbeat", endpoint(c, timeout, func(req heartbeatRequest) (any, walog.Ticket, error) {
+		return heartbeatResponse{OK: true}, walog.Ticket{}, c.Heartbeat(req.Volunteer)
+	}))
+	mux.HandleFunc("POST /next", endpoint(c, timeout, func(req nextRequest) (any, walog.Ticket, error) {
+		k, t, err := c.nextTask(req.Volunteer)
+		return nextResponse{Task: k}, t, err
+	}))
+	mux.HandleFunc("POST /submit", endpoint(c, timeout, func(req submitRequest) (any, walog.Ticket, error) {
+		caught, t, err := c.submit(req.Volunteer, req.Task, req.Result)
+		return submitResponse{Caught: caught}, t, err
+	}))
+	mux.HandleFunc("POST /depart", endpoint(c, timeout, func(req nextRequest) (any, walog.Ticket, error) {
+		t, err := c.depart(req.Volunteer)
+		return struct{}{}, t, err
+	}))
+	// A read of the ledger: nothing to decode and no wait, so no deadline.
 	mux.HandleFunc("GET /attribute", func(w http.ResponseWriter, r *http.Request) {
 		k, err := strconv.ParseInt(r.URL.Query().Get("task"), 10, 64)
 		if err != nil {
@@ -164,20 +153,62 @@ func apiMux(c *Coordinator) *http.ServeMux {
 	return mux
 }
 
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		// The protocol carries a handful of integers; a body hitting the
-		// MaxBytesReader cap (observe.go) is abuse, not a volunteer.
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return false
+// endpoint serves one volunteer-protocol POST: it decodes the body into
+// a Req, runs serve, waits for the journal record of the mutation serve
+// applied (none: a zero ticket), and answers serve's response or the
+// refusal. The request's deadline, arrival + timeout (none when timeout
+// ≤ 0), is checked after decoding and before the reply, and it ends a
+// journal wait parked behind another mutation's fsync. A request past it
+// is answered 503 "request timed out" and the coordinator stays
+// writable: only a journal failure degrades it. A step in flight at the
+// deadline — an audit's recomputation, or an fsync the request leads —
+// is not abandoned, so its 503 comes at the check after it.
+func endpoint[Req any](c *Coordinator, timeout time.Duration, serve func(Req) (any, walog.Ticket, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var deadline time.Time
+		if timeout > 0 {
+			deadline = time.Now().Add(timeout)
 		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return false
+		var req Req
+		var resp any
+		err := decode(r, &req)
+		if err == nil && !expired(deadline) {
+			var t walog.Ticket
+			if resp, t, err = serve(req); err == nil {
+				err = c.waitDurable(r.Context(), deadline, t)
+			}
+		}
+		if (err == nil && expired(deadline)) || waitEnded(err) {
+			err = errTimedOut
+		}
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	return true
+}
+
+// expired reports whether deadline is set and has passed.
+func expired(deadline time.Time) bool {
+	return !deadline.IsZero() && !time.Now().Before(deadline)
+}
+
+// decode reads r's body, at most DefaultMaxBodyBytes of it, into v. The
+// protocol carries a handful of integers; a larger body is abuse, not a
+// volunteer.
+func decode(r *http.Request, v any) error {
+	body, err := io.ReadAll(io.LimitReader(r.Body, DefaultMaxBodyBytes+1))
+	if err == nil && len(body) > DefaultMaxBodyBytes {
+		return errBodyTooLarge
+	}
+	if err == nil {
+		err = json.NewDecoder(bytes.NewReader(body)).Decode(v)
+	}
+	if err != nil {
+		return &requestError{http.StatusBadRequest, "bad request body: " + err.Error()}
+	}
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -186,9 +217,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeErr answers a refused request with err's status and a typed JSON
+// error. A 413 also closes the connection, since the rest of its body
+// stays unread.
 func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
+	var re *requestError
 	switch {
+	case errors.As(err, &re):
+		status = re.status
+		if status == http.StatusRequestEntityTooLarge {
+			w.Header().Set("Connection", "close")
+		}
 	case errors.Is(err, ErrBanned), errors.Is(err, ErrDeparted):
 		status = http.StatusForbidden
 	case errors.Is(err, ErrUnknownVolunteer), errors.Is(err, ErrUnknownTask):

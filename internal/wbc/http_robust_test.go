@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,8 +22,8 @@ import (
 // connection), heartbeat plumbing, and the degraded read-only posture when
 // the journal fails underneath a live server.
 
-// TestHTTPBodyLimit: a body over MaxBodyBytes answers 413 with a typed
-// error, and the server keeps working for well-behaved clients.
+// TestHTTPBodyLimit: a body over DefaultMaxBodyBytes answers 413 with a
+// typed error, and the server keeps working for well-behaved clients.
 func TestHTTPBodyLimit(t *testing.T) {
 	srv, _ := newTestServer(t, 0, 1)
 	// Valid JSON the decoder has to read all the way through — it hits the
@@ -33,8 +35,8 @@ func TestHTTPBodyLimit(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d (%s), want 413", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !resp.Close {
+		t.Fatalf("oversized body: status %d (%s), close %v; want 413 closing the connection", resp.StatusCode, body, resp.Close)
 	}
 	if !strings.Contains(string(body), "exceeds") {
 		t.Fatalf("413 body %q does not name the limit", body)
@@ -46,28 +48,9 @@ func TestHTTPBodyLimit(t *testing.T) {
 	}
 }
 
-// TestHTTPBodyLimitDisabled: a negative MaxBodyBytes removes the cap.
-func TestHTTPBodyLimitDisabled(t *testing.T) {
-	c, err := NewCoordinator(Config{APF: apf.NewTHash(), Workload: DivisorSum{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewObservedHandler(c, ServerOptions{MaxBodyBytes: -1}))
-	defer srv.Close()
-	pad := strings.Repeat(" ", DefaultMaxBodyBytes)
-	resp, err := http.Post(srv.URL+"/register", "application/json",
-		strings.NewReader(`{"speed":1}`+pad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("uncapped big body: status %d, want 200", resp.StatusCode)
-	}
-}
-
-// TestHTTPRequestTimeout: a handler outliving RequestTimeout answers 503
-// while /healthz (exempt from the timeout wrapper) stays live.
+// TestHTTPRequestTimeout: a request whose coordinator call outlives
+// RequestTimeout answers 503 at the check before its reply, while
+// /healthz, which has no deadline, stays live.
 func TestHTTPRequestTimeout(t *testing.T) {
 	c, err := NewCoordinator(Config{APF: apf.NewTHash(), Workload: slowWorkload{}, AuditRate: 1, Seed: 2})
 	if err != nil {
@@ -88,8 +71,8 @@ func TestHTTPRequestTimeout(t *testing.T) {
 	// outlives the 50ms budget.
 	_, err = cl.Submit(id, k, 0)
 	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
-		t.Fatalf("slow submit = %v, want StatusError 503", err)
+	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable || se.Msg != "request timed out" {
+		t.Fatalf("slow submit = %v, want StatusError 503 request timed out", err)
 	}
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -108,6 +91,98 @@ func (slowWorkload) Name() string { return "slow" }
 func (slowWorkload) Do(TaskID) int64 {
 	time.Sleep(200 * time.Millisecond)
 	return 0
+}
+
+// stallSync is a journal file whose armed Sync blocks until released.
+type stallSync struct {
+	walog.File
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (f *stallSync) Sync() error {
+	if f.armed.Load() {
+		f.entered <- struct{}{}
+		<-f.release
+	}
+	return f.File.Sync()
+}
+
+// TestHTTPJournalWaitDeadline: a mutation parked behind another
+// mutation's stalled journal fsync answers 503 at its deadline, while
+// the fsync is still in flight. The leader, whose own fsync cannot be
+// abandoned, answers 503 once the disk returns, by the check before its
+// reply. Neither refusal degrades the coordinator: /healthz and /readyz
+// answer 200 throughout, and mutations go on once the disk does.
+func TestHTTPJournalWaitDeadline(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	c, err := NewCoordinator(Config{APF: apf.NewTHash(), Workload: DivisorSum{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := &stallSync{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	j, _, err := OpenJournal(filepath.Join(t.TempDir(), "journal"), c, JournalOptions{
+		WrapFile: func(f walog.File) walog.File { ss.File = f; return ss },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	srv := httptest.NewServer(NewObservedHandler(c, ServerOptions{RequestTimeout: timeout}))
+	defer srv.Close()
+	var once sync.Once
+	unstall := func() { once.Do(func() { ss.armed.Store(false); close(ss.release) }) }
+	defer unstall()
+	// A wait that ignored its deadline fails the test, rather than hanging it.
+	cl := &Client{BaseURL: srv.URL, HTTPClient: &http.Client{Timeout: 5 * time.Second}}
+	id, err := cl.Register(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := func(path string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d, want 200", path, resp.StatusCode)
+		}
+	}
+	timedOut := func(what string, err error) {
+		t.Helper()
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable || se.Msg != "request timed out" {
+			t.Fatalf("%s: %v, want StatusError 503 request timed out", what, err)
+		}
+	}
+
+	ss.armed.Store(true)
+	lead := make(chan error, 1)
+	go func() { _, err := cl.Next(id); lead <- err }()
+	select {
+	case <-ss.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first mutation never reached its journal fsync")
+	}
+	_, err = cl.Register(1)
+	timedOut("register parked behind the stalled fsync", err)
+	probe("/healthz")
+	probe("/readyz")
+	if c.Degraded() {
+		t.Fatal("a wait ended by its deadline degraded the coordinator")
+	}
+	unstall()
+	timedOut("leading next, answered after its deadline", <-lead)
+	if c.Degraded() {
+		t.Fatal("the leader's late answer degraded the coordinator")
+	}
+	if _, err := cl.Register(1); err != nil {
+		t.Fatalf("register after the stall: %v", err)
+	}
+	probe("/readyz")
 }
 
 // TestHTTPHeartbeat covers the heartbeat endpoint: 200 for an active

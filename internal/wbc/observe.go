@@ -18,10 +18,6 @@ import (
 // operational half of that audit — who is asking, how fast are we
 // answering, is the service draining or degraded.
 
-// DefaultMaxBodyBytes caps volunteer-protocol request bodies. The
-// protocol carries a handful of integers; a kilobyte is generous.
-const DefaultMaxBodyBytes = 1 << 12
-
 // ServerOptions configures NewObservedHandler.
 type ServerOptions struct {
 	// Registry is the metrics registry exposed at /metrics and fed by the
@@ -35,13 +31,11 @@ type ServerOptions struct {
 	// balancers to stop routing while in-flight requests drain. Nil means
 	// always ready.
 	Ready *obs.Flag
-	// MaxBodyBytes caps volunteer-protocol request bodies (413 beyond
-	// it). 0 uses DefaultMaxBodyBytes; negative disables the cap.
-	MaxBodyBytes int64
-	// RequestTimeout, when positive, wraps the volunteer-protocol
-	// endpoints in http.TimeoutHandler: a handler outliving it answers
-	// 503 and the connection is freed. Probes and /metrics are exempt —
-	// an operator must be able to scrape a struggling server.
+	// RequestTimeout, when positive, bounds each volunteer-protocol
+	// request from its arrival: one found past it after decoding or before
+	// its reply, or parked past it in a journal wait, answers 503 (see
+	// endpoint). Probes, /metrics and /attribute have no deadline — an
+	// operator must be able to scrape a struggling server.
 	RequestTimeout time.Duration
 	// ReadyDetail, when non-nil and returning non-empty, is appended to
 	// the /readyz ready body as "ready (<detail>)" — wbcserver wires the
@@ -67,18 +61,8 @@ func NewObservedHandler(c *Coordinator, opt ServerOptions) http.Handler {
 	}
 	RegisterCoordinatorMetrics(c, reg)
 
-	maxBody := opt.MaxBodyBytes
-	if maxBody == 0 {
-		maxBody = DefaultMaxBodyBytes
-	}
-	api := srvkit.APIStack{
-		MaxBodyBytes:   maxBody, // negative → cap disabled
-		RequestTimeout: opt.RequestTimeout,
-		TimeoutBody:    `{"error":"request timed out"}`,
-	}.Wrap(apiMux(c))
-
 	mux := http.NewServeMux()
-	mux.Handle("/", api)
+	mux.Handle("/", apiMux(c, opt.RequestTimeout))
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		if acceptsJSON(r) {
 			writeJSON(w, http.StatusOK, c.Metrics())

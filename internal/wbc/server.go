@@ -260,18 +260,38 @@ func (c *Coordinator) logLocked(rec journalRec) walog.Ticket {
 	return c.journal.log.Enqueue(encodeJournalRec(rec))
 }
 
-// waitDurable blocks until the mutation's journal record is fsynced. A
-// journal failure flips the coordinator into read-only degraded mode
-// (once), fires the AttachJournal callback, and surfaces ErrDegraded: the
-// mutation is applied in memory but was never acknowledged, matching the
-// crash contract (an unacknowledged write may be lost on restart).
-func (c *Coordinator) waitDurable(t walog.Ticket) error {
-	err := t.Wait(context.Background(), time.Time{})
-	if err == nil {
-		return nil
+// waitDurable blocks until the mutation's journal record is fsynced, or
+// until ctx ends or the deadline (zero: none) passes while the wait is
+// parked behind another mutation's fsync; then it returns ctx's error or
+// context.DeadlineExceeded, and the record still becomes durable with
+// that fsync. A journal failure flips the coordinator into read-only
+// degraded mode (once), fires the AttachJournal callback, and surfaces
+// ErrDegraded. Either way the mutation is applied in memory but was never
+// acknowledged, matching the crash contract (an unacknowledged write may
+// be lost on restart).
+func (c *Coordinator) waitDurable(ctx context.Context, deadline time.Time, t walog.Ticket) error {
+	err := t.Wait(ctx, deadline)
+	if err == nil || waitEnded(err) {
+		return err
 	}
 	c.deg.Degrade(err)
 	return fmt.Errorf("%w: %v", ErrDegraded, err)
+}
+
+// waitEnded reports whether err is a wait's end by its context or its
+// deadline rather than a journal failure.
+func waitEnded(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+}
+
+// durable completes an exported mutation: the error of its apply step,
+// or else that of its journal wait, which has no deadline. The HTTP
+// handlers call the apply steps themselves and wait by their deadline.
+func (c *Coordinator) durable(t walog.Ticket, err error) error {
+	if err != nil {
+		return err
+	}
+	return c.waitDurable(context.Background(), time.Time{}, t)
 }
 
 // AttachJournal wires a journal (normally done by OpenJournal) and the
@@ -301,20 +321,23 @@ func (c *Coordinator) ActiveLeases() int {
 // ordering. The error is non-nil only on a degraded (read-only)
 // coordinator.
 func (c *Coordinator) Register(speed float64) (VolunteerID, error) {
+	id, t, err := c.register(speed)
+	return id, c.durable(t, err)
+}
+
+// register is Register up to its journal wait: it applies the mutation
+// and returns the ticket of its journal record.
+func (c *Coordinator) register(speed float64) (VolunteerID, walog.Ticket, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err := c.checkWritableLocked(); err != nil {
-		c.mu.Unlock()
 		c.ops.errs.Inc()
-		return 0, err
+		return 0, walog.Ticket{}, err
 	}
 	id, row := c.applyRegisterLocked(speed)
 	t := c.logLocked(journalRec{Kind: jRegister, ID: id, Speed: speed, Row: row})
 	c.ops.register.Inc()
-	c.mu.Unlock()
-	if err := c.waitDurable(t); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return id, t, nil
 }
 
 // MustRegister is Register for journal-less coordinators (simulations,
@@ -354,28 +377,30 @@ func (c *Coordinator) applyRegisterLocked(speed float64) (VolunteerID, int64) {
 // Depart removes a volunteer; its row and outstanding tasks become
 // available to the next arrival.
 func (c *Coordinator) Depart(id VolunteerID) error {
+	return c.durable(c.depart(id))
+}
+
+// depart is Depart up to its journal wait.
+func (c *Coordinator) depart(id VolunteerID) (walog.Ticket, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err := c.checkWritableLocked(); err != nil {
-		c.mu.Unlock()
 		c.ops.errs.Inc()
-		return err
+		return walog.Ticket{}, err
 	}
 	v, ok := c.vols[id]
 	if !ok {
-		c.mu.Unlock()
 		c.ops.errs.Inc()
-		return fmt.Errorf("%w: %d", ErrUnknownVolunteer, id)
+		return walog.Ticket{}, fmt.Errorf("%w: %d", ErrUnknownVolunteer, id)
 	}
 	if v.departed {
-		c.mu.Unlock()
 		c.ops.errs.Inc()
-		return fmt.Errorf("%w: %d", ErrDeparted, id)
+		return walog.Ticket{}, fmt.Errorf("%w: %d", ErrDeparted, id)
 	}
 	c.applyDepartLocked(v)
 	t := c.logLocked(journalRec{Kind: jDepart, ID: id})
 	c.ops.depart.Inc()
-	c.mu.Unlock()
-	return c.waitDurable(t)
+	return t, nil
 }
 
 // applyDepartLocked is the deterministic core of Depart.
@@ -413,27 +438,31 @@ func (c *Coordinator) vacateLocked(v *volState) {
 // row (reclaimed work from expired volunteers must not starve waiting for
 // a newcomer to inherit the row), else the fresh index 𝒯(row, seq).
 func (c *Coordinator) NextTask(id VolunteerID) (TaskID, error) {
+	k, t, err := c.nextTask(id)
+	return k, c.durable(t, err)
+}
+
+// nextTask is NextTask up to its journal wait.
+func (c *Coordinator) nextTask(id VolunteerID) (TaskID, walog.Ticket, error) {
 	var start time.Time
 	if c.ops.enabled() {
 		start = time.Now()
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err := c.checkWritableLocked(); err != nil {
-		c.mu.Unlock()
 		c.ops.errs.Inc()
-		return 0, err
+		return 0, walog.Ticket{}, err
 	}
 	v, err := c.activeLocked(id)
 	if err != nil {
-		c.mu.Unlock()
 		c.ops.errs.Inc()
-		return 0, err
+		return 0, walog.Ticket{}, err
 	}
 	k, reissued, err := c.applyNextLocked(v)
 	if err != nil {
-		c.mu.Unlock()
 		c.ops.errs.Inc()
-		return 0, err
+		return 0, walog.Ticket{}, err
 	}
 	t := c.logLocked(journalRec{Kind: jNext, ID: id, Task: k})
 	c.ops.next.Inc()
@@ -443,11 +472,7 @@ func (c *Coordinator) NextTask(id VolunteerID) (TaskID, error) {
 	if c.ops.enabled() {
 		c.ops.nextLat.Observe(time.Since(start).Seconds())
 	}
-	c.mu.Unlock()
-	if err := c.waitDurable(t); err != nil {
-		return 0, err
-	}
-	return k, nil
+	return k, t, nil
 }
 
 // applyNextLocked is the deterministic core of NextTask. An error means
@@ -549,29 +574,33 @@ type auditDecision struct {
 // outstanding tasks are recycled). Submit reports whether the submission
 // was audited and found bad.
 func (c *Coordinator) Submit(id VolunteerID, k TaskID, result int64) (caught bool, err error) {
+	caught, t, err := c.submit(id, k, result)
+	return caught, c.durable(t, err)
+}
+
+// submit is Submit up to its journal wait.
+func (c *Coordinator) submit(id VolunteerID, k TaskID, result int64) (bool, walog.Ticket, error) {
 	var start time.Time
 	if c.ops.enabled() {
 		start = time.Now()
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err := c.checkWritableLocked(); err != nil {
-		c.mu.Unlock()
 		c.ops.errs.Inc()
-		return false, err
+		return false, walog.Ticket{}, err
 	}
 	v, err := c.activeLocked(id)
 	if err != nil {
-		c.mu.Unlock()
 		c.ops.errs.Inc()
-		return false, err
+		return false, walog.Ticket{}, err
 	}
 	if !v.out[k] {
-		c.mu.Unlock()
 		c.ops.errs.Inc()
-		return false, fmt.Errorf("%w: volunteer %d, task %d", ErrNotIssuedToYou, id, k)
+		return false, walog.Ticket{}, fmt.Errorf("%w: volunteer %d, task %d", ErrNotIssuedToYou, id, k)
 	}
 	var d auditDecision
-	caught = c.applySubmitLocked(v, k, result, &d)
+	caught := c.applySubmitLocked(v, k, result, &d)
 	t := c.logLocked(journalRec{
 		Kind: jSubmit, ID: id, Task: k, Result: result,
 		Audited: d.audited, Caught: d.caught,
@@ -589,11 +618,7 @@ func (c *Coordinator) Submit(id VolunteerID, k TaskID, result int64) (caught boo
 	if c.ops.enabled() {
 		c.ops.submitLat.Observe(time.Since(start).Seconds())
 	}
-	c.mu.Unlock()
-	if werr := c.waitDurable(t); werr != nil {
-		return caught, werr
-	}
-	return caught, nil
+	return caught, t, nil
 }
 
 // applySubmitLocked is the deterministic core of Submit: given the audit
@@ -684,7 +709,7 @@ func (c *Coordinator) ExpireLeases() (int, error) {
 	}
 	c.mu.Unlock()
 	for _, t := range tickets {
-		if err := c.waitDurable(t); err != nil {
+		if err := c.durable(t, nil); err != nil {
 			return len(tickets), err
 		}
 	}
@@ -771,7 +796,7 @@ func (c *Coordinator) Rebalance() error {
 		t = c.logLocked(journalRec{Kind: jRebalance})
 	}
 	c.mu.Unlock()
-	return c.waitDurable(t)
+	return c.durable(t, nil)
 }
 
 // applyRebalanceLocked is the deterministic core of Rebalance (map
