@@ -232,8 +232,7 @@ func run() int {
 		// durable, and the snapshot's embedded cut resolves any crash
 		// window between a snapshot write and the log reset.
 		var replayed int
-		wal, replayed, err = tabled.OpenWAL(*walPath,
-			func(rec tabled.WALRecord) error { return tabled.ApplyWALRecord(sh, rec) },
+		wal, replayed, err = tabled.OpenWAL(*walPath, sh,
 			tabled.WALOptions{
 				Metrics:       m,
 				WrapFile:      injector.WrapWALFile,

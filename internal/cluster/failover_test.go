@@ -47,9 +47,7 @@ func startReplPair(t *testing.T, rows, cols int64) *replPair {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, _, err := tabled.OpenWAL(filepath.Join(dir, name),
-			func(rec tabled.WALRecord) error { return tabled.ApplyWALRecord(b, rec) },
-			tabled.WALOptions{})
+		w, _, err := tabled.OpenWAL(filepath.Join(dir, name), b, tabled.WALOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

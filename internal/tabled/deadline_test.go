@@ -100,7 +100,7 @@ func TestWALWaitDeadline(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr, func(t *testing.T) {
 			ss := &stallSync{entered: make(chan struct{}, 1), release: make(chan struct{})}
-			wal, _, err := OpenWAL(filepath.Join(t.TempDir(), "table.wal"), func(WALRecord) error { return nil },
+			wal, _, err := OpenWAL(filepath.Join(t.TempDir(), "table.wal"), newWALBackend(t, 8, 8),
 				WALOptions{WrapFile: func(f WALFile) WALFile { ss.WALFile = f; return ss }})
 			if err != nil {
 				t.Fatal(err)

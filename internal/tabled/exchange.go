@@ -194,8 +194,9 @@ func (s *server) answer(ctx context.Context, deadline time.Time, key []byte, min
 	return out, rep.pos, http.StatusOK, ""
 }
 
-// walPos is the WAL's commit position: the number of records logged,
-// counting those checkpointed away. 0 without a WAL.
+// walPos is the WAL's durable position: the number of records durably
+// logged, counting those checkpointed away. 0 without a WAL. A write
+// batch reports the position just past its own last record instead.
 func (s *server) walPos() uint64 {
 	if s.opt.WAL == nil {
 		return 0

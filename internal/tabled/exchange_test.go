@@ -212,7 +212,7 @@ func TestConnPoolRefusalsMatchHTTP(t *testing.T) {
 func openTestWAL(t *testing.T, fi *FaultInjector) *WAL {
 	t.Helper()
 	wal, _, err := OpenWAL(filepath.Join(t.TempDir(), "table.wal"),
-		func(WALRecord) error { return nil }, WALOptions{WrapFile: fi.WrapWALFile})
+		newWALBackend(t, 8, 8), WALOptions{WrapFile: fi.WrapWALFile})
 	if err != nil {
 		t.Fatal(err)
 	}

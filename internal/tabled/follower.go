@@ -29,22 +29,33 @@ import (
 // the next pull is an honest durability acknowledgement, which is what
 // the primary's ReplGate builds semi-synchronous acks out of.
 //
+// The primary serves records once written, before its own fsync, so the
+// follower may hold records the primary has not yet made durable (or
+// acknowledged): its position can run past the durable horizon the
+// replies carry (Lag then reads 0).
+//
 // A follower MAY checkpoint its own WAL: record numbering is absolute
 // (the log's durable .state sidecar keeps the base sequence across
 // truncations), so compaction never changes the position the follower
 // presents. What it must never do is write records of its own — its log
-// stays a byte-identical SUFFIX of the primary's stream.
+// stays a byte-identical copy of a stretch of the primary's stream.
 //
 // Divergence comes in two flavors. With no reseed capability (zero
 // SnapshotPath/Restore), a primary answering 410 (our records were
 // checkpointed away before we pulled them) or 409 (we hold records the
-// primary never wrote) is a sticky failure: the loop stops, Err reports
-// it, and /v1/repl/status carries it. With reseed configured, a 410 — or
-// a 409 from a primary at a HIGHER epoch (our history forked at a
-// failover we lost) — triggers an automatic rebuild from the primary's
+// primary does not) is a sticky failure: the loop stops, Err reports it,
+// and /v1/repl/status carries it. With reseed configured, a 410 — or a
+// 409 from a primary at a HIGHER epoch (our history forked at a failover
+// we lost) — triggers an automatic rebuild from the primary's
 // /v1/repl/snapshot (see reseed.go and DESIGN §5e). A 409 from a primary
-// at our own epoch still sticks: same-epoch divergence means corruption
-// or misconfiguration, and guessing is how split brains happen. An epoch
+// at our own epoch (we hold records past what its process booted with or
+// served) reseeds only when it proves the primary merely lost records it
+// had written and never synced (an OS crash, a failed fsync): this
+// process saw the primary's durable horizon on an earlier reply, and the
+// 409's committed is not below it. Every record we then drop is one
+// the primary never reported durable, so no client was acknowledged for
+// it. Any other same-epoch 409 still sticks: it means corruption or
+// misconfiguration, and guessing is how split brains happen. An epoch
 // REGRESSION (the source is behind us) always sticks — that source is a
 // stale primary and must never be re-followed.
 
@@ -84,7 +95,7 @@ func NewFollower(b Backend[string], wal *WAL, applied uint64, opt FollowerOption
 	if opt.Retry == nil {
 		opt.Retry = &retry.Policy{Base: 100 * time.Millisecond, Max: 2 * time.Second, MaxAttempts: -1}
 	}
-	f := &Follower{b: b, wal: wal, opt: opt, stopped: make(chan struct{})}
+	f := &Follower{wal: wal, opt: opt, applier: walApplier{b: b}, stopped: make(chan struct{})}
 	f.applied.Store(applied)
 	return f
 }
@@ -93,12 +104,12 @@ func NewFollower(b Backend[string], wal *WAL, applied uint64, opt FollowerOption
 // Safe for concurrent use; Run is the pull loop, everything else observes
 // or stops it.
 type Follower struct {
-	b   Backend[string]
 	wal *WAL
 	opt FollowerOptions
 
 	applied  atomic.Uint64 // records durably applied locally
-	primNext atomic.Uint64 // primary's committed horizon at last pull
+	primNext atomic.Uint64 // primary's durable horizon at last pull
+	primSeen atomic.Bool   // primNext holds a horizon a reply reported
 	promoted atomic.Bool
 
 	reseeds    atomic.Uint64 // completed snapshot-transfer reseeds
@@ -110,10 +121,11 @@ type Follower struct {
 	// not match the WAL cut. Exposed via GuardInstall.
 	installMu sync.Mutex
 
-	// The pull connection and the buffer its replies are read into, used
-	// by the Run goroutine alone.
+	// The pull connection, the buffer its replies are read into and the
+	// applier of their records, used by the Run goroutine alone.
 	conn    *clientConn
 	pullBuf []byte
+	applier walApplier
 
 	mu      sync.Mutex
 	err     error              // sticky divergence/apply failure
@@ -127,8 +139,9 @@ func (f *Follower) Source() string { return f.opt.Source }
 // Applied returns the follower's durable replication position.
 func (f *Follower) Applied() uint64 { return f.applied.Load() }
 
-// Lag returns the record lag behind the primary's committed horizon as
-// of the last successful pull (0 while caught up or never connected).
+// Lag returns the record lag behind the primary's durable horizon as of
+// the last successful pull (0 while caught up, ahead of it, or never
+// connected).
 func (f *Follower) Lag() uint64 {
 	if n, a := f.primNext.Load(), f.applied.Load(); n > a {
 		return n - a
@@ -268,15 +281,25 @@ func (f *Follower) pullOnce(ctx context.Context) error {
 			return &reseedNeeded{reason: fmt.Sprintf("history forked at epoch %d (%s): %s",
 				rep.epoch, statusText(rep.status), rep.msg)}
 		}
-		// Same-epoch conflict: we hold records the source never wrote,
-		// with no promotion to explain it. That is true divergence —
-		// reseeding would silently discard locally-durable records.
+		if f.primSeen.Load() && rep.committed >= f.primNext.Load() && f.reseedCapable() {
+			// Same epoch, and the source still holds every record it ever
+			// told us was durable: what we hold past its log is a suffix
+			// it wrote, served and lost unsynced. It acknowledged none of
+			// it, so a reseed drops nothing a client was promised.
+			return &reseedNeeded{reason: fmt.Sprintf("source lost unsynced records past %d (%s): %s",
+				rep.committed, statusText(rep.status), rep.msg)}
+		}
+		// Same-epoch conflict with no such proof: we hold records the
+		// source may have reported durable, with no promotion to explain
+		// it. That is true divergence — reseeding could silently discard
+		// acknowledged writes.
 		return retry.Permanent(fmt.Errorf("tabled: follower diverged from %s (%s): %s",
 			f.opt.Source, statusText(rep.status), rep.msg))
 	default:
 		return fmt.Errorf("tabled: repl pull: %s: %s", statusText(rep.status), rep.msg)
 	}
 	f.primNext.Store(rep.committed)
+	f.primSeen.Store(true)
 	if rep.epoch > localEpoch {
 		// The chunk we are about to apply was written under a newer
 		// primary epoch; record the transition durably before applying so
@@ -292,12 +315,8 @@ func (f *Follower) pullOnce(ctx context.Context) error {
 	// are durable), and re-applying is idempotent.
 	var last walog.Ticket
 	n, err := walog.ReadStream(rep.frames, func(payload []byte) error {
-		rec, err := DecodeRecord(payload)
-		if err != nil {
+		if err := f.applier.apply(payload); err != nil {
 			return retry.Permanent(fmt.Errorf("tabled: repl apply: %w", err))
-		}
-		if err := ApplyWALRecord(f.b, rec); err != nil {
-			return retry.Permanent(err)
 		}
 		last = f.wal.Enqueue(payload)
 		return nil
@@ -306,7 +325,7 @@ func (f *Follower) pullOnce(ctx context.Context) error {
 		if werr := last.Wait(context.Background(), time.Time{}); werr != nil {
 			return retry.Permanent(fmt.Errorf("tabled: repl append: %w", werr))
 		}
-		f.applied.Add(uint64(n))
+		f.wal.vouch(f.applied.Add(uint64(n)))
 	}
 	f.opt.Metrics.replApplied(n, f.Lag())
 	if err != nil {

@@ -92,7 +92,7 @@ func NewMetrics(reg *obs.Registry, nshards int) *Metrics {
 	reg.Help("tabled_repl_served_bytes_total", "Framed bytes served to followers in pull exchanges.")
 	reg.Help("tabled_repl_pulls_total", "Pull exchanges this follower got a reply to, by result: ok (200), diverged (409, 410), error (other).")
 	reg.Help("tabled_repl_applied_records_total", "Primary WAL records applied by this follower.")
-	reg.Help("tabled_repl_lag_records", "Follower record lag behind the primary's committed horizon at the last pull.")
+	reg.Help("tabled_repl_lag_records", "Follower record lag behind the primary's durable horizon at the last pull.")
 	reg.Help("tabled_repl_promotions_total", "Follower-to-primary promotions performed.")
 	reg.Help("tabled_repl_promote_duration_seconds", "Latency of the promote transition (pull-loop stop through writable flip).")
 	reg.Help("tabled_repl_ack_waits_total", "Write batches that waited on the replication ack gate.")

@@ -19,7 +19,7 @@ import (
 )
 
 // This file is the server half of per-range WAL replication (DESIGN §5d):
-// a primary serves its committed log suffix as raw CRC-framed bytes over
+// a primary serves its written log suffix as raw CRC-framed bytes over
 // persistent upgraded connections (docs/WIRE.md §8), a follower
 // (follower.go) pulls and re-applies them, and an explicit promotion flips
 // the follower writable when the primary dies.
@@ -29,7 +29,14 @@ import (
 // follower (it only advances `from` after its own fsync). That one number
 // is what makes semi-synchronous acks possible with a pull protocol: the
 // primary's ReplGate watches the acknowledged horizon and holds each
-// write's response until the horizon covers it.
+// write's response until the horizon covers it. Records are served once
+// written, before the primary's own fsync completes, so the two fsyncs
+// overlap; a write is acknowledged only after both — its own WAL wait and
+// the gate. The reply's committed field stays the primary's durable
+// horizon, which may trail what the follower holds. A crash can take an
+// unsynced suffix the follower already holds, so a same-epoch from is
+// trusted only up to what this process booted with or served
+// (WAL.vouched).
 
 // Replication endpoints, mounted by NewHandler when ServerOptions.Repl is
 // set:
@@ -90,8 +97,9 @@ type ReplStatus struct {
 	Source string `json:"source,omitempty"`
 	// Applied is the follower's replication position (followers only).
 	Applied uint64 `json:"applied,omitempty"`
-	// Lag is the follower's record lag behind the primary's committed
-	// horizon as of the last pull (followers only).
+	// Lag is the follower's record lag behind the primary's durable
+	// horizon as of the last pull (followers only; 0 once the follower
+	// holds records the primary has not yet synced).
 	Lag uint64 `json:"lag"`
 	// Err is the follower's sticky replication failure, if any (e.g.
 	// detected divergence).
@@ -206,7 +214,7 @@ func (rp *Repl) handleConn(w http.ResponseWriter, r *http.Request, rt *obs.Route
 }
 
 // A replReply is the answer to one pull (docs/WIRE.md §8): the status, the
-// next sequence to ask for, the committed horizon, the epoch, and either
+// next sequence to ask for, the durable horizon, the epoch, and either
 // the frames (200) or the refusal text.
 type replReply struct {
 	status          int
@@ -244,9 +252,9 @@ func (rp *Repl) exchange(ctx context.Context, br *bufio.Reader, bw *bufio.Writer
 	return true
 }
 
-// pull answers one pull: the committed frames from sequence from on, after
+// pull answers one pull: the written frames from sequence from on, after
 // long-polling up to wait (or until ctx ends) while nothing past from is
-// committed. from is also the follower's durability acknowledgement — it
+// written. from is also the follower's durability acknowledgement — it
 // feeds the gate before anything else, so acks release even on pulls that
 // then just long-poll. reqEpoch is the follower's epoch.
 func (rp *Repl) pull(ctx context.Context, from, reqEpoch uint64, wait time.Duration, maxBytes int) replReply {
@@ -278,13 +286,22 @@ func (rp *Repl) pull(ctx context.Context, from, reqEpoch uint64, wait time.Durat
 				reqEpoch, barrier, from))
 		}
 	default:
+		// A from past every record this process can vouch for names
+		// records a crash took from this log before its fsync, and the
+		// log may have written others at those sequences since: serving
+		// on would fork the follower silently, and its from would
+		// acknowledge records it does not hold.
+		if v := rp.WAL.vouched.Load(); from > v {
+			return refuse(http.StatusConflict, fmt.Sprintf(
+				"tabled: asked %d, past the %d records this process booted with or served (diverged histories)", from, v))
+		}
 		rp.Gate.Advance(from)
 	}
-	// Long-poll until something past `from` is committed; "nothing new
+	// Long-poll until something past `from` is written; "nothing new
 	// before the window closed" is a success with no frames.
 	if wait > 0 {
 		wctx, cancel := context.WithTimeout(ctx, wait)
-		rp.WAL.WaitCommitted(wctx, from+1)
+		rp.WAL.WaitWritten(wctx, from+1)
 		cancel()
 	}
 	frames, next, err := rp.WAL.Tail(from, maxBytes)
@@ -293,11 +310,14 @@ func (rp *Repl) pull(ctx context.Context, from, reqEpoch uint64, wait time.Durat
 		// The records were checkpointed away; the follower must resync.
 		return refuse(http.StatusGone, err.Error())
 	case errors.Is(err, walog.ErrSeqAhead):
-		// The follower knows records this log never wrote: divergence.
+		// The follower knows records this log does not hold: divergence,
+		// or a suffix this log wrote, served and lost unsynced (the
+		// reply's committed tells the follower which; see follower.go).
 		return refuse(http.StatusConflict, err.Error())
 	case err != nil:
 		return refuse(http.StatusInternalServerError, err.Error())
 	}
+	rp.WAL.vouch(next)
 	_, committed := rp.WAL.SeqState()
 	rp.Metrics.replServe(len(frames), int(next-from))
 	// Tail never crosses an epoch mark, so one epoch describes the whole

@@ -26,7 +26,7 @@ type replNode struct {
 	srv  *httptest.Server
 }
 
-func startReplNode(t *testing.T, path string, build func(n *replNode) ServerOptions) *replNode {
+func startReplNode(t testing.TB, path string, build func(n *replNode) ServerOptions) *replNode {
 	t.Helper()
 	n := &replNode{b: newWALBackend(t, 16, 16)}
 	var replayed int
@@ -40,7 +40,7 @@ func startReplNode(t *testing.T, path string, build func(n *replNode) ServerOpti
 }
 
 // startPrimary builds a primary serving follower pulls (gate optional).
-func startPrimary(t *testing.T, dir string, gate *ReplGate) *replNode {
+func startPrimary(t testing.TB, dir string, gate *ReplGate) *replNode {
 	t.Helper()
 	return startReplNode(t, dir+"/primary.wal", func(n *replNode) ServerOptions {
 		n.repl = &Repl{WAL: n.wal, Gate: gate}
@@ -50,7 +50,7 @@ func startPrimary(t *testing.T, dir string, gate *ReplGate) *replNode {
 
 // startFollower builds a follower of source and runs its pull loop until
 // the test ends.
-func startFollower(t *testing.T, dir string, source string) (*replNode, *Follower) {
+func startFollower(t testing.TB, dir string, source string) (*replNode, *Follower) {
 	t.Helper()
 	var f *Follower
 	writable := obs.NewFlag(false)

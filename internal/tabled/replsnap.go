@@ -136,6 +136,7 @@ func (rs *ReplSnapshots) handle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer f.Close()
+	rs.WAL.vouch(seq)
 	q := r.URL.Query()
 	start := int64(0)
 	if os_, ok := parseResume(q.Get("seq"), q.Get("offset"), seq, size); ok {

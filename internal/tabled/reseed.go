@@ -81,6 +81,7 @@ func (f *Follower) reseed(ctx context.Context, rn *reseedNeeded) error {
 		if err := f.wal.ResetTo(snap.ReplSeq, snap.ReplEpoch); err != nil {
 			return retry.Permanent(fmt.Errorf("tabled: reseed: wal reset: %w", err))
 		}
+		f.wal.vouched.Store(snap.ReplSeq) // the log now holds the source's history alone
 		if err := f.opt.Restore(snap); err != nil {
 			return retry.Permanent(fmt.Errorf("tabled: reseed: restore: %w", err))
 		}

@@ -259,20 +259,16 @@ func (s *server) readOnlyMsg() string {
 
 // replAck is the semi-synchronous replication gate: a write batch that
 // executed and logged locally parks here until the follower's pull
-// horizon confirms it is durable remotely too, or the gate times out, or
-// the batch's deadline passes, and the ack is refused (503, retryable).
+// horizon reaches pos — the sequence just past the batch's last record —
+// confirming it is durable remotely too, or the gate times out, or the
+// batch's deadline passes, and the ack is refused (503, retryable).
 // No-op without a configured gate — the common path costs one nil check.
-// serve calls it for writes only.
-func (s *server) replAck(ctx context.Context, deadline time.Time) error {
+// serve calls it for writes only, after the batch's own WAL waits.
+func (s *server) replAck(ctx context.Context, deadline time.Time, pos uint64) error {
 	if s.opt.Repl == nil || s.opt.Repl.Gate == nil || s.opt.WAL == nil {
 		return nil
 	}
-	// Every record of this batch is ≤ the committed horizon now (Append
-	// fsyncs before returning), so waiting for the follower to reach the
-	// horizon covers the batch. Concurrent writers can push the horizon a
-	// little past it — over-waiting by a few records, never under.
-	_, next := s.opt.WAL.SeqState()
-	err := s.opt.Repl.Gate.Wait(ctx, deadline, next)
+	err := s.opt.Repl.Gate.Wait(ctx, deadline, pos)
 	s.opt.Metrics.replAckWait(errors.Is(err, ErrReplAckTimeout))
 	return err
 }
@@ -588,7 +584,7 @@ func (s *server) serve(ctx context.Context, deadline time.Time, key string, minP
 	if writes && !s.opt.Writable.Get() {
 		return batchReply{status: http.StatusServiceUnavailable, msg: s.readOnlyMsg()}
 	}
-	results, err := s.executeInto(ctx, deadline, ops, scr)
+	results, pos, err := s.executeInto(ctx, deadline, ops, scr)
 	if err != nil {
 		// The batch was applied in memory but not made durable in time, or
 		// could not be: refuse the ack. The client retries and either
@@ -604,9 +600,12 @@ func (s *server) serve(ctx context.Context, deadline time.Time, key string, minP
 	if !writes {
 		return batchReply{status: http.StatusOK, results: results}
 	}
-	// Read before the ack wait, which only ever lets the log grow.
-	pos := s.walPos()
-	if err := s.replAck(ctx, deadline); err != nil {
+	if pos == 0 {
+		// The batch logged nothing (every set failed): report, and wait
+		// on, the durable horizon instead.
+		pos = s.walPos()
+	}
+	if err := s.replAck(ctx, deadline, pos); err != nil {
 		return batchReply{status: http.StatusServiceUnavailable, msg: refusalMsg(err)}
 	}
 	if Expired(deadline) {
@@ -629,11 +628,13 @@ func (s *server) serve(ctx context.Context, deadline time.Time, key string, minP
 // cell. All working storage comes from scr; the returned results alias
 // scr.results and are valid until scr is reused. When a WAL is configured,
 // each applied set run (its successful cells) and each applied resize is
-// logged and fsynced before executeInto returns; a non-nil walErr means
-// the batch is not durable and the caller must not acknowledge it: the
-// WAL failed (the server is now degraded), or a sync wait ended with ctx
-// or at deadline (waitEnded; the records stay queued for the next sync).
-func (s *server) executeInto(ctx context.Context, deadline time.Time, ops []Op, scr *wireScratch) (results []OpResult, walErr error) {
+// logged and fsynced before executeInto returns, and pos is the sequence
+// just past the last record logged (0 when none was); a non-nil walErr
+// means the batch is not durable and the caller must not acknowledge it:
+// the WAL failed (the server is now degraded), or a sync wait ended with
+// ctx or at deadline (waitEnded; the records stay queued for the next
+// sync).
+func (s *server) executeInto(ctx context.Context, deadline time.Time, ops []Op, scr *wireScratch) (results []OpResult, pos uint64, walErr error) {
 	results = scr.growResults(len(ops))
 	for i := 0; i < len(ops); {
 		j := i + 1
@@ -663,12 +664,12 @@ func (s *server) executeInto(ctx context.Context, deadline time.Time, ops []Op, 
 			}
 			if s.opt.WAL != nil && len(acked) > 0 {
 				var err error
-				if scr.rec, err = s.opt.WAL.appendSet(ctx, deadline, scr.rec, acked); err != nil {
+				if scr.rec, pos, err = s.opt.WAL.appendSet(ctx, deadline, scr.rec, acked); err != nil {
 					if !waitEnded(err) {
 						s.degrade(err)
 					}
 					s.opt.Metrics.op(ops[i].Op, j-i, time.Since(start), true)
-					return results, err
+					return results, 0, err
 				}
 			}
 		case "get":
@@ -694,14 +695,15 @@ func (s *server) executeInto(ctx context.Context, deadline time.Time, ops []Op, 
 			} else {
 				results[i] = OpResult{OK: true}
 				if s.opt.WAL != nil {
-					rec := encodeResizeRecord(ops[i].Rows, ops[i].Cols)
-					if err := s.opt.WAL.Enqueue(rec).Wait(ctx, deadline); err != nil {
+					t := s.opt.WAL.Enqueue(encodeResizeRecord(ops[i].Rows, ops[i].Cols))
+					if err := t.Wait(ctx, deadline); err != nil {
 						if !waitEnded(err) {
 							s.degrade(err)
 						}
 						s.opt.Metrics.op(ops[i].Op, 1, time.Since(start), true)
-						return results, err
+						return results, 0, err
 					}
+					pos = t.Seq()
 				}
 			}
 		case "dims":
@@ -719,7 +721,7 @@ func (s *server) executeInto(ctx context.Context, deadline time.Time, ops []Op, 
 		s.opt.Metrics.op(ops[i].Op, j-i, time.Since(start), failed)
 		i = j
 	}
-	return results, nil
+	return results, pos, nil
 }
 
 // idemCache is a bounded FIFO map of Idempotency-Key → recorded §4

@@ -30,8 +30,7 @@ func newWALServer(t *testing.T, fi *FaultInjector, extra func(*ServerOptions)) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal, _, err := OpenWAL(filepath.Join(t.TempDir(), "table.wal"),
-		func(rec WALRecord) error { return ApplyWALRecord(table, rec) },
+	wal, _, err := OpenWAL(filepath.Join(t.TempDir(), "table.wal"), table,
 		WALOptions{Metrics: m, WrapFile: fi.WrapWALFile})
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +413,7 @@ func TestServerWALDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal, _, err := OpenWAL(walPath, func(rec WALRecord) error { return ApplyWALRecord(table, rec) },
+	wal, _, err := OpenWAL(walPath, table,
 		WALOptions{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +439,7 @@ func TestServerWALDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, replayed, err := OpenWAL(walPath, func(rec WALRecord) error { return ApplyWALRecord(recovered, rec) }, WALOptions{})
+	w2, replayed, err := OpenWAL(walPath, recovered, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

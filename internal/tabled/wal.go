@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"pairfn/internal/walog"
@@ -46,9 +47,8 @@ const maxWALChunkCells = 4096
 // ErrWALClosed is returned by appends after Close.
 var ErrWALClosed = walog.ErrClosed
 
-// A WALRecord is one replayed log entry, handed to the apply callback of
-// OpenWAL in log order.
-type WALRecord struct {
+// A walRecord is one decoded log entry.
+type walRecord struct {
 	Kind  byte
 	Cells []Cell[string] // walKindSet
 	Rows  int64          // walKindResize
@@ -88,10 +88,31 @@ type WALOptions struct {
 // The log mechanics (checkpoints, cuts, epochs, the replication stream,
 // Close) are the embedded walog.Log's methods; WAL adds only the tabled
 // record format. The follower re-appends exactly the payload bytes the
-// primary framed (Append), so its log is a byte-identical prefix of the
-// primary's and its record count IS its replication position.
+// primary framed (Enqueue), so its log is a byte-identical copy of a
+// stretch of the primary's and its record count IS its replication
+// position.
 type WAL struct {
 	*walog.Log
+
+	// vouched is the sequence just past every record this process can
+	// vouch a follower got from this log's history: the log it booted
+	// with, what it served (frames or a reseed snapshot's cut) and, on a
+	// follower, what its source gave it. It never passes the written
+	// horizon. A same-epoch puller claiming more holds records this
+	// process never handed out — a suffix a crash took from this log
+	// before its fsync, which the log may since have written anew with
+	// other records at the same sequences (see Repl.pull).
+	vouched atomic.Uint64
+}
+
+// vouch raises the vouched horizon to seq.
+func (w *WAL) vouch(seq uint64) {
+	for {
+		cur := w.vouched.Load()
+		if seq <= cur || w.vouched.CompareAndSwap(cur, seq) {
+			return
+		}
+	}
 }
 
 // walObserver adapts the shared log's instrumentation hook to the tabled
@@ -105,19 +126,14 @@ func (o walObserver) LogReplay(records int, torn bool)   { o.m.walReplay(records
 func (o walObserver) LogCheckpoint()                     { o.m.walCheckpoint() }
 
 // OpenWAL opens (creating if absent) the log at path, replays every intact
-// record through apply in log order, truncates any torn or corrupt tail,
-// and returns the WAL positioned for appends. Replayed records are exactly
+// record into b in log order, truncates any torn or corrupt tail, and
+// returns the WAL positioned for appends. Replayed records are exactly
 // the acknowledged mutations since the snapshot the caller just loaded;
 // applying them is idempotent, so replaying a tail twice (e.g. after a
 // crash during a previous recovery) converges to the same state.
-func OpenWAL(path string, apply func(WALRecord) error, opt WALOptions) (*WAL, int, error) {
-	l, replayed, err := walog.Open(path, func(payload []byte) error {
-		rec, err := decodeWALRecord(payload)
-		if err != nil {
-			return err
-		}
-		return apply(rec)
-	}, walog.Options{
+func OpenWAL(path string, b Backend[string], opt WALOptions) (*WAL, int, error) {
+	a := walApplier{b: b}
+	l, replayed, err := walog.Open(path, a.apply, walog.Options{
 		Observer:      walObserver{opt.Metrics},
 		WrapFile:      opt.WrapFile,
 		Name:          "tabled: wal",
@@ -128,46 +144,44 @@ func OpenWAL(path string, apply func(WALRecord) error, opt WALOptions) (*WAL, in
 	if err != nil {
 		return nil, replayed, err
 	}
-	return &WAL{Log: l}, replayed, nil
+	w := &WAL{Log: l}
+	_, next := l.SeqState() // Open synced every replayed record
+	w.vouched.Store(next)
+	return w, replayed, nil
 }
 
 // AppendSet logs a batch of acknowledged cell writes. It returns only
 // after the record is durable (fsynced, possibly by one fsync shared with
 // concurrent appends). Large batches are split across frames.
 func (w *WAL) AppendSet(cells []Cell[string]) error {
-	_, err := w.appendSet(context.Background(), time.Time{}, nil, cells)
+	_, _, err := w.appendSet(context.Background(), time.Time{}, nil, cells)
 	return err
 }
 
 // appendSet is AppendSet encoding each record into buf, which it returns
 // grown for the caller to pass again: the log writes a payload before
-// Enqueue returns, so buf is free once appendSet does. A wait parked
-// behind another batch's fsync ends with ctx or at deadline (see
+// Enqueue returns, so buf is free once appendSet does. seq is the
+// sequence just past the last record it logged. A wait parked behind
+// another batch's fsync ends with ctx or at deadline (see
 // walog.Ticket.Wait).
-func (w *WAL) appendSet(ctx context.Context, deadline time.Time, buf []byte, cells []Cell[string]) ([]byte, error) {
+func (w *WAL) appendSet(ctx context.Context, deadline time.Time, buf []byte, cells []Cell[string]) (_ []byte, seq uint64, err error) {
 	for len(cells) > 0 {
 		n := min(len(cells), maxWALChunkCells)
 		buf = appendSetRecord(buf[:0], cells[:n])
-		if err := w.Enqueue(buf).Wait(ctx, deadline); err != nil {
-			return buf, err
+		t := w.Enqueue(buf)
+		if err := t.Wait(ctx, deadline); err != nil {
+			return buf, 0, err
 		}
+		seq = t.Seq()
 		cells = cells[n:]
 	}
-	return buf, nil
+	return buf, seq, nil
 }
 
 // AppendResize logs an acknowledged dimension change.
 func (w *WAL) AppendResize(rows, cols int64) error {
 	return w.Append(encodeResizeRecord(rows, cols))
 }
-
-// DecodeRecord parses one frame payload into a typed record — exposed for
-// the follower, which receives primary payloads over the wire and must
-// both apply and re-log them. A set record's values alias payload, which
-// ReadFrames and walog.ReadStream reuse for the next frame: the backend
-// a record is applied to copies what it keeps (see Backend), and anything
-// else that keeps a value past the callback must clone it.
-func DecodeRecord(payload []byte) (WALRecord, error) { return decodeWALRecord(payload) }
 
 // appendSetRecord appends the serialized set batch to dst:
 //
@@ -194,74 +208,94 @@ func encodeResizeRecord(rows, cols int64) []byte {
 	return buf
 }
 
-// decodeWALRecord parses one frame payload. Frames are CRC-protected, so a
-// decode failure here means a version mismatch or an encoder bug, not bit
-// rot — it aborts replay rather than being skipped. Set values alias
-// payload (see DecodeRecord).
-func decodeWALRecord(payload []byte) (WALRecord, error) {
+// decodeWALRecord parses one frame payload, appending a set record's cells
+// to cells (pass a reused slice to decode without allocating). Frames are
+// CRC-protected, so a decode failure here means a version mismatch or an
+// encoder bug, not bit rot — it aborts replay rather than being skipped.
+// A set record's values alias payload, which ReadFrames and
+// walog.ReadStream reuse for the next frame: the backend a record is
+// applied to copies what it keeps (see Backend), and anything else that
+// keeps a value past the callback must clone it.
+func decodeWALRecord(cells []Cell[string], payload []byte) (walRecord, error) {
 	if len(payload) == 0 {
-		return WALRecord{}, errors.New("empty wal record")
+		return walRecord{}, errors.New("empty wal record")
 	}
 	kind, rest := payload[0], payload[1:]
 	switch kind {
 	case walKindSet:
 		count, n := binary.Uvarint(rest)
 		if n <= 0 || count > maxWALChunkCells {
-			return WALRecord{}, fmt.Errorf("wal set record: bad count")
+			return walRecord{}, fmt.Errorf("wal set record: bad count")
 		}
 		rest = rest[n:]
-		cells := make([]Cell[string], 0, count)
 		for i := uint64(0); i < count; i++ {
 			x, n := binary.Varint(rest)
 			if n <= 0 {
-				return WALRecord{}, fmt.Errorf("wal set record: bad x at cell %d", i)
+				return walRecord{}, fmt.Errorf("wal set record: bad x at cell %d", i)
 			}
 			rest = rest[n:]
 			y, n := binary.Varint(rest)
 			if n <= 0 {
-				return WALRecord{}, fmt.Errorf("wal set record: bad y at cell %d", i)
+				return walRecord{}, fmt.Errorf("wal set record: bad y at cell %d", i)
 			}
 			rest = rest[n:]
 			vlen, n := binary.Uvarint(rest)
 			if n <= 0 || uint64(len(rest[n:])) < vlen {
-				return WALRecord{}, fmt.Errorf("wal set record: bad value at cell %d", i)
+				return walRecord{}, fmt.Errorf("wal set record: bad value at cell %d", i)
 			}
 			rest = rest[n:]
 			cells = append(cells, Cell[string]{X: x, Y: y, V: aliasString(rest[:vlen])})
 			rest = rest[vlen:]
 		}
 		if len(rest) != 0 {
-			return WALRecord{}, errors.New("wal set record: trailing bytes")
+			return walRecord{}, errors.New("wal set record: trailing bytes")
 		}
-		return WALRecord{Kind: walKindSet, Cells: cells}, nil
+		return walRecord{Kind: walKindSet, Cells: cells}, nil
 	case walKindResize:
 		rows, n := binary.Varint(rest)
 		if n <= 0 {
-			return WALRecord{}, errors.New("wal resize record: bad rows")
+			return walRecord{}, errors.New("wal resize record: bad rows")
 		}
 		rest = rest[n:]
 		cols, n := binary.Varint(rest)
 		if n <= 0 {
-			return WALRecord{}, errors.New("wal resize record: bad cols")
+			return walRecord{}, errors.New("wal resize record: bad cols")
 		}
 		if len(rest[n:]) != 0 {
-			return WALRecord{}, errors.New("wal resize record: trailing bytes")
+			return walRecord{}, errors.New("wal resize record: trailing bytes")
 		}
-		return WALRecord{Kind: walKindResize, Rows: rows, Cols: cols}, nil
+		return walRecord{Kind: walKindResize, Rows: rows, Cols: cols}, nil
 	}
-	return WALRecord{}, fmt.Errorf("unknown wal record kind %d", kind)
+	return walRecord{}, fmt.Errorf("unknown wal record kind %d", kind)
 }
 
-// ApplyWALRecord applies one replayed record to a backend — the shared
-// replay step used by the server at boot and by recovery tests. Per-cell
-// bounds errors are impossible for records that were acknowledged against
-// the same state evolution (resizes replay in order too), so any error is
-// surfaced.
-func ApplyWALRecord(b Backend[string], rec WALRecord) error {
+// A walApplier decodes log records and applies them to one backend — the
+// replay step of a boot (OpenWAL) and of a follower's pulls. It keeps one
+// cells and one errs slice across records, so applying a record allocates
+// nothing of its own: both paths apply thousands of records, and the
+// follower's sits on the semi-sync ack path. Not safe for concurrent use.
+type walApplier struct {
+	b     Backend[string]
+	cells []Cell[string]
+	errs  []error
+}
+
+// apply decodes payload and applies it. Per-cell bounds errors are
+// impossible for records that were acknowledged against the same state
+// evolution (resizes replay in order too), so any error is surfaced.
+func (a *walApplier) apply(payload []byte) error {
+	rec, err := decodeWALRecord(a.cells[:0], payload)
+	if err != nil {
+		return err
+	}
 	switch rec.Kind {
 	case walKindSet:
-		errs := make([]error, len(rec.Cells))
-		b.SetBatchInto(rec.Cells, errs)
+		a.cells = rec.Cells
+		if cap(a.errs) < len(rec.Cells) {
+			a.errs = make([]error, len(rec.Cells))
+		}
+		errs := a.errs[:len(rec.Cells)]
+		a.b.SetBatchInto(rec.Cells, errs)
 		for _, err := range errs {
 			if err != nil {
 				return fmt.Errorf("tabled: wal replay set: %w", err)
@@ -269,7 +303,7 @@ func ApplyWALRecord(b Backend[string], rec WALRecord) error {
 		}
 		return nil
 	case walKindResize:
-		if err := b.Resize(rec.Rows, rec.Cols); err != nil {
+		if err := a.b.Resize(rec.Rows, rec.Cols); err != nil {
 			return fmt.Errorf("tabled: wal replay resize: %w", err)
 		}
 		return nil

@@ -14,7 +14,7 @@ import (
 )
 
 // newWALBackend returns an empty sharded table for WAL tests.
-func newWALBackend(t *testing.T, rows, cols int64) *Sharded[string] {
+func newWALBackend(t testing.TB, rows, cols int64) *Sharded[string] {
 	t.Helper()
 	s, err := NewSharded[string](core.SquareShell{}, 4, slabStore, rows, cols, nil)
 	if err != nil {
@@ -42,9 +42,9 @@ func tableState(t *testing.T, b Backend[string]) map[[2]int64]string {
 	return state
 }
 
-func openWALInto(t *testing.T, path string, b Backend[string], opt WALOptions) (*WAL, int) {
+func openWALInto(t testing.TB, path string, b Backend[string], opt WALOptions) (*WAL, int) {
 	t.Helper()
-	w, replayed, err := OpenWAL(path, func(rec WALRecord) error { return ApplyWALRecord(b, rec) }, opt)
+	w, replayed, err := OpenWAL(path, b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +112,11 @@ func TestWALRoundTrip(t *testing.T) {
 // TestWALReplaySurfacesCellErrors: a replayed set record whose cell the
 // table cannot take aborts recovery, wherever in the record the cell sits.
 func TestWALReplaySurfacesCellErrors(t *testing.T) {
-	rec := WALRecord{Kind: walKindSet, Cells: []Cell[string]{
+	rec := appendSetRecord(nil, []Cell[string]{
 		{X: 1, Y: 1, V: "fits"}, {X: 2, Y: 2, V: "fits"}, {X: 9, Y: 1, V: "out of bounds"},
-	}}
-	err := ApplyWALRecord(newWALBackend(t, 8, 8), rec)
+	})
+	a := walApplier{b: newWALBackend(t, 8, 8)}
+	err := a.apply(rec)
 	if !errors.Is(err, extarray.ErrBounds) {
 		t.Fatalf("replaying an out-of-bounds last cell: %v, want ErrBounds", err)
 	}
@@ -434,23 +435,23 @@ func TestWALTornWriteFault(t *testing.T) {
 func TestWALRecordCodecFuzzish(t *testing.T) {
 	// Hand-rolled decode must reject truncations of valid records.
 	rec := appendSetRecord(nil, []Cell[string]{{X: -5, Y: 1 << 40, V: "signed and big"}})
-	if _, err := decodeWALRecord(rec); err != nil {
+	if _, err := decodeWALRecord(nil, rec); err != nil {
 		t.Fatalf("valid record rejected: %v", err)
 	}
 	for cut := 0; cut < len(rec); cut++ {
-		if _, err := decodeWALRecord(rec[:cut]); err == nil {
+		if _, err := decodeWALRecord(nil, rec[:cut]); err == nil {
 			t.Fatalf("truncated record at %d accepted", cut)
 		}
 	}
 	rz := encodeResizeRecord(7, 9)
-	got, err := decodeWALRecord(rz)
+	got, err := decodeWALRecord(nil, rz)
 	if err != nil || got.Rows != 7 || got.Cols != 9 {
 		t.Fatalf("resize decode: %+v, %v", got, err)
 	}
-	if _, err := decodeWALRecord([]byte{99}); err == nil {
+	if _, err := decodeWALRecord(nil, []byte{99}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if _, err := decodeWALRecord(nil); err == nil {
+	if _, err := decodeWALRecord(nil, nil); err == nil {
 		t.Fatal("empty record accepted")
 	}
 }
@@ -459,8 +460,10 @@ func TestWALRecordCodecFuzzish(t *testing.T) {
 // the benchmark's two shapes, 256×256 (node-read) and 8×8192 (node-skinny),
 // set in 128-cell records, each copied into one reused frame buffer as
 // extarray.ReadFrames hands it over, then decoded and applied to a fresh
-// 16-shard SlabStore table. Decoded values alias that buffer, so the
-// allocations it reports are per record and per arena chunk, not per cell.
+// 16-shard SlabStore table by one walApplier, as OpenWAL does. Decoded
+// values alias that buffer and the applier reuses its scratch, so the
+// allocations it reports are per arena chunk and per table, not per record
+// or per cell.
 func BenchmarkWALReplay(b *testing.B) {
 	const batch = 128
 	for _, shape := range []struct{ rows, cols int64 }{{256, 256}, {8, 8192}} {
@@ -485,18 +488,16 @@ func BenchmarkWALReplay(b *testing.B) {
 			b.ReportAllocs()
 			var frame []byte
 			var s *Sharded[string]
+			var a walApplier
 			for i := 0; i < b.N; i++ {
 				var err error
 				if s, err = NewSharded[string](core.SquareShell{}, 16, slabStore, shape.rows, shape.cols, nil); err != nil {
 					b.Fatal(err)
 				}
+				a.b = s
 				for _, rec := range records {
 					frame = append(frame[:0], rec...)
-					r, err := decodeWALRecord(frame)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := ApplyWALRecord(s, r); err != nil {
+					if err := a.apply(frame); err != nil {
 						b.Fatal(err)
 					}
 				}

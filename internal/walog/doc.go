@@ -23,6 +23,10 @@
 // is prefix-closed: if record n survives a crash, so does every record
 // before it — which is what makes sequence-gated replay (skip records at
 // or below the checkpoint's op counter) idempotent and torn-cut safe.
+// Open fsyncs what it replayed before counting it durable. The
+// replication stream (stream.go) serves a record once it is written, so
+// a follower's fsync can overlap the owner's; SeqState still reports only
+// the durable horizon.
 //
 // Any append or sync failure is sticky: the log can no longer attest
 // durability, so every later append returns the original error and the

@@ -261,16 +261,17 @@ func (l *Log) ResetTo(seq, epoch uint64) error {
 	}
 	if err := l.f.Truncate(0); err != nil {
 		l.failed = fmt.Errorf("%s: reset truncate: %w", l.name, err)
-		l.wakeCommittedLocked()
+		l.wakeWrittenLocked()
 		return l.failed
 	}
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		l.failed = fmt.Errorf("%s: reset seek: %w", l.name, err)
-		l.wakeCommittedLocked()
+		l.wakeWrittenLocked()
 		return l.failed
 	}
 	l.size = 0
 	l.synced = 0
+	l.end = 0
 	l.gen++
 	l.base = seq
 	l.offs = l.offs[:0]
@@ -279,10 +280,8 @@ func (l *Log) ResetTo(seq, epoch uint64) error {
 	} else {
 		l.marks = nil
 	}
-	if l.committed != seq {
-		l.committed = seq
-	}
-	l.wakeCommittedLocked()
+	l.committed = seq
+	l.wakeWrittenLocked()
 	if err := l.syncLocked(); err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -223,36 +224,43 @@ func TestReadStreamTornMidStream(t *testing.T) {
 	}
 }
 
-// TestWaitCommitted covers the long-poll primitive: wake on commit, honor
-// ctx, and fail out when the log closes.
-func TestWaitCommitted(t *testing.T) {
-	l, _, _ := collect(t, filepath.Join(t.TempDir(), "log"), walog.Options{})
+// TestWaitWritten covers the long-poll primitive: wake on a write — not
+// on its sync, which is held parked here — honor ctx, and fail out when
+// the log closes.
+func TestWaitWritten(t *testing.T) {
+	l, pf := openParked(t)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if err := l.WaitCommitted(ctx, 1); !errors.Is(err, context.DeadlineExceeded) {
+	if err := l.WaitWritten(ctx, 1); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("empty-log wait err = %v", err)
 	}
 
+	pf.armed.Store(true) // any fsync from here on parks
 	done := make(chan error, 1)
-	go func() { done <- l.WaitCommitted(context.Background(), 1) }()
+	go func() { done <- l.WaitWritten(context.Background(), 1) }()
 	time.Sleep(10 * time.Millisecond)
-	if err := l.Append([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
+	x := l.Enqueue([]byte("x"))
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("wait after commit: %v", err)
+			t.Fatalf("wait after the write: %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("WaitCommitted did not wake on commit")
+		t.Fatal("WaitWritten did not wake on Enqueue")
 	}
-	if err := l.WaitCommitted(context.Background(), 1); err != nil {
-		t.Fatalf("already-committed wait: %v", err)
+	if _, next := l.SeqState(); next != 0 {
+		t.Fatalf("durable horizon = %d before any sync, want 0", next)
+	}
+	if err := l.WaitWritten(context.Background(), 1); err != nil {
+		t.Fatalf("already-written wait: %v", err)
+	}
+	pf.armed.Store(false)
+	if err := x.Wait(context.Background(), time.Time{}); err != nil {
+		t.Fatal(err)
 	}
 
-	go func() { done <- l.WaitCommitted(context.Background(), 99) }()
+	go func() { done <- l.WaitWritten(context.Background(), 99) }()
 	time.Sleep(10 * time.Millisecond)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -263,6 +271,86 @@ func TestWaitCommitted(t *testing.T) {
 			t.Fatalf("wait across close err = %v, want ErrClosed", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("WaitCommitted did not wake on close")
+		t.Fatal("WaitWritten did not wake on close")
+	}
+}
+
+// TestFailedLogServesDurableOnly: once a sync fails, the log serves
+// nothing past its durable horizon — the records written behind the
+// failed sync may be lost by the next boot — and asking within the written
+// range is an empty answer, not divergence.
+func TestFailedLogServesDurableOnly(t *testing.T) {
+	var ff *flakyFile
+	l, _, _ := collect(t, filepath.Join(t.TempDir(), "log"), walog.Options{
+		WrapFile: func(f walog.File) walog.File { ff = &flakyFile{File: f}; return ff },
+	})
+	defer l.Close()
+	if err := l.Append([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	b := l.Enqueue([]byte("b"))
+	l.Enqueue([]byte("c"))
+	if frames, next, err := l.Tail(0, 0); err != nil || next != 3 || len(frames) == 0 {
+		t.Fatalf("healthy Tail(0) = %d bytes, next %d, %v; want 3 records", len(frames), next, err)
+	}
+	ff.failSync.Store(true)
+	if err := b.Wait(context.Background(), time.Time{}); !errors.Is(err, errInjected) {
+		t.Fatalf("Wait = %v, want the injected fault", err)
+	}
+	frames, next, err := l.Tail(0, 0)
+	if err != nil || next != 1 {
+		t.Fatalf("failed Tail(0) = next %d, %v; want 1", next, err)
+	}
+	var got []string
+	walog.ReadStream(frames, func(p []byte) error { got = append(got, string(p)); return nil })
+	if len(got) != 1 || got[0] != "a" {
+		t.Fatalf("failed Tail(0) records = %q, want [a]", got)
+	}
+	for _, from := range []uint64{1, 2, 3} {
+		if frames, next, err := l.Tail(from, 0); err != nil || next != from || len(frames) != 0 {
+			t.Fatalf("failed Tail(%d) = %d bytes, next %d, %v; want nothing", from, len(frames), next, err)
+		}
+	}
+	if _, _, err := l.Tail(4, 0); !errors.Is(err, walog.ErrSeqAhead) {
+		t.Fatalf("Tail(4) err = %v, want ErrSeqAhead", err)
+	}
+}
+
+// syncObserver counts the fsyncs a log reports.
+type syncObserver struct{ syncs atomic.Int64 }
+
+func (o *syncObserver) LogAppend(int64)              {}
+func (o *syncObserver) LogSync(time.Duration, error) { o.syncs.Add(1) }
+func (o *syncObserver) LogSize(int64)                {}
+func (o *syncObserver) LogReplay(int, bool)          {}
+func (o *syncObserver) LogCheckpoint()               {}
+
+// TestOpenSyncsReplayedLog: Open makes what it replayed durable with one
+// fsync before it counts those records committed — a killed process can
+// leave written, never-synced records in the page cache — and reports
+// that fsync.
+func TestOpenSyncsReplayedLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l, _, _ := collect(t, path, walog.Options{})
+	defer l.Close()
+	for i := 0; i < 3; i++ {
+		l.Enqueue([]byte{byte(i)}) // written, never waited on
+	}
+	if _, next := l.SeqState(); next != 0 {
+		t.Fatalf("durable horizon = %d before any sync, want 0", next)
+	}
+	// Reopen with the first handle still open, as a boot after a kill
+	// finds the file.
+	obs := new(syncObserver)
+	l2, _, n := collect(t, path, walog.Options{Observer: obs})
+	defer l2.Close()
+	if n != 3 {
+		t.Fatalf("replayed %d records, want 3", n)
+	}
+	if got := obs.syncs.Load(); got != 1 {
+		t.Fatalf("Open reported %d fsyncs, want 1", got)
+	}
+	if _, next := l2.SeqState(); next != 3 {
+		t.Fatalf("durable horizon after Open = %d, want 3", next)
 	}
 }

@@ -77,9 +77,10 @@ func parkWait(t *testing.T, pf *parkFile, tk walog.Ticket) <-chan error {
 }
 
 // TestSyncRunsOutsideLock: while one Wait is parked in fsync, appends,
-// the sequence line, the epoch, Tail of committed records and a
-// WaitCommitted that is already satisfied all return — the fsync does not
-// hold the log's mutex.
+// the sequence line, the epoch, Tail and a WaitWritten that is already
+// satisfied all return — the fsync does not hold the log's mutex. Tail
+// serves every written record, the one being synced and the one written
+// behind it included, while SeqState still reports only the durable one.
 func TestSyncRunsOutsideLock(t *testing.T) {
 	l, pf := openParked(t)
 	if err := l.Append([]byte("a")); err != nil {
@@ -99,19 +100,19 @@ func TestSyncRunsOutsideLock(t *testing.T) {
 	within(t, d, "Epoch", func() { l.Epoch() })
 	within(t, d, "Tail", func() {
 		frames, next, err := l.Tail(0, 0)
-		if err != nil || next != 1 {
-			t.Errorf("Tail(0) = next %d, %v; want 1", next, err)
+		if err != nil || next != 3 {
+			t.Errorf("Tail(0) = next %d, %v; want 3", next, err)
 			return
 		}
 		var got []string
 		walog.ReadStream(frames, func(p []byte) error { got = append(got, string(p)); return nil })
-		if len(got) != 1 || got[0] != "a" {
-			t.Errorf("Tail(0) records = %q, want [a]", got)
+		if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
+			t.Errorf("Tail(0) records = %q, want [a b c]", got)
 		}
 	})
-	within(t, d, "WaitCommitted", func() {
-		if err := l.WaitCommitted(context.Background(), 1); err != nil {
-			t.Errorf("WaitCommitted(1) = %v", err)
+	within(t, d, "WaitWritten", func() {
+		if err := l.WaitWritten(context.Background(), 3); err != nil {
+			t.Errorf("WaitWritten(3) = %v", err)
 		}
 	})
 

@@ -81,7 +81,7 @@ type Log struct {
 	obs  Observer
 
 	// readMu serializes Tail's file reads against truncation and Close:
-	// Tail reads a committed byte region through rf outside mu (so
+	// Tail reads a written byte region through rf outside mu (so
 	// appends keep flowing during the disk read), which is only safe
 	// while no checkpoint can cut the file under it and rf stays open.
 	// Lock order: readMu before mu.
@@ -106,15 +106,18 @@ type Log struct {
 
 	// Streaming state (see stream.go). base is the sequence number of the
 	// first record in the file (records checkpointed away keep their
-	// numbers); offs[k] is the byte offset of record base+k; committed is
-	// the sequence just past the last durable record — the replication
-	// horizon. commitGen, made only while a WaitCommitted long-poll is
-	// parked, is closed and cleared whenever committed advances, waking
+	// numbers); offs[k] is the byte offset of record base+k, and end the
+	// offset just past the last record whose write completed — so
+	// base+len(offs) is the written horizon, the replication stream's
+	// limit. committed is the sequence just past the last durable record.
+	// writeGen, made only while a WaitWritten long-poll is parked, is
+	// closed and cleared whenever the written horizon advances, waking
 	// them.
 	base      uint64
 	offs      []int64
+	end       int64
 	committed uint64
-	commitGen chan struct{}
+	writeGen  chan struct{}
 
 	// frame holds the record being appended, header and payload, so it
 	// goes to the file in one write; reused under mu.
@@ -192,10 +195,21 @@ func Open(path string, apply func(payload []byte) error, opt Options) (*Log, int
 		f.Close()
 		return nil, replayed, fmt.Errorf("%s: seek: %w", name, err)
 	}
-	if torn {
-		if err := f.Sync(); err != nil {
+	// What replay read may have been written and never synced (a process
+	// killed before its fsync leaves the bytes in the page cache): make it
+	// durable before counting it as committed, since a primary serves the
+	// committed horizon as durable and a follower's boot position
+	// acknowledges it. The same sync covers a torn tail's truncation; an
+	// empty log has nothing to sync.
+	if valid > 0 || torn {
+		start := time.Now()
+		err := f.Sync()
+		if opt.Observer != nil {
+			opt.Observer.LogSync(time.Since(start), err)
+		}
+		if err != nil {
 			f.Close()
-			return nil, replayed, fmt.Errorf("%s: sync after truncate: %w", name, err)
+			return nil, replayed, fmt.Errorf("%s: sync replayed log: %w", name, err)
 		}
 	}
 	// Make the log file's existence itself durable (first boot creates it).
@@ -221,6 +235,7 @@ func Open(path string, apply func(payload []byte) error, opt Options) (*Log, int
 		synced:    valid,
 		base:      base,
 		offs:      offs,
+		end:       valid,
 		committed: base + uint64(len(offs)),
 		statePath: opt.StatePath,
 	}
@@ -266,8 +281,14 @@ type Ticket struct {
 	l   *Log
 	off int64  // log size just past this record
 	gen uint64 // the log's truncation generation at enqueue
+	seq uint64 // the sequence just past this record
 	err error  // enqueue-time failure (sticky error, closed log)
 }
+
+// Seq returns the sequence just past the ticket's record: a follower whose
+// position reaches it holds the record. 0 for the zero Ticket and for a
+// failed enqueue.
+func (t Ticket) Seq() uint64 { return t.seq }
 
 // Append frames payload into the log and waits for durability — Enqueue
 // followed by Wait, for callers with no ordering constraint or deadline
@@ -303,15 +324,17 @@ func (l *Log) Enqueue(payload []byte) Ticket {
 		// Any write failure is sticky: the log can no longer attest
 		// durability, so the owner must stop acknowledging writes.
 		l.failed = fmt.Errorf("%s: append: %w", l.name, err)
-		l.wakeCommittedLocked()
+		l.wakeWrittenLocked()
 		return Ticket{err: l.failed}
 	}
 	l.offs = append(l.offs, off)
+	l.end = l.size
+	l.wakeWrittenLocked()
 	if l.obs != nil {
 		l.obs.LogAppend(int64(n))
 		l.obs.LogSize(l.size)
 	}
-	return Ticket{l: l, off: l.size, gen: l.gen}
+	return Ticket{l: l, off: l.size, gen: l.gen, seq: l.base + uint64(len(l.offs))}
 }
 
 // Wait blocks until the enqueued record is durable (or the log has
@@ -429,15 +452,15 @@ func (l *Log) waitSyncLocked() {
 // syncedLocked records the outcome of a sync that began when the log was
 // size bytes and next records long, in truncation generation gen. A
 // failure is sticky. Success advances the durable size and the committed
-// horizon — waking Tail long-polls — unless a truncation came between,
-// which left both where it set them.
+// horizon unless a truncation came between, which left both where it set
+// them.
 func (l *Log) syncedLocked(d time.Duration, err error, size int64, next, gen uint64) error {
 	if l.obs != nil {
 		l.obs.LogSync(d, err)
 	}
 	if err != nil && l.failed == nil {
 		l.failed = fmt.Errorf("%s: sync: %w", l.name, err)
-		l.wakeCommittedLocked()
+		l.wakeWrittenLocked()
 	}
 	if l.failed != nil {
 		return l.failed
@@ -450,20 +473,19 @@ func (l *Log) syncedLocked(d time.Duration, err error, size int64, next, gen uin
 	}
 	if next > l.committed {
 		l.committed = next
-		l.wakeCommittedLocked()
 	}
 	return nil
 }
 
-// wakeCommittedLocked closes commitGen, if a WaitCommitted loop made
-// one, so every such loop re-checks the log state. Called when the
-// committed horizon advances — and on failure or close, so long-polls
-// observe the terminal state instead of sleeping until their context
-// expires.
-func (l *Log) wakeCommittedLocked() {
-	if l.commitGen != nil {
-		close(l.commitGen)
-		l.commitGen = nil
+// wakeWrittenLocked closes writeGen, if a WaitWritten loop made one, so
+// every such loop re-checks the log state. Called when the written
+// horizon moves — and on failure or close, so long-polls observe the
+// terminal state instead of sleeping until their context expires. With
+// no long-poll parked it costs one nil check.
+func (l *Log) wakeWrittenLocked() {
+	if l.writeGen != nil {
+		close(l.writeGen)
+		l.writeGen = nil
 	}
 }
 
@@ -505,16 +527,17 @@ func (l *Log) CheckpointSeq(save func(cut uint64) error) error {
 	}
 	if err := l.f.Truncate(0); err != nil {
 		l.failed = fmt.Errorf("%s: checkpoint truncate: %w", l.name, err)
-		l.wakeCommittedLocked()
+		l.wakeWrittenLocked()
 		return l.failed
 	}
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		l.failed = fmt.Errorf("%s: checkpoint seek: %w", l.name, err)
-		l.wakeCommittedLocked()
+		l.wakeWrittenLocked()
 		return l.failed
 	}
 	l.size = 0
 	l.synced = 0
+	l.end = 0
 	l.gen++
 	// Checkpointed records keep their sequence numbers: the snapshot now
 	// carries them, so the log's first record (if any ever lands) is the
@@ -527,10 +550,9 @@ func (l *Log) CheckpointSeq(save func(cut uint64) error) error {
 	if n := len(l.marks); n > 1 {
 		l.marks = append(l.marks[:0], l.marks[n-1])
 	}
-	if l.committed != l.base {
-		l.committed = l.base
-		l.wakeCommittedLocked()
-	}
+	// The written horizon stays where it was; the durable one joins it,
+	// because the snapshot holds every record.
+	l.committed = l.base
 	if l.obs != nil {
 		l.obs.LogSize(0)
 		l.obs.LogCheckpoint()
@@ -544,7 +566,7 @@ func (l *Log) CheckpointSeq(save func(cut uint64) error) error {
 	// the log is already empty — and adopts the cut).
 	if err := l.persistStateLocked(); err != nil {
 		l.failed = fmt.Errorf("%s: checkpoint persist state: %w", l.name, err)
-		l.wakeCommittedLocked()
+		l.wakeWrittenLocked()
 		return l.failed
 	}
 	return nil
@@ -559,7 +581,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	l.wakeCommittedLocked() // long-polls must observe the close, not time out
+	l.wakeWrittenLocked() // long-polls must observe the close, not time out
 	var err error
 	if l.failed == nil {
 		err = l.syncLocked()

@@ -194,7 +194,7 @@ func TestGroupCommit(t *testing.T) {
 				}
 				if next == from {
 					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-					l.WaitCommitted(ctx, from+1)
+					l.WaitWritten(ctx, from+1)
 					cancel()
 				}
 				from = next
